@@ -14,7 +14,6 @@ which is the form the all-at-once space-time system is built from.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,20 +24,20 @@ from .model import (
     DivergenceError,
     GridConfig,
     ParityField,
+    Trajectory,
     UnsupportedConfigurationError,
+    check_field,
 )
-from .quadrature import QuadratureRule, gauss_rule
+from .quadrature import QuadratureRule
 
 __all__ = [
     "ApStepMatrices",
-    "ApTrajectory",
     "ap_evolve",
     "ap_step_matrices",
     "boundary_forcing",
     "matrix_step",
     "relaxation_step",
     "transport_step",
-    "write_trajectory_csv",
 ]
 
 
@@ -53,21 +52,6 @@ def _check_ap(cfg: GridConfig, rule: QuadratureRule | None = None):
         raise ValueError(
             f"rule has {rule.n_points} points, config expects N = {cfg.N}"
         )
-
-
-def _check_field(state: ParityField, cfg: GridConfig):
-    if state.r.size != cfg.N * cfg.N_x:
-        raise ValueError(
-            f"field length {state.r.size} does not match N*N_x = {cfg.N * cfg.N_x}"
-        )
-    if state.n_velocities != cfg.N:
-        raise ValueError(
-            f"field has {state.n_velocities} ghost entries per side, expected {cfg.N}"
-        )
-
-
-def _rule_for(cfg: GridConfig, rule: QuadratureRule | None) -> QuadratureRule:
-    return rule if rule is not None else gauss_rule(cfg.N, 0.0, 1.0)
 
 
 def _pad(values: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -89,7 +73,7 @@ def relaxation_step(
     explicitly computable.
     """
     _check_ap(cfg, rule)
-    _check_field(state, cfg)
+    check_field(state, cfg)
     R, J = state.blocks()
     gamma = cfg.gamma
     eps2 = cfg.epsilon**2
@@ -105,19 +89,17 @@ def relaxation_step(
 
 
 def transport_step(
-    star: ParityField, cfg: GridConfig, rule: QuadratureRule | None = None
+    star: ParityField, cfg: GridConfig, rule: QuadratureRule
 ) -> ParityField:
     """Centered transport update of the starred state.
 
         r^{n+1} = (1 - lam*v)r* + (lam*v/2)(r*_{m+1} + r*_{m-1})
                                 - (lam*v/2)(j*_{m+1} - j*_{m-1})
 
-    and the same formula with r and j swapped, where lam = tau/h.  The
-    rule defaults to the N-point rule on [0, 1] implied by the config.
+    and the same formula with r and j swapped, where lam = tau/h.
     """
     _check_ap(cfg, rule)
-    _check_field(star, cfg)
-    rule = _rule_for(cfg, rule)
+    check_field(star, cfg)
     Rp = _pad(star.blocks()[0], star.r_left, star.r_right)
     Jp = _pad(star.blocks()[1], star.j_left, star.j_right)
     lam_v = cfg.lam * rule.nodes[:, None]
@@ -137,20 +119,17 @@ def transport_step(
 class ApStepMatrices:
     """Sparse one-step operators of the combined relaxation+transport map.
 
-    With A = (lam/2)*Mv, B = I + (lam/2)*Lv, gamma = tau/eps^2 and
-    c = (1 - eps^2)/(tau + eps^2):
+    With A = (lam/2)*Mv and B = I + (lam/2)*Lv, where Mv and Lv are
+    diag(v) times the central first and second differences in x, G the
+    weight average, gamma = tau/eps^2 and c = (1 - eps^2)/(tau + eps^2):
 
         B1 = (B + c*A^2)(I + gamma*G)/(1 + gamma)    A1 = A/(1 + gamma)
         B2 = (A + c*B*A)(I + gamma*G)/(1 + gamma)    A2 = B/(1 + gamma)
 
-    ``limit_B2`` is the eps -> 0 limit (A + B*A/tau)G of B2.  All
-    matrices have order N*N_x and act on velocity-major vectors.
+    The eps -> 0 limit of B2 is (A + B*A/tau)G.  All matrices have
+    order N*N_x and act on velocity-major vectors.
     """
 
-    Mh: sp.csr_matrix
-    Lh: sp.csr_matrix
-    Mv: sp.csr_matrix
-    Lv: sp.csr_matrix
     G: sp.csr_matrix
     A: sp.csr_matrix
     B: sp.csr_matrix
@@ -158,7 +137,6 @@ class ApStepMatrices:
     A1: sp.csr_matrix
     B2: sp.csr_matrix
     A2: sp.csr_matrix
-    limit_B2: sp.csr_matrix
 
 
 def ap_step_matrices(cfg: GridConfig, rule: QuadratureRule) -> ApStepMatrices:
@@ -192,10 +170,7 @@ def ap_step_matrices(cfg: GridConfig, rule: QuadratureRule) -> ApStepMatrices:
     A1 = ((1.0 / (1.0 + gamma)) * A).tocsr()
     B2 = ((A + c * (B @ A)) @ relax).tocsr()
     A2 = ((1.0 / (1.0 + gamma)) * B).tocsr()
-    limit_B2 = ((A + (1.0 / tau) * (B @ A)) @ G).tocsr()
-
-    return ApStepMatrices(Mh=Mh, Lh=Lh, Mv=Mv, Lv=Lv, G=G, A=A, B=B,
-                          B1=B1, A1=A1, B2=B2, A2=A2, limit_B2=limit_B2)
+    return ApStepMatrices(G=G, A=A, B=B, B1=B1, A1=A1, B2=B2, A2=A2)
 
 
 def boundary_forcing(
@@ -255,27 +230,15 @@ def matrix_step(
 # evolution
 
 
-@dataclass
-class ApTrajectory:
-    """Time levels 0..N_t of a relaxation-scheme run plus a cost counter.
-
-    The counter charges N^2 * N_x per step, the nominal work of applying
-    the O(N)-sparse one-step matrices of order N*N_x.
-    """
-
-    fields: list[ParityField]
-    cost: int
-
-    def __len__(self):
-        return len(self.fields)
-
-
 def ap_evolve(
     initial: ParityField, cfg: GridConfig, rule: QuadratureRule
-) -> ApTrajectory:
-    """Run N_t relaxation+transport steps, recording every level."""
+) -> Trajectory:
+    """Run N_t relaxation+transport steps, recording every level.
+
+    The cost counter charges N^2 * N_x per step.
+    """
     _check_ap(cfg, rule)
-    _check_field(initial, cfg)
+    check_field(initial, cfg)
     fields = [initial]
     state = initial
     cost = 0
@@ -287,16 +250,4 @@ def ap_evolve(
             if not (np.all(np.isfinite(state.r)) and np.all(np.isfinite(state.j))):
                 raise DivergenceError(step)
             fields.append(state)
-    return ApTrajectory(fields=fields, cost=cost)
-
-
-def write_trajectory_csv(trajectory: ApTrajectory, cfg: GridConfig, path) -> None:
-    """Dump a trajectory as (step, k, m, r, j) rows; off by default in runs."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step", "k", "m", "r", "j"])
-        for step, field in enumerate(trajectory.fields):
-            R, J = field.blocks()
-            for k in range(cfg.N):
-                for m in range(cfg.N_x):
-                    writer.writerow([step, k + 1, m + 1, repr(R[k, m]), repr(J[k, m])])
+    return Trajectory(fields=fields, cost=cost)

@@ -195,23 +195,27 @@ class FourierSymbols:
         r^{n+1} + c1 r^n + c2 j^n + gamma*c1*<w, r^n> = 0
         j^{n+1} + d1 j^n + d2 r^n + gamma*d2*<w, r^n> = 0.
 
-    gamma0_c1 and gamma0_d2 are the finite eps -> 0 limits of gamma*c1
-    and gamma*d2 (the symbols themselves vanish in that limit).
+    gamma_c1 and gamma_d2 are gamma*c1 and gamma*d2, and gamma0_c1 and
+    gamma0_d2 their finite eps -> 0 limits (the symbols themselves
+    vanish in that limit).
     """
 
     c1: complex
     c2: complex
     d1: complex
     d2: complex
+    gamma_c1: complex
+    gamma_d2: complex
     gamma0_c1: complex
     gamma0_d2: complex
 
 
 def fourier_symbols(cfg: GridConfig, v_k: float, xi: float) -> FourierSymbols:
-    """Evaluate the four symbols and their eps -> 0 limit products.
+    """Evaluate the four symbols, their gamma products and those
+    products' eps -> 0 limits.
 
-    All eps-dependent prefactors are formed as ratios of eps^2 and
-    eps^2 + tau, so the evaluation stays finite down to eps ~ 1e-8.
+    All eps-dependent prefactors are formed as ratios of eps^2 or tau
+    and eps^2 + tau, so the evaluation stays finite down to eps ~ 1e-8.
     """
     if cfg.epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -224,30 +228,22 @@ def fourier_symbols(cfg: GridConfig, v_k: float, xi: float) -> FourierSymbols:
 
     beta = eps2 / (eps2 + tau)                      # 1/(1+gamma)
     beta2_mu = eps2 * (1.0 - eps2) / (eps2 + tau) ** 2
+    gbeta = tau / (eps2 + tau)                      # gamma*beta
+    gbeta2_mu = tau * (1.0 - eps2) / (eps2 + tau) ** 2
 
     c1 = -beta * g - beta2_mu * s2
     c2 = beta * s
     d1 = -beta * g
     d2 = beta2_mu * g * s + beta * s
 
-    gamma0_c1 = -g - s2 / tau
-    gamma0_d2 = g * s / tau + s
-
     return FourierSymbols(
         c1=c1, c2=c2, d1=d1, d2=d2,
-        gamma0_c1=gamma0_c1, gamma0_d2=gamma0_d2,
+        # grouped (gbeta2_mu*s)*s on purpose: gbeta2_mu*s2 rounds differently
+        gamma_c1=-gbeta * g - gbeta2_mu * s * s,
+        gamma_d2=gbeta2_mu * g * s + gbeta * s,
+        gamma0_c1=-g - s2 / tau,
+        gamma0_d2=g * s / tau + s,
     )
-
-
-def _gamma_scaled_symbols(cfg: GridConfig, v_k: float, xi: float) -> tuple[complex, complex]:
-    """(gamma*c1, gamma*d2) in overflow-free grouped form."""
-    tau, lam, h = cfg.tau, cfg.lam, cfg.h
-    eps2 = cfg.epsilon**2
-    g = (1.0 - lam * v_k) + lam * v_k * np.cos(xi * h)
-    s = 1j * lam * v_k * np.sin(xi * h)
-    gbeta = tau / (eps2 + tau)
-    gbeta2_mu = tau * (1.0 - eps2) / (eps2 + tau) ** 2
-    return -gbeta * g - gbeta2_mu * s * s, gbeta2_mu * g * s + gbeta * s
 
 
 @dataclass
@@ -257,15 +253,13 @@ class FourierMatrix:
     ``Ltilde`` is the order-2N*N_t coefficient matrix at frequency xi
     (its eps = 0 limit when ``at_epsilon_zero`` was requested),
     ``Ltilde0`` always holds the limit matrix and ``E`` the difference
-    between the finite-eps and limit matrices.  ``symbols`` lists the
-    per-velocity-node scalars.
+    between the finite-eps and limit matrices.
     """
 
     xi: float
     Ltilde: sp.csr_matrix
     Ltilde0: sp.csr_matrix
     E: sp.csr_matrix
-    symbols: list[FourierSymbols]
 
 
 def assemble_fourier_matrix(
@@ -288,7 +282,6 @@ def assemble_fourier_matrix(
         )
     N, N_t, tau = cfg.N, cfg.N_t, cfg.tau
     syms = [fourier_symbols(cfg, v_k, xi) for v_k in rule.nodes]
-    gsyms = [_gamma_scaled_symbols(cfg, v_k, xi) for v_k in rule.nodes]
 
     P = _time_shift(N_t).astype(complex)
     I_nt = sp.eye(N * N_t, dtype=complex, format="csr")
@@ -305,8 +298,8 @@ def assemble_fourier_matrix(
     c2 = [s.c2 for s in syms]
     d1 = [s.d1 for s in syms]
     d2 = [s.d2 for s in syms]
-    gc1 = [g[0] for g in gsyms]
-    gd2 = [g[1] for g in gsyms]
+    gc1 = [s.gamma_c1 for s in syms]
+    gd2 = [s.gamma_d2 for s in syms]
     g0c1 = [s.gamma0_c1 for s in syms]
     g0d2 = [s.gamma0_d2 for s in syms]
 
@@ -332,7 +325,6 @@ def assemble_fourier_matrix(
         Ltilde=L0 if at_epsilon_zero else L_eps,
         Ltilde0=L0,
         E=E,
-        symbols=syms,
     )
 
 

@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, assembly, complexity, spectral
-from . import ap_scheme, explicit_scheme
+from . import __version__, assembly, complexity, schemes, spectral
 from .model import (
     AP,
     CONFIG_KEYS,
@@ -28,11 +27,9 @@ from .model import (
     GridConfig,
     UnsupportedConfigurationError,
     config_as_dict,
-    initial_kinetic_field,
-    initial_parity_field,
+    read_config,
     resolve_config,
 )
-from .quadrature import gauss_rule
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,33 +116,6 @@ def emit_report(rows, destination) -> Path:
     return destination
 
 
-def _overrides_from_args(args) -> dict:
-    out = {}
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
-    return out
-
-
-def _load_cfg(args) -> GridConfig:
-    path = Path(args.config)
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ValueError(f"config file {path} must contain a flat JSON object")
-    overrides = _overrides_from_args(args)
-    merged = dict(raw)
-    merged.update(overrides)
-    # coerce numeric strings coming from the command line
-    for key, value in list(merged.items()):
-        if key in ("scheme", "init") or not isinstance(value, str):
-            continue
-        if key == "tau" and value == "auto":
-            continue
-        merged[key] = float(value) if key not in ("N", "Nx", "Nt") else int(value)
-    return resolve_config(merged, allow_unstable=args.allow_unstable)
-
-
 def _write_manifest(args, cfg: GridConfig, outdir: Path, extra: dict | None = None):
     config_bytes = Path(args.config).read_bytes()
     manifest = {
@@ -163,52 +133,25 @@ def _write_manifest(args, cfg: GridConfig, outdir: Path, extra: dict | None = No
     return path
 
 
-def _rule_for(cfg: GridConfig):
-    if cfg.scheme == AP:
-        return gauss_rule(cfg.N, 0.0, 1.0)
-    return gauss_rule(2 * cfg.N, -1.0, 1.0)
-
-
 def _cmd_solve(args, cfg, outdir: Path) -> list[Path]:
-    rule = _rule_for(cfg)
+    scheme = schemes.scheme_for(cfg)
+    rule = scheme.rule(cfg)
+    trajectory = scheme.evolve(scheme.initial(cfg, rule), cfg, rule)
+    rho = scheme.density(trajectory.fields[-1], rule)
     x = cfg.interior_x()
-    written = []
-    if cfg.scheme == AP:
-        trajectory = ap_scheme.ap_evolve(initial_parity_field(cfg, rule), cfg, rule)
-        rho = rule.weights @ trajectory.fields[-1].blocks()[0]
-        if args.export_trajectory:
-            tpath = outdir / "trajectory.csv"
-            ap_scheme.write_trajectory_csv(trajectory, cfg, tpath)
-            written.append(tpath)
-    else:
-        trajectory = explicit_scheme.explicit_evolve(
-            initial_kinetic_field(cfg, rule), cfg, rule
-        )
-        rho = 0.5 * (trajectory.fields[-1].blocks() @ rule.weights)
-        if args.export_trajectory:
-            tpath = outdir / "trajectory.csv"
-            explicit_scheme.write_trajectory_csv(trajectory, cfg, tpath)
-            written.append(tpath)
-
     lines = ["x,rho"]
     lines += [f"{repr(float(xi))},{repr(float(ri))}" for xi, ri in zip(x, rho)]
     dpath = outdir / "density.csv"
     _atomic_write(dpath, "\n".join(lines) + "\n")
-    written.insert(0, dpath)
-    return written
-
-
-def _assemble_system(cfg, rescaled):
-    rule = _rule_for(cfg)
-    if cfg.scheme == AP:
-        initial = initial_parity_field(cfg, rule)
-        return assembly.assemble_ap_system(cfg, rule, initial, rescaled=rescaled)
-    initial = initial_kinetic_field(cfg, rule)
-    return assembly.assemble_explicit_system(cfg, rule, initial)
+    if not args.export_trajectory:
+        return [dpath]
+    tpath = outdir / "trajectory.csv"
+    schemes.write_trajectory_csv(trajectory, cfg, tpath)
+    return [dpath, tpath]
 
 
 def _cmd_assemble(args, cfg, outdir: Path) -> list[Path]:
-    system = _assemble_system(cfg, args.rescaled)
+    system = schemes.scheme_for(cfg).assemble(cfg, args.rescaled)
     meta = assembly.system_metadata(system)
     lpath = outdir / "L.mtx"
     fpath = outdir / "F.mtx"
@@ -218,37 +161,24 @@ def _cmd_assemble(args, cfg, outdir: Path) -> list[Path]:
 
 
 def _cmd_spectrum(args, cfg, outdir: Path) -> list[Path]:
-    system = _assemble_system(cfg, args.rescaled)
-    report = spectral.singular_extremes(system.L)
-    queries = (
-        complexity.qlsa_queries(report.sparsity, report.kappa, args.delta)
-        if np.isfinite(report.kappa) else float("inf")
-    )
-    row = complexity.ComplexityRow(
-        scheme=cfg.scheme, epsilon=cfg.epsilon, phi=cfg.phi, tau=cfg.tau,
-        h=cfg.h, N=cfg.N, Nx=cfg.N_x, Nt=cfg.N_t, delta=args.delta,
-        sigma_min=report.sigma_min, sigma_max=report.sigma_max,
-        kappa=report.kappa, sparsity=report.sparsity,
-        alpha=spectral.alpha_bound(cfg.epsilon, cfg.tau, cfg.N),
-        classical_cost=complexity.classical_cost(cfg),
-        quantum_queries=queries, status="ok",
-    )
+    row = complexity.row_for(cfg, args.delta, rescaled=args.rescaled)
     path = outdir / "spectrum.csv"
     emit_report([row], path)
     return [path]
 
 
 def _cmd_fourier(args, cfg, outdir: Path) -> list[Path]:
-    rule = gauss_rule(cfg.N, 0.0, 1.0)
+    # the per-frequency analysis is the relaxation scheme's
+    rule = schemes.SCHEMES[AP].rule(cfg)
     xi_values = np.linspace(0.0, np.pi, args.xi_samples) / cfg.h
     report = spectral.perturbation_check(cfg, rule, xi_values)
 
     sym_lines = ["xi,k,v,c1_re,c1_im,c2_re,c2_im,d1_re,d1_im,d2_re,d2_im"]
     for xi in xi_values:
-        fm = assembly.assemble_fourier_matrix(cfg, rule, xi)
-        for k, s in enumerate(fm.symbols):
+        for k, v in enumerate(rule.nodes):
+            s = assembly.fourier_symbols(cfg, v, xi)
             sym_lines.append(",".join([
-                repr(float(xi)), str(k + 1), repr(float(rule.nodes[k])),
+                repr(float(xi)), str(k + 1), repr(float(v)),
                 repr(s.c1.real), repr(s.c1.imag),
                 repr(s.c2.real), repr(s.c2.imag),
                 repr(s.d1.real), repr(s.d1.imag),
@@ -298,7 +228,11 @@ def main(argv=None) -> int:
     try:
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        cfg = _load_cfg(args)
+        # override flags coincide with config keys
+        raw = read_config(args.config)
+        raw.update({key: value for key in CONFIG_KEYS
+                    if (value := getattr(args, key)) is not None})
+        cfg = resolve_config(raw, allow_unstable=args.allow_unstable)
         _write_manifest(args, cfg, outdir)
         handler = {
             "solve": _cmd_solve,

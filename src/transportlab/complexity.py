@@ -13,21 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace as dc_replace
 
-from . import assembly, spectral
-from .model import (
-    AP,
-    EXPLICIT,
-    GridConfig,
-    initial_kinetic_field,
-    initial_parity_field,
-)
-from .quadrature import gauss_rule
+from . import assembly, schemes, spectral
+from .model import EXPLICIT, GridConfig
 
 __all__ = [
     "CSV_HEADER",
     "ComplexityRow",
     "classical_cost",
     "qlsa_queries",
+    "row_for",
     "rows_to_csv",
     "sweep_epsilon",
 ]
@@ -121,35 +115,16 @@ def rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _measure(cfg: GridConfig, delta: float, order_cap: int) -> dict:
-    """Assemble the scheme's space-time system and measure its spectrum."""
-    if cfg.scheme == AP:
-        rule = gauss_rule(cfg.N, 0.0, 1.0)
-        system = assembly.assemble_ap_system(
-            cfg, rule, initial_parity_field(cfg, rule),
-            rescaled=True, order_cap=order_cap,
-        )
-    else:
-        rule = gauss_rule(2 * cfg.N, -1.0, 1.0)
-        system = assembly.assemble_explicit_system(
-            cfg, rule, initial_kinetic_field(cfg, rule), order_cap=order_cap,
-        )
-    report = spectral.singular_extremes(system.L)
-    queries = (
-        qlsa_queries(report.sparsity, report.kappa, delta)
-        if math.isfinite(report.kappa) else float("inf")
-    )
-    return {
-        "sigma_min": report.sigma_min,
-        "sigma_max": report.sigma_max,
-        "kappa": report.kappa,
-        "sparsity": report.sparsity,
-        "quantum_queries": queries,
-    }
-
-
-def _row_for(cfg: GridConfig, delta: float, measure: bool, order_cap: int) -> ComplexityRow:
-    alpha = spectral.alpha_bound(cfg.epsilon, cfg.tau, cfg.N)
+def row_for(
+    cfg: GridConfig,
+    delta: float,
+    measure: bool = True,
+    rescaled: bool = True,
+    order_cap: int = assembly.ORDER_CAP_DEFAULT,
+) -> ComplexityRow:
+    """The grid and cost row of one configuration; with ``measure`` the
+    spectrum of its space-time system (tau-rescaled for the relaxation
+    scheme when ``rescaled``) fills the measured columns."""
     row = ComplexityRow(
         scheme=cfg.scheme,
         epsilon=cfg.epsilon,
@@ -164,22 +139,41 @@ def _row_for(cfg: GridConfig, delta: float, measure: bool, order_cap: int) -> Co
         sigma_max=None,
         kappa=None,
         sparsity=None,
-        alpha=alpha,
+        alpha=spectral.alpha_bound(cfg.epsilon, cfg.tau, cfg.N),
         classical_cost=classical_cost(cfg),
         quantum_queries=None,
         status="counts_only",
     )
-    if cfg.scheme == EXPLICIT:
-        row.closed_form_classical = cfg.N**2 * cfg.epsilon**-3 / delta
-        row.closed_form_quantum = (
-            cfg.N**2 * cfg.epsilon**-2 * math.log2(1.0 / (cfg.epsilon * delta))
-        )
     if measure:
-        measured = _measure(cfg, delta, order_cap)
-        for key, value in measured.items():
-            setattr(row, key, value)
+        system = schemes.scheme_for(cfg).assemble(cfg, rescaled, order_cap)
+        report = spectral.singular_extremes(system.L)
+        row.quantum_queries = (
+            qlsa_queries(report.sparsity, report.kappa, delta)
+            if math.isfinite(report.kappa) else float("inf")
+        )
+        row.sigma_min, row.sigma_max = report.sigma_min, report.sigma_max
+        row.kappa, row.sparsity = report.kappa, report.sparsity
         row.status = "ok"
     return row
+
+
+def _error_row(base_cfg: GridConfig, grid: dict, delta: float, exc) -> ComplexityRow:
+    """Row of a failed epsilon, reporting the grid that was tried."""
+    tried = {"tau": base_cfg.tau, "h": base_cfg.h,
+             "N_x": base_cfg.N_x, "N_t": base_cfg.N_t, **grid}
+    try:
+        alpha = spectral.alpha_bound(tried["epsilon"], tried["tau"], base_cfg.N)
+    except ValueError:
+        alpha = float("nan")
+    return ComplexityRow(
+        scheme=base_cfg.scheme, epsilon=tried["epsilon"], phi=base_cfg.phi,
+        tau=tried["tau"], h=tried["h"], N=base_cfg.N,
+        Nx=tried["N_x"], Nt=tried["N_t"], delta=delta,
+        sigma_min=None, sigma_max=None, kappa=None, sparsity=None, alpha=alpha,
+        classical_cost=classical_cost(
+            dc_replace(base_cfg, N_x=tried["N_x"], N_t=tried["N_t"])),
+        quantum_queries=None, status=f"error: {exc}",
+    )
 
 
 def sweep_epsilon(
@@ -197,48 +191,38 @@ def sweep_epsilon(
 
     fixed_grid keeps (tau, h, N_x, N_t) of ``base_cfg`` and varies only
     epsilon, the regime where the rescaled relaxation system shows
-    eps-independent conditioning.  cfl_driven rederives the grid from
-    each epsilon via the explicit scheme's accuracy/stability rules:
+    eps-independent conditioning; it skips the step restriction
+    (``allow_unstable=True``), since a fixed grid breaks the explicit
+    one at small epsilon.  cfl_driven rederives the grid from each
+    epsilon via the explicit scheme's accuracy/stability rules:
     h = h_constant * eps * delta, tau = tau_safety * h * eps^2/(eps+h),
     N_x from the fixed domain length, N_t = ceil(final_time/tau).
-    Failures are recorded in the row status and the sweep continues.
+    A failure is recorded in the row status, with the grid that was
+    tried, and the sweep continues.
     """
     if mode not in ("fixed_grid", "cfl_driven"):
         raise ValueError(f"mode must be 'fixed_grid' or 'cfl_driven', got {mode!r}")
     if mode == "cfl_driven" and base_cfg.scheme != EXPLICIT:
         raise ValueError("cfl_driven mode applies the explicit scheme's grid rules")
 
+    length = base_cfg.x_right - base_cfg.x_left
     rows = []
-    for eps in epsilons:
-        eps = float(eps)
+    for eps in map(float, epsilons):
+        grid = {"epsilon": eps}
         try:
-            if mode == "fixed_grid":
-                cfg = dc_replace(base_cfg, epsilon=eps, allow_unstable=True)
-            else:
+            if mode == "cfl_driven":
                 h = h_constant * eps * delta
                 tau = tau_safety * h * eps**2 / (eps + h)
-                length = base_cfg.x_right - base_cfg.x_left
-                N_x = max(1, round(length / h) - 1)
-                N_t = max(1, math.ceil(final_time / tau))
-                cfg = dc_replace(
-                    base_cfg, epsilon=eps, h=h, tau=tau, N_x=N_x, N_t=N_t,
-                    allow_unstable=False,
-                )
+                grid.update(h=h, tau=tau, N_x=max(1, round(length / h) - 1),
+                            N_t=max(1, math.ceil(final_time / tau)))
+            cfg = dc_replace(base_cfg, allow_unstable=mode == "fixed_grid", **grid)
+            closed_form = schemes.scheme_for(cfg).closed_form(cfg, delta)
             # both schemes yield order 2N*N_x*N_t (parity pair vs 2N nodes)
             order = 2 * cfg.N * cfg.N_x * cfg.N_t
-            measure = measure_spectrum and order <= order_cap
-            rows.append(_row_for(cfg, delta, measure, order_cap))
+            row = row_for(cfg, delta, measure_spectrum and order <= order_cap,
+                          order_cap=order_cap)
+            row.closed_form_classical, row.closed_form_quantum = closed_form
         except Exception as exc:  # per-epsilon failure: record and continue
-            try:
-                alpha = spectral.alpha_bound(eps, base_cfg.tau, base_cfg.N)
-            except ValueError:
-                alpha = float("nan")
-            rows.append(ComplexityRow(
-                scheme=base_cfg.scheme, epsilon=eps, phi=base_cfg.phi,
-                tau=base_cfg.tau, h=base_cfg.h, N=base_cfg.N,
-                Nx=base_cfg.N_x, Nt=base_cfg.N_t, delta=delta,
-                sigma_min=None, sigma_max=None, kappa=None, sparsity=None,
-                alpha=alpha, classical_cost=0, quantum_queries=None,
-                status=f"error: {exc}",
-            ))
+            row = _error_row(base_cfg, grid, delta, exc)
+        rows.append(row)
     return rows

@@ -17,7 +17,6 @@ with alpha = tau/eps^2 and B2 idempotent.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +27,17 @@ from .model import (
     DivergenceError,
     GridConfig,
     KineticField,
+    Trajectory,
+    check_field,
 )
 from .quadrature import QuadratureRule
 
 __all__ = [
     "ExplicitStepMatrix",
-    "ExplicitTrajectory",
     "boundary_vector",
     "explicit_evolve",
     "explicit_matrix",
     "explicit_step",
-    "write_trajectory_csv",
 ]
 
 # above this order the spectral-norm self-check at construction is skipped
@@ -54,24 +53,12 @@ def _check_explicit(cfg: GridConfig, rule: QuadratureRule | None = None):
         )
 
 
-def _check_field(field: KineticField, cfg: GridConfig):
-    if field.n_velocities != 2 * cfg.N:
-        raise ValueError(
-            f"field has {field.n_velocities} velocity nodes, expected {2 * cfg.N}"
-        )
-    if field.f.size != 2 * cfg.N * cfg.N_x:
-        raise ValueError(
-            f"field length {field.f.size} does not match 2N*N_x = "
-            f"{2 * cfg.N * cfg.N_x}"
-        )
-
-
 def explicit_step(
     field: KineticField, cfg: GridConfig, rule: QuadratureRule
 ) -> KineticField:
     """Apply one upwind step with Dirichlet ghost blocks at both ends."""
     _check_explicit(cfg, rule)
-    _check_field(field, cfg)
+    check_field(field, cfg)
     eps, tau, lam = cfg.epsilon, cfg.tau, cfg.lam
     v = rule.nodes
     w = rule.weights
@@ -95,15 +82,12 @@ def explicit_step(
 class ExplicitStepMatrix:
     """One-step matrix B of the upwind scheme and its splitting.
 
-    B1 carries the transport part (C on the diagonal blocks, the upwind
+    B1 carries the transport part (diag(c) on the diagonal blocks, the upwind
     couplings off-diagonal); B2 = blockdiag(W, ..., W)/2 carries the
     collision average and satisfies B2^2 = B2.  B = B1 + alpha*B2 holds
     entrywise with alpha = tau/eps^2.
     """
 
-    C: np.ndarray
-    Vplus: np.ndarray
-    Vminus: np.ndarray
     W: np.ndarray
     B: sp.csr_matrix
     B1: sp.csr_matrix
@@ -151,10 +135,7 @@ def explicit_matrix(cfg: GridConfig, rule: QuadratureRule) -> ExplicitStepMatrix
                 f"{1.0 - alpha!r}; assembly is inconsistent"
             )
 
-    return ExplicitStepMatrix(
-        C=C, Vplus=np.diag(v_plus), Vminus=np.diag(v_minus), W=W,
-        B=B, B1=B1, B2=B2, alpha=alpha, c=c,
-    )
+    return ExplicitStepMatrix(W=W, B=B, B1=B1, B2=B2, alpha=alpha, c=c)
 
 
 def boundary_vector(
@@ -162,7 +143,7 @@ def boundary_vector(
 ) -> np.ndarray:
     """Inflow contribution b of one step, from the Dirichlet ghost blocks."""
     _check_explicit(cfg, rule)
-    _check_field(field, cfg)
+    check_field(field, cfg)
     lam, eps = cfg.lam, cfg.epsilon
     v = rule.nodes
     b = np.zeros((cfg.N_x, 2 * cfg.N))
@@ -171,27 +152,15 @@ def boundary_vector(
     return b.ravel()
 
 
-@dataclass
-class ExplicitTrajectory:
-    """Time levels 0..N_t of an upwind run plus a cost counter.
-
-    The counter charges (2N)^2 * N_x per step, the nominal work of one
-    application of the O(N)-sparse matrix B of order 2N*N_x.
-    """
-
-    fields: list[KineticField]
-    cost: int
-
-    def __len__(self):
-        return len(self.fields)
-
-
 def explicit_evolve(
     initial: KineticField, cfg: GridConfig, rule: QuadratureRule
-) -> ExplicitTrajectory:
-    """Run N_t upwind steps, recording every level."""
+) -> Trajectory:
+    """Run N_t upwind steps, recording every level.
+
+    The cost counter charges (2N)^2 * N_x per step.
+    """
     _check_explicit(cfg, rule)
-    _check_field(initial, cfg)
+    check_field(initial, cfg)
     fields = [initial]
     state = initial
     cost = 0
@@ -203,18 +172,4 @@ def explicit_evolve(
             if not np.all(np.isfinite(state.f)):
                 raise DivergenceError(step)
             fields.append(state)
-    return ExplicitTrajectory(fields=fields, cost=cost)
-
-
-def write_trajectory_csv(trajectory: ExplicitTrajectory, cfg: GridConfig, path) -> None:
-    """Dump a trajectory as (step, k, m, f) rows; off by default in runs."""
-    two_N = 2 * cfg.N
-    k_labels = list(range(-cfg.N, 0)) + list(range(1, cfg.N + 1))
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step", "k", "m", "f"])
-        for step, field in enumerate(trajectory.fields):
-            F = field.blocks()
-            for m in range(cfg.N_x):
-                for idx in range(two_N):
-                    writer.writerow([step, k_labels[idx], m + 1, repr(F[m, idx])])
+    return Trajectory(fields=fields, cost=cost)

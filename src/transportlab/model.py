@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .quadrature import QuadratureRule
 AP = "ap"
 EXPLICIT = "explicit"
 
-SCHEMES = (AP, EXPLICIT)
 INIT_PROFILES = ("gaussian", "constant", "step")
 
 # keys accepted in config files and CLI overrides, in canonical order
@@ -60,23 +60,51 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
+def _parabolic_violation(epsilon, tau, h) -> str | None:
+    lhs = tau / h**2
+    rhs = 1.0 / (1.0 + h)
+    if lhs > rhs:
+        return (f"parabolic step restriction violated: tau/h^2 = {lhs:.6g} "
+                f"> 1/(1+h) = {rhs:.6g}")
+    return None
+
+
+def _upwind_violation(epsilon, tau, h) -> str | None:
+    limit = h * epsilon**2 / (epsilon + h)
+    if tau > limit:
+        return (f"upwind step restriction violated: tau = {tau:.6g} "
+                f"> h*eps^2/(eps+h) = {limit:.6g}")
+    return None
+
+
+@dataclass(frozen=True)
+class SchemeGrid:
+    """Grid facts of one scheme.
+
+    The scheme uses ``velocity_factor * N`` velocity nodes, the Gauss
+    nodes on ``rule_interval``.  ``cfl_limit(epsilon, h)`` is its largest
+    stable time step and ``violation(epsilon, tau, h)`` quotes its step
+    restriction with both sides evaluated when the step breaks it.
+    """
+
+    velocity_factor: int
+    rule_interval: tuple[float, float]
+    cfl_limit: Callable[[float, float], float]
+    violation: Callable[[float, float, float], str | None]
+
+
+SCHEME_GRIDS = {
+    AP: SchemeGrid(1, (0.0, 1.0), lambda epsilon, h: h**2 / (1.0 + h),
+                   _parabolic_violation),
+    EXPLICIT: SchemeGrid(2, (-1.0, 1.0), lambda epsilon, h: h * epsilon**2 / (epsilon + h),
+                         _upwind_violation),
+}
+SCHEMES = tuple(SCHEME_GRIDS)
+
+
 def _stability_violations(scheme, epsilon, phi, tau, h) -> list[str]:
-    out = []
-    if scheme == AP:
-        lhs = tau / h**2
-        rhs = 1.0 / (1.0 + h)
-        if lhs > rhs:
-            out.append(
-                f"parabolic step restriction violated: tau/h^2 = {lhs:.6g} "
-                f"> 1/(1+h) = {rhs:.6g}"
-            )
-    else:
-        limit = h * epsilon**2 / (epsilon + h)
-        if tau > limit:
-            out.append(
-                f"upwind step restriction violated: tau = {tau:.6g} "
-                f"> h*eps^2/(eps+h) = {limit:.6g}"
-            )
+    step = SCHEME_GRIDS[scheme].violation(epsilon, tau, h)
+    out = [step] if step else []
     phi_max = 1.0 / epsilon**2
     if phi < 0.0 or phi > phi_max:
         out.append(
@@ -158,16 +186,14 @@ class GridConfig:
 
     def n_velocities(self) -> int:
         """Velocity nodes actually used by the configured scheme."""
-        return self.N if self.scheme == AP else 2 * self.N
+        return SCHEME_GRIDS[self.scheme].velocity_factor * self.N
 
 
 def cfl_limit(scheme: str, epsilon: float, h: float) -> float:
     """Largest stable time step for the given scheme and mesh."""
-    if scheme == AP:
-        return h**2 / (1.0 + h)
-    if scheme == EXPLICIT:
-        return h * epsilon**2 / (epsilon + h)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme not in SCHEME_GRIDS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return SCHEME_GRIDS[scheme].cfl_limit(epsilon, h)
 
 
 def validate_config(cfg: GridConfig) -> ValidationReport:
@@ -225,6 +251,10 @@ class ParityField:
     def n_velocities(self) -> int:
         return self.r_left.size
 
+    @property
+    def n_x(self) -> int:
+        return self.r.size // self.n_velocities
+
     @classmethod
     def zeros(cls, N: int, N_x: int) -> "ParityField":
         z = np.zeros(N * N_x)
@@ -275,6 +305,10 @@ class KineticField:
     def n_velocities(self) -> int:
         return self.f_left.size
 
+    @property
+    def n_x(self) -> int:
+        return self.f.size // self.n_velocities
+
     @classmethod
     def zeros(cls, two_N: int, N_x: int) -> "KineticField":
         return cls(np.zeros(two_N * N_x), np.zeros(two_N), np.zeros(two_N))
@@ -288,6 +322,30 @@ class KineticField:
             np.asarray(f, dtype=float).ravel(),
             self.f_left.copy(), self.f_right.copy(),
         )
+
+
+def check_field(field, cfg: GridConfig):
+    """Reject a parity or kinetic field whose size does not fit ``cfg``."""
+    if (field.n_velocities, field.n_x) != (cfg.n_velocities(), cfg.N_x):
+        raise ValueError(
+            f"field has {field.n_velocities} velocity nodes at {field.n_x} points, "
+            f"config expects {cfg.n_velocities()} at N_x = {cfg.N_x}"
+        )
+
+
+@dataclass
+class Trajectory:
+    """Time levels 0..N_t of a run plus a cost counter.
+
+    The counter charges N_vel^2 * N_x per step, the nominal work of one
+    application of the O(N_vel)-sparse one-step matrices of order N_vel*N_x.
+    """
+
+    fields: list
+    cost: int
+
+    def __len__(self):
+        return len(self.fields)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +452,8 @@ def resolve_config(raw: dict, allow_unstable: bool = False) -> GridConfig:
     """Build a GridConfig from a flat key/value mapping.
 
     Accepted keys are exactly ``CONFIG_KEYS``.  ``tau`` may be the
-    string ``"auto"``, meaning 0.9 times the largest stable step.  ``h``
+    string ``"auto"``, meaning 0.9 times the largest stable step, or a
+    numeric string.  ``h``
     and ``x_right`` are redundant given (x_left, Nx); either may be
     omitted, and if both are present they must agree.
     """
@@ -429,12 +488,13 @@ def resolve_config(raw: dict, allow_unstable: bool = False) -> GridConfig:
                 )
 
     tau = raw.get("tau", "auto")
-    if isinstance(tau, str):
-        if tau != "auto":
-            raise ValueError(f"tau must be a number or 'auto', got {tau!r}")
+    if tau == "auto":
         tau = 0.9 * cfl_limit(scheme, epsilon, h)
     else:
-        tau = float(tau)
+        try:
+            tau = float(tau)
+        except ValueError:
+            raise ValueError(f"tau must be a number or 'auto', got {tau!r}") from None
 
     return GridConfig(
         epsilon=epsilon,
@@ -453,13 +513,17 @@ def resolve_config(raw: dict, allow_unstable: bool = False) -> GridConfig:
     )
 
 
-def load_config(path, allow_unstable: bool = False) -> GridConfig:
-    """Read a JSON config file (flat key/value document)."""
-    text = Path(path).read_text(encoding="utf-8")
-    raw = json.loads(text)
+def read_config(path) -> dict:
+    """Read a JSON config file (flat key/value document) as a mapping."""
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must contain a flat JSON object")
-    return resolve_config(raw, allow_unstable=allow_unstable)
+    return raw
+
+
+def load_config(path, allow_unstable: bool = False) -> GridConfig:
+    """Read and resolve a JSON config file."""
+    return resolve_config(read_config(path), allow_unstable=allow_unstable)
 
 
 def config_as_dict(cfg: GridConfig) -> dict:

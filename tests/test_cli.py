@@ -5,8 +5,15 @@ import pytest
 from scipy.io import mmread
 from scipy.linalg import svdvals
 
-from transportlab import GridConfig, gauss_rule, initial_parity_field
-from transportlab.ap_scheme import ap_evolve
+from transportlab import (
+    GridConfig,
+    ap_evolve,
+    explicit_evolve,
+    gauss_rule,
+    initial_kinetic_field,
+    initial_parity_field,
+    resolve_config,
+)
 from transportlab.cli import emit_report, main
 from transportlab.complexity import ComplexityRow, sweep_epsilon
 
@@ -38,20 +45,31 @@ def explicit_config(tmp_path):
     return path
 
 
-def test_solve_writes_density_and_manifest(ap_config, tmp_path):
+def _direct_density(raw):
+    """Final density of a run driven through the scheme modules directly."""
+    cfg = resolve_config(raw)
+    if cfg.scheme == "ap":
+        rule = gauss_rule(3, 0.0, 1.0)
+        trajectory = ap_evolve(initial_parity_field(cfg, rule), cfg, rule)
+        return rule.weights @ trajectory.fields[-1].blocks()[0]
+    rule = gauss_rule(6, -1.0, 1.0)
+    trajectory = explicit_evolve(initial_kinetic_field(cfg, rule), cfg, rule)
+    return 0.5 * (trajectory.fields[-1].blocks() @ rule.weights)
+
+
+@pytest.mark.parametrize("raw", [AP_RAW, EXPLICIT_RAW], ids=["ap", "explicit"])
+def test_solve_writes_density_and_manifest(raw, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["solve", "--config", str(ap_config),
+    assert main(["solve", "--config", str(config),
                  "--output-dir", str(out)]) == 0
     lines = (out / "density.csv").read_text().strip().splitlines()
     assert lines[0] == "x,rho"
-    assert len(lines) == 1 + AP_RAW["Nx"]
+    assert len(lines) == 1 + raw["Nx"]
     # density agrees with a direct run
-    cfg = GridConfig(epsilon=0.5, tau=0.004, h=0.1, N=3, N_x=6, N_t=4)
-    rule = gauss_rule(3, 0.0, 1.0)
-    trajectory = ap_evolve(initial_parity_field(cfg, rule), cfg, rule)
-    rho = rule.weights @ trajectory.fields[-1].blocks()[0]
     got = np.array([float(line.split(",")[1]) for line in lines[1:]])
-    np.testing.assert_allclose(got, rho, rtol=1e-15)
+    np.testing.assert_allclose(got, _direct_density(raw), rtol=1e-15)
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["resolved_config"]["Nt"] == 4
@@ -59,13 +77,20 @@ def test_solve_writes_density_and_manifest(ap_config, tmp_path):
     assert len(manifest["input_sha256"]) == 64
 
 
-def test_solve_trajectory_export(explicit_config, tmp_path):
+@pytest.mark.parametrize("raw, header, rows", [
+    (AP_RAW, "step,k,m,r,j", 5 * 3 * 6),        # (Nt+1) levels * N * Nx
+    (EXPLICIT_RAW, "step,k,m,f", 5 * 6 * 6),    # (Nt+1) levels * Nx * 2N
+], ids=["ap", "explicit"])
+def test_solve_trajectory_export(raw, header, rows, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
     out = tmp_path / "out"
-    code = main(["solve", "--config", str(explicit_config),
+    code = main(["solve", "--config", str(config),
                  "--output-dir", str(out), "--export-trajectory"])
     assert code == 0
-    header = (out / "trajectory.csv").read_text().splitlines()[0]
-    assert header == "step,k,m,f"
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + rows
 
 
 def test_overrides_apply_on_top_of_config(ap_config, tmp_path):

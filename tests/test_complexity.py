@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from transportlab import spectral
 from transportlab import (
     CSV_HEADER,
     GridConfig,
@@ -151,6 +152,20 @@ def test_sweep_records_per_epsilon_failures():
     assert rows[0].status == "ok"
     assert rows[1].status.startswith("error:")
     assert rows[1].epsilon == -1.0
+
+
+def test_failed_row_reports_the_grid_it_tried(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(spectral, "singular_extremes", fail)
+    row = sweep_epsilon(explicit_base(), [0.2], mode="cfl_driven")[0]
+    assert row.status == "error: forced failure"
+    # the base grid is Nx=24, Nt=8; eps=0.2 rederives h = eps*delta
+    assert row.h == pytest.approx(0.02)
+    assert row.tau == pytest.approx(0.9 * 0.02 * 0.2**2 / 0.22)
+    assert (row.Nx, row.Nt) == (49, 31)
+    assert row.classical_cost == 6**2 * 31 * 49
 
 
 def test_sweep_skips_spectrum_above_order_cap():

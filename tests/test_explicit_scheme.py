@@ -15,8 +15,8 @@ from transportlab.explicit_scheme import (
     explicit_evolve,
     explicit_matrix,
     explicit_step,
-    write_trajectory_csv,
 )
+from transportlab.schemes import write_trajectory_csv
 
 
 def make_cfg(eps=0.5, N=4, N_x=8, N_t=4, h=0.1, safety=0.9, **kw):

@@ -212,6 +212,10 @@ def config_dict(**kw):
 def test_resolve_config_round_trip():
     cfg = resolve_config(config_dict())
     assert cfg == ap_cfg()
+    # numeric strings, as command-line overrides arrive
+    assert resolve_config(config_dict(tau="0.005", Nt="4")) == ap_cfg()
+    with pytest.raises(ValueError, match="tau must be a number or 'auto'"):
+        resolve_config(config_dict(tau="fast"))
 
 
 def test_resolve_config_rejects_unknown_keys():
