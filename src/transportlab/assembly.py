@@ -276,6 +276,8 @@ def assemble_fourier_matrix(
     parts as (diag(sym(v_k)) @ W) kron P with W the identical-row weight
     matrix.
     """
+    if cfg.scheme != AP:
+        raise ValueError(f"config scheme must be {AP!r}, got {cfg.scheme!r}")
     if rule.n_points != cfg.N:
         raise ValueError(
             f"rule has {rule.n_points} points, config expects N = {cfg.N}"

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__, assembly, complexity, schemes, spectral
 from .model import (
-    AP,
     CONFIG_KEYS,
     CflViolationError,
     DivergenceError,
@@ -168,8 +167,9 @@ def _cmd_spectrum(args, cfg, outdir: Path) -> list[Path]:
 
 
 def _cmd_fourier(args, cfg, outdir: Path) -> list[Path]:
-    # the per-frequency analysis is the relaxation scheme's
-    rule = schemes.SCHEMES[AP].rule(cfg)
+    # the per-frequency analysis is the relaxation scheme's; the
+    # assembler rejects any other
+    rule = schemes.scheme_for(cfg).rule(cfg)
     xi_values = np.linspace(0.0, np.pi, args.xi_samples) / cfg.h
     report = spectral.perturbation_check(cfg, rule, xi_values)
 
@@ -179,10 +179,10 @@ def _cmd_fourier(args, cfg, outdir: Path) -> list[Path]:
             s = assembly.fourier_symbols(cfg, v, xi)
             sym_lines.append(",".join([
                 repr(float(xi)), str(k + 1), repr(float(v)),
-                repr(s.c1.real), repr(s.c1.imag),
-                repr(s.c2.real), repr(s.c2.imag),
-                repr(s.d1.real), repr(s.d1.imag),
-                repr(s.d2.real), repr(s.d2.imag),
+                repr(float(s.c1.real)), repr(float(s.c1.imag)),
+                repr(float(s.c2.real)), repr(float(s.c2.imag)),
+                repr(float(s.d1.real)), repr(float(s.d1.imag)),
+                repr(float(s.d2.real)), repr(float(s.d2.imag)),
             ]))
     spath = outdir / "symbols.csv"
     _atomic_write(spath, "\n".join(sym_lines) + "\n")

@@ -94,7 +94,7 @@ def _csv_cell(value) -> str:
             return ""
         if math.isinf(value):
             return "inf"
-        return repr(value)
+        return repr(float(value))
     text = str(value)
     if any(ch in text for ch in ',"\n'):
         text = '"' + text.replace('"', '""') + '"'
@@ -194,9 +194,10 @@ def sweep_epsilon(
     eps-independent conditioning; it skips the step restriction
     (``allow_unstable=True``), since a fixed grid breaks the explicit
     one at small epsilon.  cfl_driven rederives the grid from each
-    epsilon via the explicit scheme's accuracy/stability rules:
-    h = h_constant * eps * delta, tau = tau_safety * h * eps^2/(eps+h),
-    N_x from the fixed domain length, N_t = ceil(final_time/tau).
+    epsilon via the explicit scheme's accuracy/stability rules: N_x is
+    the fixed domain length over h_constant * eps * delta, rounded, less
+    one; h = length/(N_x + 1) keeps the domain exact;
+    tau = tau_safety * h * eps^2/(eps+h) and N_t = ceil(final_time/tau).
     A failure is recorded in the row status, with the grid that was
     tried, and the sweep continues.
     """
@@ -211,9 +212,10 @@ def sweep_epsilon(
         grid = {"epsilon": eps}
         try:
             if mode == "cfl_driven":
-                h = h_constant * eps * delta
+                N_x = max(1, round(length / (h_constant * eps * delta)) - 1)
+                h = length / (N_x + 1)
                 tau = tau_safety * h * eps**2 / (eps + h)
-                grid.update(h=h, tau=tau, N_x=max(1, round(length / h) - 1),
+                grid.update(h=h, tau=tau, N_x=N_x,
                             N_t=max(1, math.ceil(final_time / tau)))
             cfg = dc_replace(base_cfg, allow_unstable=mode == "fixed_grid", **grid)
             closed_form = schemes.scheme_for(cfg).closed_form(cfg, delta)

@@ -10,6 +10,7 @@ cost ~ 1/eps^3) into testable numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,9 @@ class SpectrumReport:
 
     ``residual`` is a backward-error estimate of the extreme
     computation: zero-order machine precision for the dense path, the
-    relative eigen-residual of the converged iterate for the iterative
-    path.  ``kappa`` is +inf when the matrix is singular to working
-    precision (sigma_min reported as 0).
+    worse relative eigen-residual of the two ARPACK Ritz pairs for the
+    iterative path.  ``kappa`` is +inf when the matrix is singular to
+    working precision (sigma_min reported as 0).
     """
 
     sigma_min: float
@@ -51,63 +52,45 @@ class SpectrumReport:
     residual: float
 
 
-def _rayleigh_power(apply_op, n: int, tol: float, max_iter: int, label: str):
-    """Power iteration on a symmetric positive operator, driven by the
-    relative Rayleigh residual ||op(x) - rho*x|| / rho of the iterate."""
-    x = np.ones(n) / np.sqrt(n)
-    for _ in range(max_iter):
-        z = apply_op(x)
-        rho = float(np.real(np.vdot(x, z)))
-        if not np.isfinite(rho) or rho <= 0.0:
-            return 0.0, 0.0
-        residual = float(np.linalg.norm(z - rho * x) / rho)
-        if residual <= tol:
-            return rho, residual
-        x = z / np.linalg.norm(z)
-    raise RuntimeError(
-        f"{label} failed to reach residual {tol:g} in {max_iter} iterations"
-    )
+# ARPACK stops once a Ritz pair's eigen-residual is below this fraction
+# of its Ritz value
+ARPACK_TOL = 1e-12
 
 
-def _iterative_sigma_max(A, tol: float, max_iter: int) -> tuple[float, float]:
-    At = A.conj().T.tocsr()
-    rho, residual = _rayleigh_power(
-        lambda x: At @ (A @ x), A.shape[1], tol, max_iter,
-        "power iteration for sigma_max",
-    )
-    return float(np.sqrt(rho)), residual
+def _top_eigenpair(apply_op, n: int, dtype) -> tuple[float, float]:
+    """Largest eigenvalue of a Hermitian positive operator by ARPACK's
+    implicitly restarted Lanczos, started from the normalized all-ones
+    vector so results are reproducible, and the relative eigen-residual
+    ||op(x) - rho*x|| / rho of its Ritz pair."""
+    op = spla.LinearOperator((n, n), matvec=apply_op, dtype=dtype)
+    v0 = np.ones(n, dtype=dtype) / np.sqrt(n)
+    values, vectors = spla.eigsh(op, k=1, which="LA", v0=v0, tol=ARPACK_TOL)
+    rho, x = float(values[0]), vectors[:, 0]
+    return rho, float(np.linalg.norm(apply_op(x) - rho * x) / rho)
 
 
-def _iterative_sigma_min(A, tol: float, max_iter: int) -> tuple[float, float]:
+def _lanczos_extremes(A) -> tuple[float, float, float]:
+    """sigma_min, sigma_max and the worse residual, from the top
+    eigenvalues of A^H A and of (A^H A)^{-1} = A^{-1} A^{-H}."""
+    n = A.shape[1]
+    dtype = np.result_type(A.dtype, np.float64)
+    At = A.conj(copy=False).T
+    lam, res_max = _top_eigenpair(lambda x: At @ (A @ x), n, dtype)
+    del At  # not held alive next to the LU factors
     lu = spla.splu(A.tocsc())
-
-    def apply_inverse_gram(x):
-        # (A^H A)^{-1} x = A^{-1} (A^{-H} x)
-        return lu.solve(lu.solve(x, trans="H"), trans="N")
-
-    rho, residual = _rayleigh_power(
-        apply_inverse_gram, A.shape[1], tol, max_iter,
-        "inverse iteration for sigma_min",
-    )
-    if rho == 0.0:
-        return 0.0, 0.0
-    return float(1.0 / np.sqrt(rho)), residual
+    mu, res_min = _top_eigenpair(
+        lambda x: lu.solve(lu.solve(x, trans="H")), n, dtype)
+    return 1.0 / math.sqrt(mu), math.sqrt(lam), max(res_max, res_min)
 
 
-def singular_extremes(
-    M,
-    method: str = "auto",
-    dense_cap: int = DENSE_CAP,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> SpectrumReport:
+def singular_extremes(M, method: str = "auto") -> SpectrumReport:
     """Compute sigma_min, sigma_max, kappa and sparsity of a matrix.
 
-    Matrices of order up to ``dense_cap`` are decomposed densely;
-    larger ones use power iteration on M^T M for sigma_max and inverse
-    iteration through a sparse LU factorization for sigma_min, both
-    started from the normalized all-ones vector so results are
-    reproducible.
+    Matrices of order up to ``DENSE_CAP`` are decomposed densely.
+    Above it, ARPACK Lanczos on A^H A gives sigma_max, and on
+    (A^H A)^{-1}, applied through one sparse LU factorization of A,
+    gives sigma_min.  Convergence failure and an exactly singular LU
+    factor raise RuntimeError.
     """
     M = sp.csr_matrix(M)
     if M.shape[0] == 0 or M.shape[1] == 0:
@@ -115,7 +98,9 @@ def singular_extremes(
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        method = "dense" if max(M.shape) <= dense_cap else "iterative"
+        method = "dense" if max(M.shape) <= DENSE_CAP else "iterative"
+    if method == "iterative" and max(M.shape) < 2:
+        raise ValueError("the iterative method needs order >= 2 (ARPACK k < n)")
 
     s = sparsity(M)
     if method == "dense":
@@ -124,9 +109,7 @@ def singular_extremes(
         sigma_min = float(values[-1])
         residual = 0.0
     else:
-        sigma_max, res_max = _iterative_sigma_max(M, tol, max_iter)
-        sigma_min, res_min = _iterative_sigma_min(M, tol, max_iter)
-        residual = max(res_max, res_min)
+        sigma_min, sigma_max, residual = _lanczos_extremes(M)
 
     # singular to working precision: flag rather than divide
     floor = np.finfo(float).eps * max(M.shape) * sigma_max

@@ -180,8 +180,18 @@ def test_fourier_tables(ap_config, tmp_path):
     symbols = (out / "symbols.csv").read_text().strip().splitlines()
     assert symbols[0].startswith("xi,k,v,c1_re")
     assert len(symbols) == 1 + 6 * 3  # samples * velocity nodes
+    for line in symbols[1:]:
+        for cell in line.split(","):
+            float(cell)
     norms = (out / "fourier_norms.csv").read_text().strip().splitlines()
     assert len(norms) == 1 + 6
+
+
+def test_fourier_rejects_explicit_config(explicit_config, tmp_path, capsys):
+    assert main(["fourier", "--config", str(explicit_config),
+                 "--output-dir", str(tmp_path / "out"), "--xi-samples", "3"]) == 2
+    assert "validation error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "symbols.csv").exists()
 
 
 def test_sweep_csv_shape_and_determinism(ap_config, tmp_path):

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from transportlab import spectral
@@ -110,6 +112,19 @@ def test_cfl_driven_sweep_growth():
     assert rows[-1].Nt == math.ceil(0.1 / rows[-1].tau)
 
 
+def test_cfl_driven_grid_keeps_the_domain_length():
+    # eps = 0.37 rounds N_x = 26; h = eps*delta alone would give length 0.999
+    base = explicit_base()
+    length = base.x_right - base.x_left
+    rows = sweep_epsilon(base, [0.4, 0.37, 0.2, 0.1, 0.05], mode="cfl_driven",
+                         measure_spectrum=False)
+    for row in rows:
+        assert (row.Nx + 1) * row.h == pytest.approx(length, rel=1e-12)
+        assert row.tau == pytest.approx(0.9 * row.h * row.epsilon**2
+                                        / (row.epsilon + row.h), rel=1e-15)
+        assert row.Nt == math.ceil(0.1 / row.tau)
+
+
 def test_cfl_driven_cost_slope():
     rows = sweep_epsilon(explicit_base(), [0.4, 0.2, 0.1, 0.05],
                          mode="cfl_driven", measure_spectrum=False)
@@ -194,6 +209,13 @@ def test_csv_rendering_and_determinism():
     assert len(lines) == 3
     assert lines[1].startswith("ap,0.01,")
     assert all(len(line.split(",")) == 17 for line in lines)
+
+
+def test_csv_writes_numpy_scalars_as_plain_floats():
+    row = sweep_epsilon(ap_base(), [1e-2], mode="fixed_grid")[0]
+    numpy_row = dataclasses.replace(row, sigma_max=np.float64(row.sigma_max))
+    assert rows_to_csv([numpy_row]) == rows_to_csv([row])
+    assert "np." not in rows_to_csv([numpy_row])
 
 
 def test_csv_preserves_failure_rows_and_blank_cells():

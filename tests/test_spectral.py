@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from transportlab import (
     GridConfig,
@@ -9,9 +10,12 @@ from transportlab import (
     gauss_rule,
     initial_parity_field,
     perturbation_check,
+    resolve_config,
     scaling_regression,
+    schemes,
     singular_extremes,
 )
+from transportlab.assembly import DENSE_CAP
 
 # frozen by evaluating the three displayed terms independently by hand:
 # 0.5*102.03 + 24.75*1.01 + 75.25*202 = 51.015 + 24.9975 + 15200.5
@@ -36,7 +40,7 @@ def test_iterative_path_matches_dense():
     rng = np.random.default_rng(42)
     A = sp.csr_matrix(rng.normal(size=(60, 60)) + 10 * np.eye(60))
     dense = singular_extremes(A, method="dense")
-    iterative = singular_extremes(A, method="iterative", tol=1e-12)
+    iterative = singular_extremes(A, method="iterative")
     assert iterative.method == "iterative"
     assert iterative.sigma_max == pytest.approx(dense.sigma_max, rel=1e-8)
     assert iterative.sigma_min == pytest.approx(dense.sigma_min, rel=1e-8)
@@ -44,11 +48,50 @@ def test_iterative_path_matches_dense():
 
 
 def test_auto_method_switches_on_order():
-    small = singular_extremes(sp.eye(5), dense_cap=10)
+    small = singular_extremes(sp.eye(5))
     assert small.method == "dense"
-    large = singular_extremes(sp.eye(20) * 2.0, dense_cap=10)
+    large = singular_extremes(sp.eye(DENSE_CAP + 1) * 2.0)
     assert large.method == "iterative"
     assert large.sigma_max == pytest.approx(2.0)
+    assert large.sigma_min == pytest.approx(2.0)
+
+
+def test_iterative_path_on_plain_relaxation_system():
+    # the plain (unrescaled) relaxation system at order 512
+    cfg = GridConfig(epsilon=1e-3, tau=2e-3, h=0.1, N=2, N_x=8, N_t=16,
+                     allow_unstable=True)
+    rule = gauss_rule(2, 0.0, 1.0)
+    L = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule)).L
+    assert L.shape == (512, 512)
+    dense = singular_extremes(L, method="dense")
+    iterative = singular_extremes(L, method="iterative")
+    assert iterative.sigma_max == pytest.approx(dense.sigma_max, rel=1e-8)
+    assert iterative.sigma_min == pytest.approx(dense.sigma_min, rel=1e-8)
+    assert isinstance(iterative.sigma_min, float)
+    assert isinstance(iterative.kappa, float)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    scheme=st.sampled_from(["ap", "explicit"]),
+    rescaled=st.booleans(),
+    log_eps=st.floats(-8.0, 0.0),
+    N=st.integers(1, 4),
+    Nx=st.integers(1, 8),
+    Nt=st.integers(1, 16),
+)
+def test_iterative_and_dense_extremes_agree(scheme, rescaled, log_eps, N, Nx, Nt):
+    # both schemes stack 2*N*Nx*Nt unknowns
+    assume(2 * N * Nx * Nt <= 512)
+    cfg = resolve_config({"scheme": scheme, "epsilon": 10.0**log_eps,
+                          "tau": "auto", "h": 0.1, "N": N, "Nx": Nx, "Nt": Nt})
+    L = schemes.scheme_for(cfg).assemble(cfg, rescaled).L
+    dense = singular_extremes(L, method="dense")
+    assume(dense.sigma_min > 0.0)
+    iterative = singular_extremes(L, method="iterative")
+    assert iterative.sigma_max == pytest.approx(dense.sigma_max, rel=1e-8)
+    assert iterative.sigma_min == pytest.approx(dense.sigma_min, rel=1e-8)
 
 
 def test_singular_matrix_flagged_as_infinite_kappa():
@@ -61,6 +104,8 @@ def test_singular_matrix_flagged_as_infinite_kappa():
 def test_empty_matrix_rejected():
     with pytest.raises(ValueError):
         singular_extremes(sp.csr_matrix((0, 0)))
+    with pytest.raises(ValueError):
+        singular_extremes(sp.eye(1), method="iterative")
 
 
 def test_rescaled_system_extremes_have_order_one_constants():
