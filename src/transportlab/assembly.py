@@ -11,6 +11,11 @@ diagonal.  The rescaled variant substitutes r~ = r/tau, i.e. blocks
 as eps -> 0.  The explicit scheme stacks into a single block
 bidiagonal system with -B below the identity diagonal.
 
+Reordered time-major, either L is unit block lower bidiagonal with the
+one-step block -M below the diagonal, so L^{-1} and L^{-H} are a forward
+and a backward time march (``BlockSystem.marching_inverse``) and need
+no factorization.
+
 A spatial Fourier transform reduces the rescaled relaxation system to
 an order-2N*N_t matrix per frequency xi, built from four scalars per
 velocity node; its eps = 0 limit and the difference E between the two
@@ -25,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.io import mmwrite
 
 from . import ap_scheme, explicit_scheme
@@ -50,11 +56,15 @@ DENSE_CAP = 4096
 
 
 def sparsity(A) -> int:
-    """Max nonzero count over all rows and all columns of a sparse matrix."""
-    A = sp.csr_matrix(A)
-    A.eliminate_zeros()
-    per_row = np.diff(A.indptr)
-    per_col = np.diff(A.tocsc().indptr)
+    """Max nonzero count over all rows and all columns of a sparse matrix.
+
+    Stored zeros do not count; the matrix is left as it is.
+    """
+    A = sp.csr_matrix(A)  # shares a CSR argument's arrays: read them only
+    stored = A.data != 0
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    per_row = np.bincount(rows[stored], minlength=A.shape[0])
+    per_col = np.bincount(A.indices[stored], minlength=A.shape[1])
     row_max = int(per_row.max()) if per_row.size else 0
     col_max = int(per_col.max()) if per_col.size else 0
     return max(row_max, col_max)
@@ -70,17 +80,63 @@ def _check_order(order: int, order_cap: int):
 
 @dataclass
 class BlockSystem:
-    """Assembled space-time system L S = F with its provenance."""
+    """Assembled space-time system L S = F with its provenance.
+
+    S stacks ``groups`` unknown groups one after the other ([r; j] for
+    the relaxation scheme, f for the upwind one), each holding its N_t
+    time levels in order.
+    """
 
     L: sp.csr_matrix
     F: np.ndarray
     scheme: str
     rescaled: bool
     cfg: GridConfig
+    groups: int
 
     @property
     def order(self) -> int:
         return self.L.shape[0]
+
+    def marching_inverse(self) -> spla.LinearOperator:
+        """L^{-1} (matvec) and L^{-H} (rmatvec) by time marching.
+
+        Time-major, L has identity diagonal blocks and -M below them,
+        with M the one-step block: B for the upwind scheme and
+        [[B1, -A1], [-B2, A2]] for the relaxation scheme (off-diagonal
+        blocks scaled by 1/tau and tau when rescaled).  So L^{-1}x is
+        the forward march X[t] += M X[t-1] and L^{-H}x the backward
+        march X[t] += M^H X[t+1].  M is sliced from L once; the operator
+        keeps only M and forms no factorization.
+        """
+        k, N_t = self.groups, self.cfg.N_t
+        m = self.order // (k * N_t)
+
+        def level(t):
+            """Positions of time level t's unknowns in S."""
+            return (np.arange(k)[:, None] * (N_t * m) + t * m + np.arange(m)).ravel()
+
+        if N_t > 1:
+            step = -self.L[level(1)][:, level(0)]
+        else:
+            step = sp.csr_matrix((k * m, k * m), dtype=self.L.dtype)
+        step_h = step.conj(copy=False).T
+
+        def march(x, block, levels):
+            X = np.moveaxis(np.reshape(x, (k, N_t, m)), 1, 0).reshape(N_t, k * m)
+            X = X.astype(np.result_type(block.dtype, X.dtype), copy=True)
+            for prev, t in levels:
+                X[t] += block @ X[prev]
+            return np.moveaxis(X.reshape(N_t, k, m), 0, 1).reshape(-1)
+
+        forward = [(t - 1, t) for t in range(1, N_t)]
+        backward = [(t + 1, t) for t in range(N_t - 2, -1, -1)]
+        return spla.LinearOperator(
+            self.L.shape,
+            matvec=lambda x: march(x, step, forward),
+            rmatvec=lambda x: march(x, step_h, backward),
+            dtype=np.result_type(step.dtype, np.float64),
+        )
 
 
 def _time_shift(N_t: int) -> sp.csr_matrix:
@@ -130,7 +186,7 @@ def assemble_ap_system(
         F = np.concatenate([F1, F2])
     L.sum_duplicates()
     L.eliminate_zeros()
-    return BlockSystem(L=L, F=F, scheme=AP, rescaled=rescaled, cfg=cfg)
+    return BlockSystem(L=L, F=F, scheme=AP, rescaled=rescaled, cfg=cfg, groups=2)
 
 
 def split_ap_solution(system: BlockSystem, S: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -171,7 +227,8 @@ def assemble_explicit_system(
     F[:n] += mats.B @ initial.f
     L.sum_duplicates()
     L.eliminate_zeros()
-    return BlockSystem(L=L, F=F, scheme=EXPLICIT, rescaled=False, cfg=cfg)
+    return BlockSystem(L=L, F=F, scheme=EXPLICIT, rescaled=False, cfg=cfg,
+                       groups=1)
 
 
 def split_explicit_solution(system: BlockSystem, U: np.ndarray) -> list[np.ndarray]:

@@ -1,9 +1,10 @@
 """Command-line surface: solve, assemble, spectrum, fourier, sweep.
 
-Every run writes a manifest recording the fully resolved configuration,
-the tool version and the config-file hash, so any output row can be
-regenerated.  Exit codes: 0 ok, 1 usage, 2 validation, 3 numerical
-failure, 4 I/O.
+Every run whose configuration resolves writes a manifest once it ends,
+recording the fully resolved configuration, the tool version, the
+config-file hash and the exit status, so any output row can be
+regenerated and a failed run is not mistaken for a finished one.
+Exit codes: 0 ok, 1 usage, 2 validation, 3 numerical failure, 4 I/O.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def emit_report(rows, destination) -> Path:
     return destination
 
 
-def _write_manifest(args, cfg: GridConfig, outdir: Path, extra: dict | None = None):
+def _write_manifest(args, cfg: GridConfig, outdir: Path, extra: dict):
     config_bytes = Path(args.config).read_bytes()
     manifest = {
         "tool": "transportlab",
@@ -124,15 +125,14 @@ def _write_manifest(args, cfg: GridConfig, outdir: Path, extra: dict | None = No
         "resolved_config": config_as_dict(cfg),
         "allow_unstable": bool(args.allow_unstable),
         "input_sha256": hashlib.sha256(config_bytes).hexdigest(),
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     path = outdir / "manifest.json"
     _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def _cmd_solve(args, cfg, outdir: Path) -> list[Path]:
+def _cmd_solve(args, cfg, outdir: Path, record: dict) -> list[Path]:
     scheme = schemes.scheme_for(cfg)
     rule = scheme.rule(cfg)
     trajectory = scheme.evolve(scheme.initial(cfg, rule), cfg, rule)
@@ -149,7 +149,7 @@ def _cmd_solve(args, cfg, outdir: Path) -> list[Path]:
     return [dpath, tpath]
 
 
-def _cmd_assemble(args, cfg, outdir: Path) -> list[Path]:
+def _cmd_assemble(args, cfg, outdir: Path, record: dict) -> list[Path]:
     system = schemes.scheme_for(cfg).assemble(cfg, args.rescaled)
     meta = assembly.system_metadata(system)
     lpath = outdir / "L.mtx"
@@ -159,14 +159,15 @@ def _cmd_assemble(args, cfg, outdir: Path) -> list[Path]:
     return [lpath, fpath]
 
 
-def _cmd_spectrum(args, cfg, outdir: Path) -> list[Path]:
+def _cmd_spectrum(args, cfg, outdir: Path, record: dict) -> list[Path]:
     row = complexity.row_for(cfg, args.delta, rescaled=args.rescaled)
+    record["spectrum"] = {"method": row.method, "residual": row.residual}
     path = outdir / "spectrum.csv"
     emit_report([row], path)
     return [path]
 
 
-def _cmd_fourier(args, cfg, outdir: Path) -> list[Path]:
+def _cmd_fourier(args, cfg, outdir: Path, record: dict) -> list[Path]:
     # the per-frequency analysis is the relaxation scheme's; the
     # assembler rejects any other
     rule = schemes.scheme_for(cfg).rule(cfg)
@@ -200,7 +201,7 @@ def _cmd_fourier(args, cfg, outdir: Path) -> list[Path]:
     return [spath, npath]
 
 
-def _cmd_sweep(args, cfg, outdir: Path) -> list[Path]:
+def _cmd_sweep(args, cfg, outdir: Path, record: dict) -> list[Path]:
     epsilons = [float(e) for e in args.epsilons.split(",") if e]
     if not epsilons:
         raise _UsageError("--epsilons must list at least one value")
@@ -225,6 +226,9 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         return EXIT_USAGE
 
+    cfg = None
+    record: dict = {}
+    code = EXIT_OK
     try:
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -233,7 +237,6 @@ def main(argv=None) -> int:
         raw.update({key: value for key in CONFIG_KEYS
                     if (value := getattr(args, key)) is not None})
         cfg = resolve_config(raw, allow_unstable=args.allow_unstable)
-        _write_manifest(args, cfg, outdir)
         handler = {
             "solve": _cmd_solve,
             "assemble": _cmd_assemble,
@@ -241,30 +244,39 @@ def main(argv=None) -> int:
             "fourier": _cmd_fourier,
             "sweep": _cmd_sweep,
         }[args.subcommand]
-        written = handler(args, cfg, outdir)
+        written = handler(args, cfg, outdir, record)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
     except CflViolationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         print("pass --allow-unstable to proceed anyway", file=sys.stderr)
-        return EXIT_VALIDATION
+        code = EXIT_VALIDATION
     except (ValueError, UnsupportedConfigurationError, json.JSONDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code = EXIT_VALIDATION
     except DivergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code = EXIT_NUMERICAL
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code = EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code = EXIT_IO
 
-    for path in written:
-        print(path)
-    return EXIT_OK
+    if cfg is not None:
+        try:
+            _write_manifest(args, cfg, outdir, {**record, "exit_status": code})
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            # a failed run keeps its own exit code
+            if code == EXIT_OK:
+                code = EXIT_IO
+    if code == EXIT_OK:
+        for path in written:
+            print(path)
+    return code
 
 
 def entry():

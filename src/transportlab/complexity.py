@@ -62,7 +62,8 @@ class ComplexityRow:
     resolution-rule cost expressions N^2 eps^-3 delta^-1 and
     N^2 eps^-2 log2(1/(eps*delta)) for explicit-scheme rows (None for
     relaxation rows); they are reported alongside but are not part of
-    the CSV schema.
+    the CSV schema.  Nor are ``method`` and ``residual``, the spectral
+    path ("dense" or "iterative") and its residual of a measured row.
     """
 
     scheme: str
@@ -84,6 +85,8 @@ class ComplexityRow:
     status: str
     closed_form_classical: float | None = None
     closed_form_quantum: float | None = None
+    method: str | None = None
+    residual: float | None = None
 
 
 def _csv_cell(value) -> str:
@@ -146,13 +149,15 @@ def row_for(
     )
     if measure:
         system = schemes.scheme_for(cfg).assemble(cfg, rescaled, order_cap)
-        report = spectral.singular_extremes(system.L)
+        report = spectral.singular_extremes(system.L,
+                                            inverse=system.marching_inverse())
         row.quantum_queries = (
             qlsa_queries(report.sparsity, report.kappa, delta)
             if math.isfinite(report.kappa) else float("inf")
         )
         row.sigma_min, row.sigma_max = report.sigma_min, report.sigma_max
         row.kappa, row.sparsity = report.kappa, report.sparsity
+        row.method, row.residual = report.method, report.residual
         row.status = "ok"
     return row
 

@@ -69,34 +69,49 @@ def _top_eigenpair(apply_op, n: int, dtype) -> tuple[float, float]:
     return rho, float(np.linalg.norm(apply_op(x) - rho * x) / rho)
 
 
-def _lanczos_extremes(A) -> tuple[float, float, float]:
+def _lanczos_extremes(A, inverse=None) -> tuple[float, float, float]:
     """sigma_min, sigma_max and the worse residual, from the top
-    eigenvalues of A^H A and of (A^H A)^{-1} = A^{-1} A^{-H}."""
+    eigenvalues of A^H A and of (A^H A)^{-1} = A^{-1} A^{-H}.
+
+    ``inverse`` applies A^{-1} (matvec) and A^{-H} (rmatvec); without
+    it both come from one sparse LU factorization of A.
+    """
     n = A.shape[1]
     dtype = np.result_type(A.dtype, np.float64)
     At = A.conj(copy=False).T
     lam, res_max = _top_eigenpair(lambda x: At @ (A @ x), n, dtype)
     del At  # not held alive next to the LU factors
-    lu = spla.splu(A.tocsc())
+    if inverse is None:
+        lu = spla.splu(A.tocsc())
+        inverse = spla.LinearOperator(
+            A.shape, matvec=lu.solve,
+            rmatvec=lambda x: lu.solve(x, trans="H"), dtype=dtype)
     mu, res_min = _top_eigenpair(
-        lambda x: lu.solve(lu.solve(x, trans="H")), n, dtype)
+        lambda x: inverse.matvec(inverse.rmatvec(x)), n, dtype)
     return 1.0 / math.sqrt(mu), math.sqrt(lam), max(res_max, res_min)
 
 
-def singular_extremes(M, method: str = "auto") -> SpectrumReport:
+def singular_extremes(M, method: str = "auto", inverse=None) -> SpectrumReport:
     """Compute sigma_min, sigma_max, kappa and sparsity of a matrix.
 
     Matrices of order up to ``DENSE_CAP`` are decomposed densely.
     Above it, ARPACK Lanczos on A^H A gives sigma_max, and on
-    (A^H A)^{-1}, applied through one sparse LU factorization of A,
-    gives sigma_min.  Convergence failure and an exactly singular LU
-    factor raise RuntimeError.
+    (A^H A)^{-1} = A^{-1} A^{-H} gives sigma_min.  ``inverse`` is a
+    LinearOperator whose matvec applies A^{-1} and whose rmatvec
+    applies A^{-H}, such as a space-time system's
+    ``BlockSystem.marching_inverse()`` (a time march, no
+    factorization); only a bare matrix falls back to one sparse LU
+    factorization of A.  The dense path ignores ``inverse``.
+    Convergence failure and an exactly singular LU factor raise
+    RuntimeError.
     """
     M = sp.csr_matrix(M)
     if M.shape[0] == 0 or M.shape[1] == 0:
         raise ValueError("matrix must be nonempty")
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
+    if inverse is not None and inverse.shape != M.shape:
+        raise ValueError(f"inverse has shape {inverse.shape}, matrix {M.shape}")
     if method == "auto":
         method = "dense" if max(M.shape) <= DENSE_CAP else "iterative"
     if method == "iterative" and max(M.shape) < 2:
@@ -109,7 +124,7 @@ def singular_extremes(M, method: str = "auto") -> SpectrumReport:
         sigma_min = float(values[-1])
         residual = 0.0
     else:
-        sigma_min, sigma_max, residual = _lanczos_extremes(M)
+        sigma_min, sigma_max, residual = _lanczos_extremes(M, inverse)
 
     # singular to working precision: flag rather than divide
     floor = np.finfo(float).eps * max(M.shape) * sigma_max

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 from scipy.io import mmread
 from scipy.linalg import svdvals
 
@@ -17,6 +20,9 @@ from transportlab import (
     gauss_rule,
     initial_kinetic_field,
     initial_parity_field,
+    resolve_config,
+    schemes,
+    singular_extremes,
     sparsity,
 )
 from transportlab.assembly import (
@@ -57,6 +63,16 @@ def test_sparsity_ignores_stored_zeros():
                        np.array([0, 2, 3, 4])), shape=(3, 3))
     assert A.nnz == 4
     assert sparsity(A) == 1
+
+
+def test_sparsity_leaves_its_argument_unchanged():
+    # explicitly stored zero at (0, 1)
+    A = sp.csr_matrix((np.array([1.0, 0.0, 2.0]), np.array([0, 1, 1]),
+                       np.array([0, 2, 3])), shape=(2, 2))
+    data = A.data.copy()
+    assert sparsity(A) == 1
+    assert A.nnz == 3
+    np.testing.assert_array_equal(A.data, data)
 
 
 # --- all-at-once systems ------------------------------------------------
@@ -315,3 +331,56 @@ def test_export_complex_matrix(tmp_path):
     export_matrix_market(fm.Ltilde, path, {"xi": fm.xi})
     back = mmread(path).tocsr()
     assert np.abs((back - fm.Ltilde).toarray()).max() < 1e-15
+
+
+# --- time-marching inverse ------------------------------------------------
+
+
+def _relative_error(value, reference):
+    return np.linalg.norm(value - reference) / np.linalg.norm(reference)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    scheme=st.sampled_from(["ap", "explicit"]),
+    rescaled=st.booleans(),
+    log_eps=st.floats(-8.0, 0.0),
+    N=st.integers(1, 4),
+    Nx=st.integers(1, 8),
+    Nt=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_marching_inverse_matches_solves_stepper_and_dense_spectrum(
+        scheme, rescaled, log_eps, N, Nx, Nt, seed):
+    cfg = resolve_config({"scheme": scheme, "epsilon": 10.0**log_eps,
+                          "tau": "auto", "h": 0.1, "N": N, "Nx": Nx, "Nt": Nt})
+    stepper = schemes.scheme_for(cfg)
+    rule = stepper.rule(cfg)
+    initial = stepper.initial(cfg, rule)
+    system = stepper.system(cfg, rule, initial, rescaled, 10**6)
+    L, inverse = system.L, system.marching_inverse()
+
+    # L^{-1}x and L^{-H}x against sparse direct solves
+    x = np.random.default_rng(seed).normal(size=system.order)
+    assert _relative_error(inverse.matvec(x),
+                           spla.spsolve(L.tocsc(), x)) <= 1e-10
+    assert _relative_error(inverse.rmatvec(x),
+                           spla.spsolve(L.conj().T.tocsc(), x)) <= 1e-10
+
+    # L^{-1}F split into levels is the stepper's trajectory
+    pieces = stepper.split(system, inverse.matvec(system.F))
+    levels = stepper.evolve(initial, cfg, rule).fields[1:]
+    marched = np.hstack([np.hstack(piece) for piece in pieces])
+    stepped = np.hstack([np.hstack([getattr(level, name) for name in ("r", "j", "f")
+                                    if hasattr(level, name)])
+                         for level in levels])
+    assert _relative_error(marched, stepped) <= 1e-10
+
+    # the iterative spectrum through the march, with no factorization
+    dense = singular_extremes(L, method="dense")
+    if dense.sigma_min > 0.0:
+        with mock.patch.object(spla, "splu", side_effect=AssertionError("splu")):
+            iterative = singular_extremes(L, method="iterative", inverse=inverse)
+        assert iterative.sigma_max == pytest.approx(dense.sigma_max, rel=1e-8)
+        assert iterative.sigma_min == pytest.approx(dense.sigma_min, rel=1e-8)
+

@@ -14,6 +14,7 @@ from transportlab import (
     initial_parity_field,
     resolve_config,
 )
+from transportlab import cli
 from transportlab.cli import emit_report, main
 from transportlab.complexity import ComplexityRow, sweep_epsilon
 
@@ -192,6 +193,41 @@ def test_fourier_rejects_explicit_config(explicit_config, tmp_path, capsys):
                  "--output-dir", str(tmp_path / "out"), "--xi-samples", "3"]) == 2
     assert "validation error:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "symbols.csv").exists()
+
+
+MANIFEST_KEYS = {"tool", "version", "subcommand", "resolved_config",
+                 "allow_unstable", "input_sha256"}
+
+
+def test_failed_run_manifest_records_its_exit_status(explicit_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["fourier", "--config", str(explicit_config),
+                 "--output-dir", str(out), "--xi-samples", "3"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert MANIFEST_KEYS <= manifest.keys()
+    assert manifest["exit_status"] == 2
+
+
+def test_manifest_write_failure_keeps_the_exit_code(explicit_config, tmp_path,
+                                                    monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_manifest", fail)
+    argv = ["--config", str(explicit_config), "--output-dir", str(tmp_path / "out")]
+    assert main(["fourier", *argv, "--xi-samples", "3"]) == 2
+    assert main(["spectrum", *argv]) == 4
+    assert "i/o error: disk full" in capsys.readouterr().err
+
+
+def test_spectrum_manifest_records_method_and_residual(explicit_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(explicit_config),
+                 "--output-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert MANIFEST_KEYS <= manifest.keys()
+    assert manifest["exit_status"] == 0
+    assert manifest["spectrum"] == {"method": "dense", "residual": 0.0}
 
 
 def test_sweep_csv_shape_and_determinism(ap_config, tmp_path):

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from transportlab import spectral
+from transportlab import complexity, resolve_config, schemes, singular_extremes, spectral
+from transportlab.assembly import DENSE_CAP
 from transportlab import (
     CSV_HEADER,
     GridConfig,
@@ -183,6 +185,30 @@ def test_failed_row_reports_the_grid_it_tried(monkeypatch):
     assert row.classical_cost == 6**2 * 31 * 49
 
 
+@pytest.mark.parametrize("raw", [
+    # the benchmark's smoke spectrum cases, enlarged past DENSE_CAP
+    {"scheme": "ap", "epsilon": 1e-6, "tau": 2e-3, "h": 0.1, "N": 4, "Nx": 16, "Nt": 33},
+    {"scheme": "explicit", "epsilon": 0.15, "tau": "auto", "h": 0.04,
+     "N": 2, "Nx": 24, "Nt": 48},
+], ids=["ap", "explicit"])
+def test_row_above_dense_cap_needs_no_factorization(monkeypatch, raw):
+    cfg = resolve_config(raw)
+    L = schemes.scheme_for(cfg).assemble(cfg, True).L
+    assert L.shape[0] > DENSE_CAP
+    reference = singular_extremes(L)  # a bare matrix: through one splu
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorization on the marching path")
+
+    for name in ("splu", "spilu", "spsolve", "spsolve_triangular", "factorized"):
+        monkeypatch.setattr(spla, name, refuse)
+    row = complexity.row_for(cfg, 0.1)
+    assert (row.status, row.method) == ("ok", "iterative")
+    assert row.sigma_min == pytest.approx(reference.sigma_min, rel=1e-10)
+    assert row.sigma_max == pytest.approx(reference.sigma_max, rel=1e-10)
+    assert 0.0 <= row.residual <= 1e-8
+
+
 def test_sweep_skips_spectrum_above_order_cap():
     rows = sweep_epsilon(ap_base(), [1e-3], mode="fixed_grid", order_cap=10)
     assert rows[0].status == "counts_only"
@@ -216,6 +242,13 @@ def test_csv_writes_numpy_scalars_as_plain_floats():
     numpy_row = dataclasses.replace(row, sigma_max=np.float64(row.sigma_max))
     assert rows_to_csv([numpy_row]) == rows_to_csv([row])
     assert "np." not in rows_to_csv([numpy_row])
+
+
+def test_row_carries_the_spectral_method_outside_the_csv():
+    row = sweep_epsilon(ap_base(), [1e-2], mode="fixed_grid")[0]
+    assert (row.method, row.residual) == ("dense", 0.0)
+    unmeasured = dataclasses.replace(row, method=None, residual=None)
+    assert rows_to_csv([row]) == rows_to_csv([unmeasured])
 
 
 def test_csv_preserves_failure_rows_and_blank_cells():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from transportlab import (
@@ -106,6 +107,11 @@ def test_empty_matrix_rejected():
         singular_extremes(sp.csr_matrix((0, 0)))
     with pytest.raises(ValueError):
         singular_extremes(sp.eye(1), method="iterative")
+
+
+def test_inverse_of_another_shape_rejected():
+    with pytest.raises(ValueError, match="inverse has shape"):
+        singular_extremes(sp.eye(5), inverse=spla.aslinearoperator(sp.eye(4)))
 
 
 def test_rescaled_system_extremes_have_order_one_constants():
