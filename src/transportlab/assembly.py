@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 ORDER_CAP_DEFAULT = 200_000
-DENSE_CAP = 4096
 
 
 def sparsity(A) -> int:

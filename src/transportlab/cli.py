@@ -3,7 +3,9 @@
 Every run whose configuration resolves writes a manifest once it ends,
 recording the fully resolved configuration, the tool version, the
 config-file hash and the exit status, so any output row can be
-regenerated and a failed run is not mistaken for a finished one.
+regenerated and a failed run is not mistaken for a finished one.  A run
+that fails before its configuration resolves removes the manifest an
+earlier run left in its output directory.
 Exit codes: 0 ok, 1 usage, 2 validation, 3 numerical failure, 4 I/O.
 """
 
@@ -209,6 +211,11 @@ def _cmd_sweep(args, cfg, outdir: Path, record: dict) -> list[Path]:
         cfg, epsilons, mode=args.mode, delta=args.delta,
         final_time=args.T, measure_spectrum=not args.no_spectrum,
     )
+    record["sweep"] = [
+        {"epsilon": row.epsilon, "status": row.status,
+         "method": row.method, "residual": row.residual}
+        for row in rows
+    ]
     path = outdir / "sweep.csv"
     emit_report(rows, path)
     return [path]
@@ -265,14 +272,19 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         code = EXIT_IO
 
-    if cfg is not None:
-        try:
+    stale = Path(args.output_dir) / "manifest.json"
+    try:
+        if cfg is not None:
             _write_manifest(args, cfg, outdir, {**record, "exit_status": code})
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=sys.stderr)
-            # a failed run keeps its own exit code
-            if code == EXIT_OK:
-                code = EXIT_IO
+        elif stale.exists():
+            # nothing resolved to record, and an earlier run's manifest
+            # must not read as this run's
+            stale.unlink()
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        # a failed run keeps its own exit code
+        if code == EXIT_OK:
+            code = EXIT_IO
     if code == EXIT_OK:
         for path in written:
             print(path)

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import svdvals
 
-from .assembly import DENSE_CAP, assemble_fourier_matrix, sparsity
+from .assembly import assemble_fourier_matrix, sparsity
 from .model import GridConfig
 from .quadrature import QuadratureRule
 
@@ -55,6 +55,12 @@ class SpectrumReport:
 # ARPACK stops once a Ritz pair's eigen-residual is below this fraction
 # of its Ritz value
 ARPACK_TOL = 1e-12
+
+# the largest order decomposed densely by ``method="auto"``: the measured
+# crossover, on 2-core OpenBLAS, of one dense SVD against the two Lanczos
+# runs with a marching L^{-1}, on relaxation (plain and rescaled) and
+# upwind systems; from order 256 up the Lanczos path is faster everywhere
+DENSE_CAP = 192
 
 
 def _top_eigenpair(apply_op, n: int, dtype) -> tuple[float, float]:
@@ -94,8 +100,11 @@ def _lanczos_extremes(A, inverse=None) -> tuple[float, float, float]:
 def singular_extremes(M, method: str = "auto", inverse=None) -> SpectrumReport:
     """Compute sigma_min, sigma_max, kappa and sparsity of a matrix.
 
-    Matrices of order up to ``DENSE_CAP`` are decomposed densely.
-    Above it, ARPACK Lanczos on A^H A gives sigma_max, and on
+    With ``method="auto"``, matrices of order up to ``DENSE_CAP`` (192,
+    the measured cost crossover of the two paths) are decomposed
+    densely; ``method="dense"`` forces the dense SVD at any order and
+    is the reference the iterative path is tested against.  Above the
+    cap, ARPACK Lanczos on A^H A gives sigma_max, and on
     (A^H A)^{-1} = A^{-1} A^{-H} gives sigma_min.  ``inverse`` is a
     LinearOperator whose matvec applies A^{-1} and whose rmatvec
     applies A^{-H}, such as a space-time system's

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import mmread
 from scipy.linalg import svdvals
 
+import transportlab
 from transportlab import (
     GridConfig,
     ap_evolve,
@@ -230,6 +235,30 @@ def test_spectrum_manifest_records_method_and_residual(explicit_config, tmp_path
     assert manifest["spectrum"] == {"method": "dense", "residual": 0.0}
 
 
+def test_failure_before_resolving_removes_a_stale_manifest(ap_config, tmp_path):
+    out = tmp_path / "out"
+    argv = ["solve", "--config", str(ap_config), "--output-dir", str(out)]
+    assert main(argv) == 0
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 0
+    # the step restriction rejects this grid before the configuration resolves
+    assert main(argv + ["--tau", "0.5", "--h", "0.1"]) == 2
+    assert not (out / "manifest.json").exists()
+
+
+def test_sweep_manifest_records_each_row(ap_config, tmp_path):
+    out = tmp_path / "out"
+    # Nt=8 gives order 288, above DENSE_CAP; eps=-1 fails its row
+    assert main(["sweep", "--config", str(ap_config), "--output-dir", str(out),
+                 "--Nt", "8", "--epsilons", "1e-2,1e-6,-1"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    entries = manifest["sweep"]
+    ok, failed = entries[0], entries[2]
+    assert [e["epsilon"] for e in entries] == [1e-2, 1e-6, -1.0]
+    assert [e["method"] for e in entries] == ["iterative", "iterative", None]
+    assert ok["status"] == "ok" and 0.0 <= ok["residual"] <= 1e-8
+    assert failed["status"].startswith("error:") and failed["residual"] is None
+
+
 def test_sweep_csv_shape_and_determinism(ap_config, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     argv = ["sweep", "--config", str(ap_config),
@@ -267,3 +296,30 @@ def test_emit_report_preserves_failure_rows(tmp_path):
     dest = tmp_path / "rows.csv"
     emit_report([row], dest)
     assert "error: solver exploded" in dest.read_text()
+
+
+def test_iterative_sweep_reruns_are_byte_identical(tmp_path):
+    # criterion 6's grid: seven rescaled relaxation systems of order 1024,
+    # all on the ARPACK path; each run is a fresh interpreter
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "scheme": "ap", "epsilon": 1.0, "tau": 0.01, "h": 0.1,
+        "N": 4, "Nx": 8, "Nt": 16,
+    }), encoding="utf-8")
+    src = str(Path(transportlab.__file__).parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for run in ("a", "b"):
+            out = tmp_path / f"{threads}{run}"
+            subprocess.run(
+                [sys.executable, "-m", "transportlab.cli", "sweep",
+                 "--config", str(config), "--output-dir", str(out),
+                 "--allow-unstable", "--epsilons", "1,1e-1,1e-2,1e-3,1e-4,1e-5,1e-6"],
+                env=env, check=True, capture_output=True, timeout=300)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert {e["method"] for e in manifest["sweep"]} == {"iterative"}
+            outputs[threads, run] = (out / "sweep.csv").read_bytes()
+        assert outputs[threads, "a"] == outputs[threads, "b"]

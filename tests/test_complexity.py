@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from transportlab import complexity, resolve_config, schemes, singular_extremes, spectral
-from transportlab.assembly import DENSE_CAP
+from transportlab.spectral import DENSE_CAP
 from transportlab import (
     CSV_HEADER,
     GridConfig,
@@ -207,6 +207,20 @@ def test_row_above_dense_cap_needs_no_factorization(monkeypatch, raw):
     assert row.sigma_min == pytest.approx(reference.sigma_min, rel=1e-10)
     assert row.sigma_max == pytest.approx(reference.sigma_max, rel=1e-10)
     assert 0.0 <= row.residual <= 1e-8
+
+
+def test_criterion_6_grid_takes_the_iterative_path_and_agrees_with_dense():
+    base = GridConfig(epsilon=1.0, tau=1e-2, h=0.1, N=4, N_x=8, N_t=16,
+                      allow_unstable=True)
+    rows = sweep_epsilon(base, [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    for row in rows:
+        assert (row.status, row.method) == ("ok", "iterative")
+        cfg = dataclasses.replace(base, epsilon=row.epsilon)
+        L = schemes.scheme_for(cfg).assemble(cfg, True).L
+        dense = singular_extremes(L, method="dense")
+        assert row.sigma_min == pytest.approx(dense.sigma_min, rel=1e-12)
+        assert row.sigma_max == pytest.approx(dense.sigma_max, rel=1e-12)
+        assert row.kappa == pytest.approx(dense.kappa, rel=1e-12)
 
 
 def test_sweep_skips_spectrum_above_order_cap():

@@ -16,7 +16,7 @@ from transportlab import (
     schemes,
     singular_extremes,
 )
-from transportlab.assembly import DENSE_CAP
+from transportlab.spectral import DENSE_CAP
 
 # frozen by evaluating the three displayed terms independently by hand:
 # 0.5*102.03 + 24.75*1.01 + 75.25*202 = 51.015 + 24.9975 + 15200.5
@@ -51,6 +51,10 @@ def test_iterative_path_matches_dense():
 def test_auto_method_switches_on_order():
     small = singular_extremes(sp.eye(5))
     assert small.method == "dense"
+    at_cap = singular_extremes(sp.eye(DENSE_CAP) * 2.0)
+    assert at_cap.method == "dense"
+    assert at_cap.sigma_max == pytest.approx(2.0)
+    assert at_cap.sigma_min == pytest.approx(2.0)
     large = singular_extremes(sp.eye(DENSE_CAP + 1) * 2.0)
     assert large.method == "iterative"
     assert large.sigma_max == pytest.approx(2.0)
