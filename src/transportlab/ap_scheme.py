@@ -15,18 +15,19 @@ which is the form the all-at-once space-time system is built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .model import (
     AP,
-    DivergenceError,
     GridConfig,
     ParityField,
     Trajectory,
     UnsupportedConfigurationError,
     check_field,
+    march,
 )
 from .quadrature import QuadratureRule
 
@@ -231,23 +232,25 @@ def matrix_step(
 
 
 def ap_evolve(
-    initial: ParityField, cfg: GridConfig, rule: QuadratureRule
+    initial: ParityField,
+    cfg: GridConfig,
+    rule: QuadratureRule,
+    on_level: Callable | None = None,
 ) -> Trajectory:
-    """Run N_t relaxation+transport steps, recording every level.
+    """Run N_t relaxation+transport steps through :func:`model.march`.
 
-    The cost counter charges N^2 * N_x per step.
+    Each level n = 0..N_t goes to ``on_level(n, level)`` as it is made.
+    Without a callback the trajectory records every level; with one it
+    holds only the final level.  The cost counter charges N^2 * N_x per
+    step.
     """
     _check_ap(cfg, rule)
     check_field(initial, cfg)
-    fields = [initial]
-    state = initial
-    cost = 0
-    # divergence is detected and reported; don't warn about the overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, cfg.N_t + 1):
-            state = transport_step(relaxation_step(state, cfg, rule), cfg, rule)
-            cost += cfg.N**2 * cfg.N_x
-            if not (np.all(np.isfinite(state.r)) and np.all(np.isfinite(state.j))):
-                raise DivergenceError(step)
-            fields.append(state)
-    return Trajectory(fields=fields, cost=cost)
+    # looked up at call time, so a wrapper on either step function sees every step
+    return march(
+        initial, cfg,
+        lambda state: transport_step(relaxation_step(state, cfg, rule), cfg, rule),
+        cfg.N**2 * cfg.N_x,
+        lambda state: np.all(np.isfinite(state.r)) and np.all(np.isfinite(state.j)),
+        on_level,
+    )

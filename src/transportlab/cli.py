@@ -2,24 +2,27 @@
 
 Every run whose configuration resolves writes a manifest once it ends,
 recording the fully resolved configuration, the tool version, the
-config-file hash and the exit status, so any output row can be
-regenerated and a failed run is not mistaken for a finished one.  A run
-that fails before its configuration resolves removes the manifest an
-earlier run left in its output directory.
+config-file hash, the python, numpy, scipy and BLAS versions and the
+exit status, so any output row can be regenerated and a failed run is
+not mistaken for a finished one.  It holds no wall time or memory
+figure, so a rerun writes the same bytes.  A run that fails before its
+configuration resolves removes the manifest an earlier run left in its
+output directory.
 Exit codes: 0 ok, 1 usage, 2 validation, 3 numerical failure, 4 I/O.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
-import os
+import platform
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, assembly, complexity, schemes, spectral
 from .model import (
@@ -28,6 +31,7 @@ from .model import (
     DivergenceError,
     GridConfig,
     UnsupportedConfigurationError,
+    atomic_open,
     config_as_dict,
     read_config,
     resolve_config,
@@ -98,15 +102,8 @@ def _build_parser() -> _Parser:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as handle:
+        handle.write(text)
 
 
 def emit_report(rows, destination) -> Path:
@@ -118,6 +115,21 @@ def emit_report(rows, destination) -> Path:
     return destination
 
 
+def _runtime() -> dict:
+    """Python, numpy, scipy and numpy's BLAS build of this process.
+
+    Only facts that stay the same from run to run: a rerun must write
+    the same bytes.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        blas = {"name": None, "version": None}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas}
+
+
 def _write_manifest(args, cfg: GridConfig, outdir: Path, extra: dict):
     config_bytes = Path(args.config).read_bytes()
     manifest = {
@@ -127,6 +139,7 @@ def _write_manifest(args, cfg: GridConfig, outdir: Path, extra: dict):
         "resolved_config": config_as_dict(cfg),
         "allow_unstable": bool(args.allow_unstable),
         "input_sha256": hashlib.sha256(config_bytes).hexdigest(),
+        "runtime": _runtime(),
         **extra,
     }
     path = outdir / "manifest.json"
@@ -137,18 +150,21 @@ def _write_manifest(args, cfg: GridConfig, outdir: Path, extra: dict):
 def _cmd_solve(args, cfg, outdir: Path, record: dict) -> list[Path]:
     scheme = schemes.scheme_for(cfg)
     rule = scheme.rule(cfg)
-    trajectory = scheme.evolve(scheme.initial(cfg, rule), cfg, rule)
+    tpath = outdir / "trajectory.csv"
+    # with a callback the run holds only its current level; the export
+    # writes each level's rows as the level is made
+    sink = (schemes.trajectory_csv(cfg, tpath) if args.export_trajectory
+            else contextlib.nullcontext(lambda step, level: None))
+    with sink as on_level:
+        trajectory = scheme.evolve(scheme.initial(cfg, rule), cfg, rule, on_level)
+    record["solve"] = {"steps": cfg.N_t, "cost": trajectory.cost}
     rho = scheme.density(trajectory.fields[-1], rule)
     x = cfg.interior_x()
     lines = ["x,rho"]
     lines += [f"{repr(float(xi))},{repr(float(ri))}" for xi, ri in zip(x, rho)]
     dpath = outdir / "density.csv"
     _atomic_write(dpath, "\n".join(lines) + "\n")
-    if not args.export_trajectory:
-        return [dpath]
-    tpath = outdir / "trajectory.csv"
-    schemes.write_trajectory_csv(trajectory, cfg, tpath)
-    return [dpath, tpath]
+    return [dpath, tpath] if args.export_trajectory else [dpath]
 
 
 def _cmd_assemble(args, cfg, outdir: Path, record: dict) -> list[Path]:

@@ -18,17 +18,18 @@ with alpha = tau/eps^2 and B2 idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .model import (
     EXPLICIT,
-    DivergenceError,
     GridConfig,
     KineticField,
     Trajectory,
     check_field,
+    march,
 )
 from .quadrature import QuadratureRule
 
@@ -153,23 +154,25 @@ def boundary_vector(
 
 
 def explicit_evolve(
-    initial: KineticField, cfg: GridConfig, rule: QuadratureRule
+    initial: KineticField,
+    cfg: GridConfig,
+    rule: QuadratureRule,
+    on_level: Callable | None = None,
 ) -> Trajectory:
-    """Run N_t upwind steps, recording every level.
+    """Run N_t upwind steps through :func:`model.march`.
 
-    The cost counter charges (2N)^2 * N_x per step.
+    Each level n = 0..N_t goes to ``on_level(n, level)`` as it is made.
+    Without a callback the trajectory records every level; with one it
+    holds only the final level.  The cost counter charges (2N)^2 * N_x
+    per step.
     """
     _check_explicit(cfg, rule)
     check_field(initial, cfg)
-    fields = [initial]
-    state = initial
-    cost = 0
-    # divergence is detected and reported; don't warn about the overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, cfg.N_t + 1):
-            state = explicit_step(state, cfg, rule)
-            cost += (2 * cfg.N) ** 2 * cfg.N_x
-            if not np.all(np.isfinite(state.f)):
-                raise DivergenceError(step)
-            fields.append(state)
-    return Trajectory(fields=fields, cost=cost)
+    # looked up at call time, so a wrapper on explicit_step sees every step
+    return march(
+        initial, cfg,
+        lambda state: explicit_step(state, cfg, rule),
+        (2 * cfg.N) ** 2 * cfg.N_x,
+        lambda state: np.all(np.isfinite(state.f)),
+        on_level,
+    )

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -335,7 +338,7 @@ def check_field(field, cfg: GridConfig):
 
 @dataclass
 class Trajectory:
-    """Time levels 0..N_t of a run plus a cost counter.
+    """The levels the caller asked to keep of a run, plus a cost counter.
 
     The counter charges N_vel^2 * N_x per step, the nominal work of one
     application of the O(N_vel)-sparse one-step matrices of order N_vel*N_x.
@@ -346,6 +349,39 @@ class Trajectory:
 
     def __len__(self):
         return len(self.fields)
+
+
+def march(
+    initial,
+    cfg: GridConfig,
+    step: Callable,
+    step_cost: int,
+    finite: Callable,
+    on_level: Callable | None = None,
+) -> Trajectory:
+    """Advance ``initial`` by ``cfg.N_t`` applications of ``step``.
+
+    Each level n = 0..N_t goes to ``on_level(n, level)`` as soon as it
+    exists; the returned trajectory then keeps only the final level, so
+    the run holds one level at a time.  Without a callback it keeps
+    every level.  Each step charges ``step_cost``.  A level that fails
+    ``finite`` raises :class:`DivergenceError` with its step index,
+    before it is handed on.
+    """
+    kept = []
+    sink = on_level if on_level is not None else lambda n, level: kept.append(level)
+    sink(0, initial)
+    state = initial
+    cost = 0
+    # divergence is detected and reported; don't warn about the overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, cfg.N_t + 1):
+            state = step(state)
+            cost += step_cost
+            if not finite(state):
+                raise DivergenceError(n)
+            sink(n, state)
+    return Trajectory(fields=kept if on_level is None else [state], cost=cost)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +555,23 @@ def read_config(path) -> dict:
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must contain a flat JSON object")
     return raw
+
+
+@contextmanager
+def atomic_open(path):
+    """Text handle on a temporary file next to ``path``, renamed onto
+    ``path`` when the block ends cleanly and removed when it raises, so
+    ``path`` never holds a partial file."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_config(path, allow_unstable: bool = False) -> GridConfig:

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 
 from . import ap_scheme, assembly, explicit_scheme, model, quadrature
 from .model import AP, EXPLICIT
 
-__all__ = ["SCHEMES", "Scheme", "scheme_for", "write_trajectory_csv"]
+__all__ = ["SCHEMES", "Scheme", "scheme_for", "trajectory_csv", "write_trajectory_csv"]
 
 
 class Scheme:
@@ -45,8 +46,8 @@ class _Relaxation(Scheme):
     def initial(self, cfg, rule):
         return model.initial_parity_field(cfg, rule)
 
-    def evolve(self, initial, cfg, rule):
-        return ap_scheme.ap_evolve(initial, cfg, rule)
+    def evolve(self, initial, cfg, rule, on_level=None):
+        return ap_scheme.ap_evolve(initial, cfg, rule, on_level)
 
     def density(self, level, rule):
         return model.density(level, rule)
@@ -71,8 +72,8 @@ class _Upwind(Scheme):
     def initial(self, cfg, rule):
         return model.initial_kinetic_field(cfg, rule)
 
-    def evolve(self, initial, cfg, rule):
-        return explicit_scheme.explicit_evolve(initial, cfg, rule)
+    def evolve(self, initial, cfg, rule, on_level=None):
+        return explicit_scheme.explicit_evolve(initial, cfg, rule, on_level)
 
     def density(self, level, rule):
         return 0.5 * (level.blocks() @ rule.weights)
@@ -104,12 +105,21 @@ def scheme_for(cfg) -> Scheme:
     return SCHEMES[cfg.scheme]
 
 
-def write_trajectory_csv(trajectory, cfg, path) -> None:
-    """Dump every level of a run, one row per grid value; off by default
-    in runs."""
+@contextmanager
+def trajectory_csv(cfg, path):
+    """An ``on_level(step, level)`` sink that writes each level's rows as
+    it arrives.  The rows go to a temporary file next to ``path``, which
+    becomes ``path`` only when the block ends cleanly, so a run that
+    diverges part way leaves no partial table."""
     scheme = scheme_for(cfg)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with model.atomic_open(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(scheme.trajectory_header)
+        yield lambda step, level: writer.writerows(scheme.trajectory_rows(step, level, cfg))
+
+
+def write_trajectory_csv(trajectory, cfg, path) -> None:
+    """Dump every recorded level of a run, one row per grid value."""
+    with trajectory_csv(cfg, path) as on_level:
         for step, level in enumerate(trajectory.fields):
-            writer.writerows(scheme.trajectory_rows(step, level, cfg))
+            on_level(step, level)

@@ -1,11 +1,14 @@
 import json
 import os
+import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.io import mmread
 from scipy.linalg import svdvals
 
@@ -22,6 +25,7 @@ from transportlab import (
 from transportlab import cli
 from transportlab.cli import emit_report, main
 from transportlab.complexity import ComplexityRow, sweep_epsilon
+from transportlab.schemes import scheme_for, write_trajectory_csv
 
 
 AP_RAW = {
@@ -97,6 +101,53 @@ def test_solve_trajectory_export(raw, header, rows, tmp_path):
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == header
     assert len(lines) == 1 + rows
+
+
+@pytest.mark.parametrize("raw", [AP_RAW, EXPLICIT_RAW], ids=["ap", "explicit"])
+def test_streamed_export_is_the_recorded_export(raw, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--output-dir", str(out),
+                 "--export-trajectory"]) == 0
+    cfg = resolve_config(raw)
+    scheme = scheme_for(cfg)
+    rule = scheme.rule(cfg)
+    reference = tmp_path / "reference.csv"
+    write_trajectory_csv(scheme.evolve(scheme.initial(cfg, rule), cfg, rule), cfg,
+                         reference)
+    assert (out / "trajectory.csv").read_bytes() == reference.read_bytes()
+
+
+def test_diverged_export_leaves_no_tables(ap_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(ap_config), "--output-dir", str(out),
+                 "--export-trajectory", "--tau", "0.5", "--h", "0.05",
+                 "--Nt", "400", "--allow-unstable"])
+    assert code == 3
+    assert "diverged" in capsys.readouterr().err
+    # no partial trajectory.csv, no density.csv and no leftover temp file
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_solve_memory_does_not_grow_with_the_step_count(tmp_path):
+    # N=8, Nx=256: one level (r and j) is 32 KB
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(AP_RAW, N=8, Nx=256)), encoding="utf-8")
+
+    def peak(n_t):
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            assert main(["solve", "--config", str(config), "--output-dir",
+                         str(tmp_path / f"nt{n_t}"), "--Nt", str(n_t)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call caches
+    level = 2 * 8 * 256 * 8
+    assert abs(peak(200) - peak(20)) < 2 * level
 
 
 def test_overrides_apply_on_top_of_config(ap_config, tmp_path):
@@ -211,6 +262,25 @@ def test_failed_run_manifest_records_its_exit_status(explicit_config, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert MANIFEST_KEYS <= manifest.keys()
     assert manifest["exit_status"] == 2
+
+
+def test_manifest_records_runtime_and_solve_cost(ap_config, explicit_config,
+                                                tmp_path):
+    runtime = {"python": platform.python_version(), "numpy": np.__version__,
+               "scipy": scipy.__version__}
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(ap_config), "--output-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # N^2 * N_x per step, N_t = 4 steps
+    assert manifest["solve"] == {"steps": 4, "cost": 4 * 3**2 * 6}
+    assert manifest["runtime"].items() >= runtime.items()
+    assert manifest["runtime"]["blas"].keys() == {"name", "version"}
+    failed = tmp_path / "failed"
+    assert main(["fourier", "--config", str(explicit_config),
+                 "--output-dir", str(failed), "--xi-samples", "3"]) == 2
+    manifest = json.loads((failed / "manifest.json").read_text())
+    assert manifest["runtime"].items() >= runtime.items()
+    assert "solve" not in manifest
 
 
 def test_manifest_write_failure_keeps_the_exit_code(explicit_config, tmp_path,

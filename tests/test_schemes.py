@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
-from transportlab import GridConfig, ap_scheme, explicit_scheme
+from transportlab import DivergenceError, GridConfig, ap_scheme, cfl_limit, explicit_scheme
 from transportlab.cli import main
 from transportlab.schemes import scheme_for
 
@@ -58,3 +59,38 @@ def test_scheme_calls_the_module_binding_at_call_time(monkeypatch, tmp_path,
     assert main(["solve", "--config", str(config),
                  "--output-dir", str(tmp_path / "out")]) == 0
     assert calls == [name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(["ap", "explicit"]), log_eps=st.floats(-8.0, 0.0),
+       N=st.integers(1, 4), N_x=st.integers(1, 8), N_t=st.integers(0, 16),
+       # far past the step restriction a run overflows within a few steps
+       tau_factor=st.sampled_from([0.5, 1e100]))
+def test_streamed_levels_are_the_recorded_levels(scheme, log_eps, N, N_x, N_t,
+                                                 tau_factor):
+    eps, h = 10.0**log_eps, 0.1
+    cfg = GridConfig(epsilon=eps, tau=tau_factor * cfl_limit(scheme, eps, h), h=h,
+                     N=N, N_x=N_x, N_t=N_t, scheme=scheme, allow_unstable=True)
+    sch = scheme_for(cfg)
+    rule = sch.rule(cfg)
+    initial = sch.initial(cfg, rule)
+    streamed = []
+
+    def on_level(step, level):
+        streamed.append((step, _values(level).tobytes()))
+
+    try:
+        recorded = sch.evolve(initial, cfg, rule)
+    except DivergenceError as exc:
+        with pytest.raises(DivergenceError) as err:
+            sch.evolve(initial, cfg, rule, on_level)
+        assert err.value.step == exc.step
+        assert [step for step, _ in streamed] == list(range(exc.step))
+        return
+    kept = sch.evolve(initial, cfg, rule, on_level)
+    assert streamed == [(step, _values(level).tobytes())
+                        for step, level in enumerate(recorded.fields)]
+    assert len(streamed) == cfg.N_t + 1
+    assert len(kept.fields) == 1
+    assert _values(kept.fields[0]).tobytes() == _values(recorded.fields[-1]).tobytes()
+    assert kept.cost == recorded.cost
