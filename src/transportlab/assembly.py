@@ -17,15 +17,16 @@ and a backward time march (``BlockSystem.marching_inverse``) and need
 no factorization.
 
 A spatial Fourier transform reduces the rescaled relaxation system to
-an order-2N*N_t matrix per frequency xi, built from four scalars per
-velocity node; its eps = 0 limit and the difference E between the two
-drive the perturbation analysis of the conditioning.
+an order-2N*N_t matrix I + X kron P per frequency xi, with P the time
+shift and X a dense 2N x 2N block of four scalars per velocity node;
+the blocks at finite eps and at eps = 0 drive the perturbation analysis
+of the conditioning.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "assemble_fourier_matrix",
     "export_matrix_market",
     "fourier_symbols",
+    "frequency_matrix",
     "sparsity",
     "split_ap_solution",
     "split_explicit_solution",
@@ -302,35 +304,37 @@ def fourier_symbols(cfg: GridConfig, v_k: float, xi: float) -> FourierSymbols:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FourierMatrix:
     """Per-frequency reduction of the rescaled space-time system.
 
-    ``Ltilde`` is the order-2N*N_t coefficient matrix at frequency xi
-    (its eps = 0 limit when ``at_epsilon_zero`` was requested),
-    ``Ltilde0`` always holds the limit matrix and ``E`` the difference
-    between the finite-eps and limit matrices.
+    Node-major and time-minor, the order-2N*N_t matrix at frequency xi
+    is L~_eps = I + X_eps kron P and its eps = 0 limit is
+    L~_0 = I + X_zero kron P (``frequency_matrix``), with P the order-N_t
+    time shift.  ``symbols`` holds the N per-node symbols, in node order.
     """
 
     xi: float
-    Ltilde: sp.csr_matrix
-    Ltilde0: sp.csr_matrix
-    E: sp.csr_matrix
+    symbols: tuple[FourierSymbols, ...]
+    X_eps: np.ndarray
+    X_zero: np.ndarray
 
 
 def assemble_fourier_matrix(
     cfg: GridConfig,
     rule: QuadratureRule,
     xi: float,
-    at_epsilon_zero: bool = False,
 ) -> FourierMatrix:
-    """Build the frequency-domain matrix, its eps = 0 limit, and E.
+    """Evaluate the symbols at xi, once per node, and build the dense
+    2N x 2N blocks; with W the identical-row weight matrix,
 
-    The symbols depend on the velocity node, so the Kronecker blocks are
-    assembled with per-node diagonal scalings: identity-plus-shift parts
-    as blockdiag over k of (I + c1(v_k) P), and the weight-coupling
-    parts as (diag(sym(v_k)) @ W) kron P with W the identical-row weight
-    matrix.
+        X_eps  = [[diag(c1) + diag(gamma c1) W, diag(c2)/tau],
+                  [tau (diag(d2) + diag(gamma d2) W), diag(d1)]]
+        X_zero = [[diag(gamma0 c1) W, 0], [tau diag(gamma0 d2) W, 0]].
+
+    So E = L~_eps - L~_0 = (X_eps - X_zero) kron P, whose 2-norm is
+    ||X_eps - X_zero||_2 ||P||_2 (Horn-Johnson, Topics in Matrix
+    Analysis, 4.2).
     """
     if cfg.scheme != AP:
         raise ValueError(f"config scheme must be {AP!r}, got {cfg.scheme!r}")
@@ -338,52 +342,25 @@ def assemble_fourier_matrix(
         raise ValueError(
             f"rule has {rule.n_points} points, config expects N = {cfg.N}"
         )
-    N, N_t, tau = cfg.N, cfg.N_t, cfg.tau
-    syms = [fourier_symbols(cfg, v_k, xi) for v_k in rule.nodes]
+    N, tau = cfg.N, cfg.tau
+    syms = tuple(fourier_symbols(cfg, v_k, xi) for v_k in rule.nodes)
+    # one complex array per symbol field, in FourierSymbols field order
+    c1, c2, d1, d2, gc1, gd2, g0c1, g0d2 = np.array(
+        [astuple(s) for s in syms], dtype=complex).T
+    W = np.tile(rule.weights, (N, 1))
+    zero = np.zeros((N, N))
+    # v[:, None] * W is diag(v) @ W with one product per entry
+    X_eps = np.block([
+        [np.diag(c1) + gc1[:, None] * W, np.diag(c2) / tau],
+        [tau * (np.diag(d2) + gd2[:, None] * W), np.diag(d1)],
+    ])
+    X_zero = np.block([[g0c1[:, None] * W, zero], [tau * (g0d2[:, None] * W), zero]])
+    return FourierMatrix(xi=float(xi), symbols=syms, X_eps=X_eps, X_zero=X_zero)
 
-    P = _time_shift(N_t).astype(complex)
-    I_nt = sp.eye(N * N_t, dtype=complex, format="csr")
-    W = np.tile(rule.weights, (N, 1)).astype(complex)
 
-    def kron_diag(values):
-        return sp.kron(sp.diags(np.asarray(values, dtype=complex)), P)
-
-    def kron_weighted(values):
-        D = sp.diags(np.asarray(values, dtype=complex))
-        return sp.kron(D @ sp.csr_matrix(W), P)
-
-    c1 = [s.c1 for s in syms]
-    c2 = [s.c2 for s in syms]
-    d1 = [s.d1 for s in syms]
-    d2 = [s.d2 for s in syms]
-    gc1 = [s.gamma_c1 for s in syms]
-    gd2 = [s.gamma_d2 for s in syms]
-    g0c1 = [s.gamma0_c1 for s in syms]
-    g0d2 = [s.gamma0_d2 for s in syms]
-
-    L11 = I_nt + kron_diag(c1) + kron_weighted(gc1)
-    L12 = kron_diag(c2) / tau
-    L21 = tau * (kron_diag(d2) + kron_weighted(gd2))
-    L22 = I_nt + kron_diag(d1)
-    L_eps = sp.bmat([[L11, L12], [L21, L22]], format="csr")
-
-    zero = sp.csr_matrix((N * N_t, N * N_t), dtype=complex)
-    L0 = sp.bmat(
-        [[I_nt + kron_weighted(g0c1), zero],
-         [tau * kron_weighted(g0d2), I_nt]],
-        format="csr",
-    )
-    E = (L_eps - L0).tocsr()
-    for M in (L_eps, L0, E):
-        M.sum_duplicates()
-        M.eliminate_zeros()
-
-    return FourierMatrix(
-        xi=float(xi),
-        Ltilde=L0 if at_epsilon_zero else L_eps,
-        Ltilde0=L0,
-        E=E,
-    )
+def frequency_matrix(X: np.ndarray, N_t: int) -> np.ndarray:
+    """The dense order-N_t expansion ``I + X kron P`` of a per-node block."""
+    return np.eye(X.shape[0] * N_t) + np.kron(X, np.eye(N_t, k=-1))
 
 
 # ---------------------------------------------------------------------------

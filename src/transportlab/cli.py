@@ -5,9 +5,9 @@ recording the fully resolved configuration, the tool version, the
 config-file hash, the python, numpy, scipy and BLAS versions and the
 exit status, so any output row can be regenerated and a failed run is
 not mistaken for a finished one.  It holds no wall time or memory
-figure, so a rerun writes the same bytes.  A run that fails before its
-configuration resolves removes the manifest an earlier run left in its
-output directory.
+figure, so a rerun writes the same bytes.  A failed run removes its
+subcommand's output files, and the manifest too if its configuration
+did not resolve, so no earlier run's file reads as this run's.
 Exit codes: 0 ok, 1 usage, 2 validation, 3 numerical failure, 4 I/O.
 """
 
@@ -186,6 +186,8 @@ def _cmd_spectrum(args, cfg, outdir: Path, record: dict) -> list[Path]:
 
 
 def _cmd_fourier(args, cfg, outdir: Path, record: dict) -> list[Path]:
+    """symbols.csv and fourier_norms.csv from one perturbation check,
+    whose symbol table (one evaluation per xi and node) feeds both."""
     # the per-frequency analysis is the relaxation scheme's; the
     # assembler rejects any other
     rule = schemes.scheme_for(cfg).rule(cfg)
@@ -193,9 +195,8 @@ def _cmd_fourier(args, cfg, outdir: Path, record: dict) -> list[Path]:
     report = spectral.perturbation_check(cfg, rule, xi_values)
 
     sym_lines = ["xi,k,v,c1_re,c1_im,c2_re,c2_im,d1_re,d1_im,d2_re,d2_im"]
-    for xi in xi_values:
-        for k, v in enumerate(rule.nodes):
-            s = assembly.fourier_symbols(cfg, v, xi)
+    for xi, row in zip(report.xi, report.symbols):
+        for k, (v, s) in enumerate(zip(rule.nodes, row)):
             sym_lines.append(",".join([
                 repr(float(xi)), str(k + 1), repr(float(v)),
                 repr(float(s.c1.real)), repr(float(s.c1.imag)),
@@ -237,6 +238,17 @@ def _cmd_sweep(args, cfg, outdir: Path, record: dict) -> list[Path]:
     return [path]
 
 
+# subcommand -> (handler, every file it can write); a run that fails
+# removes all of those files
+COMMANDS = {
+    "solve": (_cmd_solve, ("density.csv", "trajectory.csv")),
+    "assemble": (_cmd_assemble, ("L.mtx", "L.mtx.json", "F.mtx", "F.mtx.json")),
+    "spectrum": (_cmd_spectrum, ("spectrum.csv",)),
+    "fourier": (_cmd_fourier, ("symbols.csv", "fourier_norms.csv")),
+    "sweep": (_cmd_sweep, ("sweep.csv",)),
+}
+
+
 def main(argv=None) -> int:
     """Entry point returning the process exit code."""
     parser = _build_parser()
@@ -249,24 +261,18 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         return EXIT_USAGE
 
+    handler, outputs = COMMANDS[args.subcommand]
+    outdir = Path(args.output_dir)
     cfg = None
     record: dict = {}
     code = EXIT_OK
     try:
-        outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         # override flags coincide with config keys
         raw = read_config(args.config)
         raw.update({key: value for key in CONFIG_KEYS
                     if (value := getattr(args, key)) is not None})
         cfg = resolve_config(raw, allow_unstable=args.allow_unstable)
-        handler = {
-            "solve": _cmd_solve,
-            "assemble": _cmd_assemble,
-            "spectrum": _cmd_spectrum,
-            "fourier": _cmd_fourier,
-            "sweep": _cmd_sweep,
-        }[args.subcommand]
         written = handler(args, cfg, outdir, record)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -288,19 +294,21 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         code = EXIT_IO
 
-    stale = Path(args.output_dir) / "manifest.json"
     try:
         if cfg is not None:
             _write_manifest(args, cfg, outdir, {**record, "exit_status": code})
-        elif stale.exists():
-            # nothing resolved to record, and an earlier run's manifest
-            # must not read as this run's
-            stale.unlink()
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         # a failed run keeps its own exit code
         if code == EXIT_OK:
             code = EXIT_IO
+    if code != EXIT_OK and outdir.is_dir():
+        stale = outputs + (("manifest.json",) if cfg is None else ())
+        try:
+            for name in stale:
+                (outdir / name).unlink(missing_ok=True)
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
     if code == EXIT_OK:
         for path in written:
             print(path)

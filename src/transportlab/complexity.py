@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 
 from . import assembly, schemes, spectral
-from .model import EXPLICIT, GridConfig
+from .model import EXPLICIT, TAU_SAFETY, GridConfig
 
 __all__ = [
     "CSV_HEADER",
@@ -189,8 +189,6 @@ def sweep_epsilon(
     final_time: float = 0.1,
     measure_spectrum: bool = True,
     order_cap: int = assembly.ORDER_CAP_DEFAULT,
-    h_constant: float = 1.0,
-    tau_safety: float = 0.9,
 ) -> list[ComplexityRow]:
     """Produce one ComplexityRow per epsilon.
 
@@ -200,9 +198,9 @@ def sweep_epsilon(
     (``allow_unstable=True``), since a fixed grid breaks the explicit
     one at small epsilon.  cfl_driven rederives the grid from each
     epsilon via the explicit scheme's accuracy/stability rules: N_x is
-    the fixed domain length over h_constant * eps * delta, rounded, less
-    one; h = length/(N_x + 1) keeps the domain exact;
-    tau = tau_safety * h * eps^2/(eps+h) and N_t = ceil(final_time/tau).
+    the fixed domain length over eps * delta, rounded, less one;
+    h = length/(N_x + 1) keeps the domain exact;
+    tau = TAU_SAFETY * h * eps^2/(eps+h) and N_t = ceil(final_time/tau).
     A failure is recorded in the row status, with the grid that was
     tried, and the sweep continues.
     """
@@ -217,9 +215,9 @@ def sweep_epsilon(
         grid = {"epsilon": eps}
         try:
             if mode == "cfl_driven":
-                N_x = max(1, round(length / (h_constant * eps * delta)) - 1)
+                N_x = max(1, round(length / (eps * delta)) - 1)
                 h = length / (N_x + 1)
-                tau = tau_safety * h * eps**2 / (eps + h)
+                tau = TAU_SAFETY * h * eps**2 / (eps + h)
                 grid.update(h=h, tau=tau, N_x=N_x,
                             N_t=max(1, math.ceil(final_time / tau)))
             cfg = dc_replace(base_cfg, allow_unstable=mode == "fixed_grid", **grid)

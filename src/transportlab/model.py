@@ -38,6 +38,10 @@ CONFIG_KEYS = (
 
 GAUSSIAN_SHARPNESS = 100.0
 
+# fraction of the largest stable step taken by ``tau = "auto"`` and by
+# the cfl_driven sweep's grids
+TAU_SAFETY = 0.9
+
 
 class CflViolationError(Exception):
     """The grid violates the scheme's stability restriction."""
@@ -488,10 +492,10 @@ def resolve_config(raw: dict, allow_unstable: bool = False) -> GridConfig:
     """Build a GridConfig from a flat key/value mapping.
 
     Accepted keys are exactly ``CONFIG_KEYS``.  ``tau`` may be the
-    string ``"auto"``, meaning 0.9 times the largest stable step, or a
-    numeric string.  ``h``
-    and ``x_right`` are redundant given (x_left, Nx); either may be
-    omitted, and if both are present they must agree.
+    string ``"auto"``, meaning ``TAU_SAFETY`` (0.9) times the largest
+    stable step, or a numeric string.  ``h`` and ``x_right`` are
+    redundant given (x_left, Nx); either may be omitted, and if both are
+    present they must agree.
     """
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
@@ -525,7 +529,7 @@ def resolve_config(raw: dict, allow_unstable: bool = False) -> GridConfig:
 
     tau = raw.get("tau", "auto")
     if tau == "auto":
-        tau = 0.9 * cfl_limit(scheme, epsilon, h)
+        tau = TAU_SAFETY * cfl_limit(scheme, epsilon, h)
     else:
         try:
             tau = float(tau)
@@ -561,11 +565,15 @@ def read_config(path) -> dict:
 def atomic_open(path):
     """Text handle on a temporary file next to ``path``, renamed onto
     ``path`` when the block ends cleanly and removed when it raises, so
-    ``path`` never holds a partial file."""
+    ``path`` never holds a partial file.  The file gets the mode a plain
+    ``open`` would give it (0o666 less the umask), not mkstemp's 0o600."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            umask = os.umask(0)  # read it: the only way is to set it
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             yield handle
         os.replace(tmp, path)
     except BaseException:

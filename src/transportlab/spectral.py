@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import svdvals
 
-from .assembly import assemble_fourier_matrix, sparsity
+from .assembly import FourierSymbols, assemble_fourier_matrix, frequency_matrix, sparsity
 from .model import GridConfig
 from .quadrature import QuadratureRule
 
@@ -172,15 +172,17 @@ def alpha_bound(epsilon: float, tau: float, N: int) -> float:
 class PerturbationReport:
     """Frequency sweep of the perturbation between L~_eps and its limit.
 
-    Per sampled frequency: the 2-norm of E = L~_eps - L~_0 and the
-    extreme singular values of both matrices.  ``max_ratio`` is the
-    largest ||E|| / alpha(eps); ``weyl_slack`` the largest violation of
-    the singular-value sandwich (nonpositive when it holds exactly).
+    Per sampled frequency: the N per-node symbols (``symbols[i]``, in
+    node order), the 2-norm of E = L~_eps - L~_0 and the extreme
+    singular values of both matrices.  ``max_ratio`` is the largest
+    ||E|| / alpha(eps); ``weyl_slack`` the largest violation of the
+    singular-value sandwich (nonpositive when it holds exactly).
     """
 
     epsilon: float
     alpha: float
     xi: np.ndarray
+    symbols: list[tuple[FourierSymbols, ...]]
     e_norms: np.ndarray
     sigma_max_eps: np.ndarray
     sigma_min_eps: np.ndarray
@@ -204,21 +206,26 @@ def perturbation_check(
         sigma_min(L~_eps) >= sigma_min(L~_0) - ||E||
 
     must hold up to ``weyl_tolerance``; a violation beyond that is a
-    solver bug and raises.
+    solver bug and raises.  L~_eps and L~_0 are formed densely one xi
+    at a time; ||E|| = ||X_eps - X_zero||_2 ||P||_2, with ||P||_2 = 1
+    for N_t >= 2 and 0 for N_t = 1.
     """
     xi_values = np.asarray(xi_values, dtype=float)
     n = xi_values.size
+    symbols = []
     e_norms = np.empty(n)
     smax_e = np.empty(n)
     smin_e = np.empty(n)
     smax_0 = np.empty(n)
     smin_0 = np.empty(n)
+    shift_norm = 1.0 if cfg.N_t > 1 else 0.0
 
     for i, xi in enumerate(xi_values):
         fm = assemble_fourier_matrix(cfg, rule, xi)
-        vals_eps = svdvals(fm.Ltilde.toarray())
-        vals_zero = svdvals(fm.Ltilde0.toarray())
-        e_norms[i] = svdvals(fm.E.toarray())[0] if fm.E.nnz else 0.0
+        symbols.append(fm.symbols)
+        vals_eps = svdvals(frequency_matrix(fm.X_eps, cfg.N_t))
+        vals_zero = svdvals(frequency_matrix(fm.X_zero, cfg.N_t))
+        e_norms[i] = svdvals(fm.X_eps - fm.X_zero)[0] * shift_norm
         smax_e[i], smin_e[i] = vals_eps[0], vals_eps[-1]
         smax_0[i], smin_0[i] = vals_zero[0], vals_zero[-1]
 
@@ -237,6 +244,7 @@ def perturbation_check(
         epsilon=cfg.epsilon,
         alpha=alpha,
         xi=xi_values,
+        symbols=symbols,
         e_norms=e_norms,
         sigma_max_eps=smax_e,
         sigma_min_eps=smin_e,

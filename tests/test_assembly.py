@@ -20,12 +20,14 @@ from transportlab import (
     gauss_rule,
     initial_kinetic_field,
     initial_parity_field,
+    perturbation_check,
     resolve_config,
     schemes,
     singular_extremes,
     sparsity,
 )
 from transportlab.assembly import (
+    frequency_matrix,
     split_ap_solution,
     split_explicit_solution,
     system_metadata,
@@ -253,27 +255,55 @@ def test_limit_products_bounded_under_step_restriction():
 def test_fourier_matrix_limit_structure():
     cfg = fourier_cfg()
     rule = gauss_rule(4, 0.0, 1.0)
-    fm = assemble_fourier_matrix(cfg, rule, 0.7 / cfg.h, at_epsilon_zero=True)
-    n = cfg.N * cfg.N_t
-    assert fm.Ltilde.shape == (2 * n, 2 * n)
+    fm = assemble_fourier_matrix(cfg, rule, 0.7 / cfg.h)
+    N = cfg.N
+    assert fm.X_zero.shape == fm.X_eps.shape == (2 * N, 2 * N)
+    # the limit block couples only through the weights: its second block
+    # column is zero and it has rank one (W = 1 w^T)
+    assert not fm.X_zero[:, N:].any()
+    assert np.linalg.matrix_rank(fm.X_zero) <= 1
+    L0 = frequency_matrix(fm.X_zero, cfg.N_t)
+    n = N * cfg.N_t
+    assert L0.shape == (2 * n, 2 * n)
     # limit matrix minus identity has nonzeros only in the first block
-    # column, with the shift pattern of the weight coupling
-    delta = (fm.Ltilde - sp.eye(2 * n)).tocoo()
-    assert delta.nnz > 0
-    assert np.all(delta.col < n)
+    # column, each N_t x N_t block on the shift pattern
+    delta = L0 - np.eye(2 * n)
+    assert np.count_nonzero(delta) > 0
+    assert not delta[:, n:].any()
     P = _time_shift(cfg.N_t).tocoo()
-    for block in range(cfg.N):
-        sub = delta.toarray()[block * cfg.N_t:(block + 1) * cfg.N_t, :cfg.N_t]
-        assert set(zip(*np.nonzero(sub))) <= set(zip(P.row, P.col))
+    pattern = set(zip(P.row, P.col))
+    for row in range(2 * N):
+        for col in range(2 * N):
+            sub = delta[row * cfg.N_t:(row + 1) * cfg.N_t,
+                        col * cfg.N_t:(col + 1) * cfg.N_t]
+            assert set(zip(*np.nonzero(sub))) <= pattern
 
 
 def test_fourier_matrix_reduces_to_limit():
     cfg_small = fourier_cfg(eps=1e-8)
     rule = gauss_rule(4, 0.0, 1.0)
     fm = assemble_fourier_matrix(cfg_small, rule, 1.3 / cfg_small.h)
-    gap = np.abs((fm.Ltilde - fm.Ltilde0).toarray()).max()
+    L_eps = frequency_matrix(fm.X_eps, cfg_small.N_t)
+    L0 = frequency_matrix(fm.X_zero, cfg_small.N_t)
+    gap = np.abs(L_eps - L0).max()
     assert gap < 1e-12
-    assert np.abs(fm.E.toarray()).max() == gap
+    # the expansion copies each block entry onto the shift pattern
+    assert np.abs(fm.X_eps - fm.X_zero).max() == gap
+
+
+@pytest.mark.parametrize("N_t", [1, 2, 16])
+def test_perturbation_norm_matches_full_kronecker_product(N_t):
+    rule = gauss_rule(4, 0.0, 1.0)
+    P = np.eye(N_t, k=-1)
+    xi_values = np.linspace(0.0, np.pi, 7) / 0.11
+    for eps in (1.0, 1e-1, 1e-3, 1e-6):
+        cfg = fourier_cfg(eps=eps, N_t=N_t)
+        report = perturbation_check(cfg, rule, xi_values)
+        for xi, e_norm in zip(xi_values, report.e_norms):
+            fm = assemble_fourier_matrix(cfg, rule, xi)
+            # the reference forms E = (X_eps - X_zero) kron P in full
+            reference = svdvals(np.kron(fm.X_eps - fm.X_zero, P))[0]
+            assert e_norm == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 def test_weight_and_shift_norms():
@@ -327,10 +357,11 @@ def test_export_complex_matrix(tmp_path):
     cfg = fourier_cfg()
     rule = gauss_rule(4, 0.0, 1.0)
     fm = assemble_fourier_matrix(cfg, rule, 0.5 / cfg.h)
+    L_eps = sp.csr_matrix(frequency_matrix(fm.X_eps, cfg.N_t))
     path = tmp_path / "Ltilde.mtx"
-    export_matrix_market(fm.Ltilde, path, {"xi": fm.xi})
+    export_matrix_market(L_eps, path, {"xi": fm.xi})
     back = mmread(path).tocsr()
-    assert np.abs((back - fm.Ltilde).toarray()).max() < 1e-15
+    assert np.abs((back - L_eps).toarray()).max() < 1e-15
 
 
 # --- time-marching inverse ------------------------------------------------

@@ -22,7 +22,7 @@ from transportlab import (
     initial_parity_field,
     resolve_config,
 )
-from transportlab import cli
+from transportlab import assembly, cli
 from transportlab.cli import emit_report, main
 from transportlab.complexity import ComplexityRow, sweep_epsilon
 from transportlab.schemes import scheme_for, write_trajectory_csv
@@ -128,6 +128,40 @@ def test_diverged_export_leaves_no_tables(ap_config, tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
     # no partial trajectory.csv, no density.csv and no leftover temp file
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("failing, code, left", [
+    # diverges at a step; the configuration resolved, so a manifest stays
+    (["--tau", "0.5", "--h", "0.05", "--Nt", "400", "--allow-unstable"], 3,
+     ["manifest.json"]),
+    # the step restriction rejects this grid before the configuration resolves
+    (["--tau", "0.5", "--h", "0.1"], 2, []),
+], ids=["diverged", "unresolved"])
+def test_failed_run_removes_an_earlier_runs_outputs(ap_config, tmp_path, failing,
+                                                    code, left):
+    out = tmp_path / "out"
+    argv = ["solve", "--config", str(ap_config), "--output-dir", str(out),
+            "--export-trajectory"]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "density.csv", "manifest.json", "trajectory.csv"]
+    assert main(argv + failing) == code
+    assert sorted(p.name for p in out.iterdir()) == left
+    if left:
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == code
+
+
+def test_outputs_get_the_umask_mode(ap_config, tmp_path):
+    out = tmp_path / "out"
+    previous = os.umask(0o022)
+    try:
+        assert main(["solve", "--config", str(ap_config), "--output-dir", str(out),
+                     "--export-trajectory"]) == 0
+    finally:
+        os.umask(previous)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+    assert modes == {"density.csv": 0o644, "manifest.json": 0o644,
+                     "trajectory.csv": 0o644}
 
 
 def test_solve_memory_does_not_grow_with_the_step_count(tmp_path):
@@ -242,6 +276,21 @@ def test_fourier_tables(ap_config, tmp_path):
             float(cell)
     norms = (out / "fourier_norms.csv").read_text().strip().splitlines()
     assert len(norms) == 1 + 6
+
+
+def test_fourier_evaluates_each_symbol_once(ap_config, tmp_path, monkeypatch):
+    calls = []
+    original = assembly.fourier_symbols
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(assembly, "fourier_symbols", counted)
+    assert main(["fourier", "--config", str(ap_config),
+                 "--output-dir", str(tmp_path / "out"), "--xi-samples", "6"]) == 0
+    # one scalar call per (xi, node): 6 samples * 3 velocity nodes
+    assert len(calls) == 6 * 3
 
 
 def test_fourier_rejects_explicit_config(explicit_config, tmp_path, capsys):
