@@ -4,8 +4,11 @@ Every run whose configuration resolves writes a manifest once it ends,
 recording the fully resolved configuration, the tool version, the
 config-file hash, the python, numpy, scipy and BLAS versions and the
 exit status, so any output row can be regenerated and a failed run is
-not mistaken for a finished one.  It holds no wall time or memory
-figure, so a rerun writes the same bytes.  A failed run removes its
+not mistaken for a finished one.  A run adds its subcommand's figures
+once they are computed: solve its steps and cost, spectrum the spectral
+method and residual, sweep one such entry per row, fourier its xi
+sample count, max ||E||/alpha and Weyl slack.  It holds no wall time or
+memory figure, so a rerun writes the same bytes.  A failed run removes its
 subcommand's output files, and the manifest too if its configuration
 did not resolve, so no earlier run's file reads as this run's.
 Exit codes: 0 ok, 1 usage, 2 validation, 3 numerical failure, 4 I/O.
@@ -188,11 +191,16 @@ def _cmd_spectrum(args, cfg, outdir: Path, record: dict) -> list[Path]:
 def _cmd_fourier(args, cfg, outdir: Path, record: dict) -> list[Path]:
     """symbols.csv and fourier_norms.csv from one perturbation check,
     whose symbol table (one evaluation per xi and node) feeds both."""
+    if args.xi_samples < 1:
+        raise _UsageError("--xi-samples must be at least 1")
     # the per-frequency analysis is the relaxation scheme's; the
     # assembler rejects any other
     rule = schemes.scheme_for(cfg).rule(cfg)
     xi_values = np.linspace(0.0, np.pi, args.xi_samples) / cfg.h
     report = spectral.perturbation_check(cfg, rule, xi_values)
+    record["fourier"] = {"xi_samples": args.xi_samples,
+                         "max_ratio": report.max_ratio,
+                         "weyl_slack": report.weyl_slack}
 
     sym_lines = ["xi,k,v,c1_re,c1_im,c2_re,c2_im,d1_re,d1_im,d2_re,d2_im"]
     for xi, row in zip(report.xi, report.symbols):

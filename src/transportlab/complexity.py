@@ -202,12 +202,20 @@ def sweep_epsilon(
     h = length/(N_x + 1) keeps the domain exact;
     tau = TAU_SAFETY * h * eps^2/(eps+h) and N_t = ceil(final_time/tau).
     A failure is recorded in the row status, with the grid that was
-    tried, and the sweep continues.
+    tried, and the sweep continues.  A ``delta`` outside (0, 1), or in
+    cfl_driven mode a ``final_time`` that is not finite and positive,
+    fails every row alike and raises ValueError before any row.
     """
     if mode not in ("fixed_grid", "cfl_driven"):
         raise ValueError(f"mode must be 'fixed_grid' or 'cfl_driven', got {mode!r}")
-    if mode == "cfl_driven" and base_cfg.scheme != EXPLICIT:
-        raise ValueError("cfl_driven mode applies the explicit scheme's grid rules")
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if mode == "cfl_driven":
+        if base_cfg.scheme != EXPLICIT:
+            raise ValueError("cfl_driven mode applies the explicit scheme's grid rules")
+        if not (math.isfinite(final_time) and final_time > 0):
+            raise ValueError(
+                f"final_time must be finite and positive, got {final_time}")
 
     length = base_cfg.x_right - base_cfg.x_left
     rows = []

@@ -192,6 +192,25 @@ class PerturbationReport:
     weyl_slack: float
 
 
+def _real_form(X: np.ndarray) -> np.ndarray:
+    """The real block D^H X D, with D = diag(I_N, i I_N), of a 2N x 2N
+    block X whose diagonal blocks are real and whose off-diagonal blocks
+    are purely imaginary:
+
+        D^H X D = [[Re X11, -Im X12], [Im X21, Re X22]].
+
+    D kron I is unitary, so I + (D^H X D) kron P has the singular values
+    of I + X kron P.  Raises ValueError if a dropped part is nonzero.
+    """
+    n = X.shape[0] // 2
+    X11, X12, X21, X22 = X[:n, :n], X[:n, n:], X[n:, :n], X[n:, n:]
+    if (X11.imag.any() or X22.imag.any()
+            or X12.real.any() or X21.real.any()):
+        raise ValueError("block is not real on its diagonal blocks and "
+                         "imaginary off them")
+    return np.block([[X11.real, -X12.imag], [X21.imag, X22.real]])
+
+
 def perturbation_check(
     cfg: GridConfig,
     rule: QuadratureRule,
@@ -206,12 +225,21 @@ def perturbation_check(
         sigma_min(L~_eps) >= sigma_min(L~_0) - ||E||
 
     must hold up to ``weyl_tolerance``; a violation beyond that is a
-    solver bug and raises.  L~_eps and L~_0 are formed densely one xi
-    at a time; ||E|| = ||X_eps - X_zero||_2 ||P||_2, with ||P||_2 = 1
-    for N_t >= 2 and 0 for N_t = 1.
+    solver bug and raises.  One xi at a time, both blocks are taken to
+    real form by the unitary similarity diag(I, iI) (``_real_form``), so
+    every SVD runs in real arithmetic: L~_eps densely at order 2N*N_t,
+    and ||E|| = ||X_eps - X_zero||_2 ||P||_2 from the 2N x 2N
+    difference, with ||P||_2 = 1 for N_t >= 2 and 0 for N_t = 1.  The
+    limit block is rank one, X_zero = u z^T with z = [w; 0]; with Q an
+    orthonormal basis of span(u, z), L~_0 maps range(Q kron I) into
+    itself and is the identity on its complement, so its singular
+    values are those of the order-2*N_t matrix I + (Q^T X_zero Q) kron P,
+    plus the value 1 when N >= 2.
     """
     xi_values = np.asarray(xi_values, dtype=float)
     n = xi_values.size
+    if n == 0:
+        raise ValueError("xi_values must be nonempty")
     symbols = []
     e_norms = np.empty(n)
     smax_e = np.empty(n)
@@ -219,15 +247,25 @@ def perturbation_check(
     smax_0 = np.empty(n)
     smin_0 = np.empty(n)
     shift_norm = 1.0 if cfg.N_t > 1 else 0.0
+    z = np.concatenate([rule.weights, np.zeros(cfg.N)])
 
     for i, xi in enumerate(xi_values):
         fm = assemble_fourier_matrix(cfg, rule, xi)
         symbols.append(fm.symbols)
-        vals_eps = svdvals(frequency_matrix(fm.X_eps, cfg.N_t))
-        vals_zero = svdvals(frequency_matrix(fm.X_zero, cfg.N_t))
-        e_norms[i] = svdvals(fm.X_eps - fm.X_zero)[0] * shift_norm
+        X_eps, X_zero = _real_form(fm.X_eps), _real_form(fm.X_zero)
+        vals_eps = svdvals(frequency_matrix(X_eps, cfg.N_t))
+        e_norms[i] = svdvals(X_eps - X_zero)[0] * shift_norm
+        # column 0 of X_zero is u scaled by the weight w_1 > 0
+        Q = np.linalg.qr(np.column_stack([X_zero[:, 0], z]))[0]
+        vals_zero = svdvals(frequency_matrix(Q.T @ X_zero @ Q, cfg.N_t))
         smax_e[i], smin_e[i] = vals_eps[0], vals_eps[-1]
         smax_0[i], smin_0[i] = vals_zero[0], vals_zero[-1]
+    if cfg.N > 1:
+        # the 1s of the complement; unit triangular up to a permutation,
+        # the reduced matrix has singular values multiplying to 1, so
+        # this moves an extreme by rounding at most
+        np.maximum(smax_0, 1.0, out=smax_0)
+        np.minimum(smin_0, 1.0, out=smin_0)
 
     upper_violation = smax_e - (smax_0 + e_norms)
     lower_violation = (smin_0 - e_norms) - smin_e

@@ -20,6 +20,7 @@ from transportlab import (
     gauss_rule,
     initial_kinetic_field,
     initial_parity_field,
+    perturbation_check,
     resolve_config,
 )
 from transportlab import assembly, cli
@@ -300,6 +301,31 @@ def test_fourier_rejects_explicit_config(explicit_config, tmp_path, capsys):
     assert not (tmp_path / "out" / "symbols.csv").exists()
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_fourier_rejects_fewer_than_one_xi_sample(ap_config, tmp_path, capsys,
+                                                  samples):
+    out = tmp_path / "out"
+    assert main(["fourier", "--config", str(ap_config), "--output-dir", str(out),
+                 f"--xi-samples={samples}"]) == 1
+    assert "usage error: --xi-samples must be at least 1" in capsys.readouterr().err
+    assert not (out / "symbols.csv").exists()
+    assert not (out / "fourier_norms.csv").exists()
+
+
+def test_fourier_manifest_records_the_check(ap_config, tmp_path):
+    argv = ["fourier", "--config", str(ap_config), "--xi-samples", "6"]
+    assert main(argv + ["--output-dir", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--output-dir", str(tmp_path / "b")]) == 0
+    first = (tmp_path / "a" / "manifest.json").read_bytes()
+    assert first == (tmp_path / "b" / "manifest.json").read_bytes()
+    cfg = resolve_config(AP_RAW)
+    report = perturbation_check(cfg, gauss_rule(3, 0.0, 1.0),
+                                np.linspace(0.0, np.pi, 6) / cfg.h)
+    assert json.loads(first)["fourier"] == {
+        "xi_samples": 6, "max_ratio": report.max_ratio,
+        "weyl_slack": report.weyl_slack}
+
+
 MANIFEST_KEYS = {"tool", "version", "subcommand", "resolved_config",
                  "allow_unstable", "input_sha256"}
 
@@ -389,6 +415,27 @@ def test_sweep_csv_shape_and_determinism(ap_config, tmp_path):
     lines = first.decode().strip().splitlines()
     assert lines[0].startswith("scheme,epsilon,")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("delta", ["0", "1", "-0.5", "nan"])
+def test_sweep_rejects_delta_outside_the_unit_interval(ap_config, tmp_path,
+                                                       capsys, delta):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(ap_config), "--output-dir", str(out),
+                 "--epsilons", "1e-2,1e-4", f"--delta={delta}"]) == 2
+    assert "delta must lie in (0, 1)" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("final_time", ["0", "-1", "inf", "nan"])
+def test_cfl_sweep_rejects_a_final_time_that_is_not_positive(
+        explicit_config, tmp_path, capsys, final_time):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(explicit_config), "--output-dir", str(out),
+                 "--mode", "cfl_driven", "--epsilons", "0.4,0.2", "--no-spectrum",
+                 f"--T={final_time}"]) == 2
+    assert "final_time must be finite and positive" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_emit_report_contract(tmp_path):

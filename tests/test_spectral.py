@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import svdvals
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from transportlab import (
@@ -16,7 +17,8 @@ from transportlab import (
     schemes,
     singular_extremes,
 )
-from transportlab.spectral import DENSE_CAP
+from transportlab.assembly import assemble_fourier_matrix, frequency_matrix
+from transportlab.spectral import DENSE_CAP, _real_form
 
 # frozen by evaluating the three displayed terms independently by hand:
 # 0.5*102.03 + 24.75*1.01 + 75.25*202 = 51.015 + 24.9975 + 15200.5
@@ -188,6 +190,50 @@ def test_limit_matrix_norm_bound():
     report = perturbation_check(cfg, rule, XI)
     bound = 1.0 + (1.0 + cfg.tau) * np.sqrt(cfg.N)
     assert report.sigma_max_zero.max() <= bound + 1e-10
+
+
+def test_perturbation_check_rejects_no_frequencies():
+    with pytest.raises(ValueError, match="xi_values must be nonempty"):
+        perturbation_check(fourier_cfg(1e-2), gauss_rule(4, 0.0, 1.0), [])
+
+
+@pytest.mark.parametrize("N_t", [1, 2, 3, 16])
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_real_and_reduced_spectra_match_the_complex_matrices(N, N_t):
+    # the full complex L~_eps and L~_0 are the reference; N = 1 has no
+    # complement to pad with 1s, N_t = 1 has P = 0
+    rule = gauss_rule(N, 0.0, 1.0)
+    xi_values = np.linspace(0.0, np.pi, 9) / 0.11
+    for eps in (1.0, 0.3, 1e-2, 1e-4, 1e-7):
+        cfg = GridConfig(epsilon=eps, tau=1e-2, h=0.11, N=N, N_x=8, N_t=N_t)
+        report = perturbation_check(cfg, rule, xi_values)
+        for i, xi in enumerate(xi_values):
+            fm = assemble_fourier_matrix(cfg, rule, xi)
+            vals_eps = svdvals(frequency_matrix(fm.X_eps, N_t))
+            vals_zero = svdvals(frequency_matrix(fm.X_zero, N_t))
+            e_norm = svdvals(fm.X_eps - fm.X_zero)[0] if N_t > 1 else 0.0
+            for got, want in (
+                (report.e_norms[i], e_norm),
+                (report.sigma_max_eps[i], vals_eps[0]),
+                (report.sigma_min_eps[i], vals_eps[-1]),
+                (report.sigma_max_zero[i], vals_zero[0]),
+                (report.sigma_min_zero[i], vals_zero[-1]),
+            ):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_real_form_rejects_a_stray_part():
+    X = np.block([[np.ones((2, 2)), 1j * np.ones((2, 2))],
+                  [2j * np.ones((2, 2)), 3 * np.ones((2, 2))]])
+    assert np.array_equal(_real_form(X), np.block([
+        [np.ones((2, 2)), -np.ones((2, 2))],
+        [2 * np.ones((2, 2)), 3 * np.ones((2, 2))]]))
+    for row, col, stray in ((0, 1, 1e-300j), (3, 2, 1e-300j),
+                            (0, 3, 1e-300), (2, 1, 1e-300)):
+        bad = X.copy()
+        bad[row, col] += stray
+        with pytest.raises(ValueError, match="not real"):
+            _real_form(bad)
 
 
 # --- regression ----------------------------------------------------------
