@@ -12,9 +12,10 @@ as eps -> 0.  The explicit scheme stacks into a single block
 bidiagonal system with -B below the identity diagonal.
 
 Reordered time-major, either L is unit block lower bidiagonal with the
-one-step block -M below the diagonal, so L^{-1} and L^{-H} are a forward
-and a backward time march (``BlockSystem.marching_inverse``) and need
-no factorization.
+one-step block -M below the diagonal.  So ``BlockSystem.march``, built
+from M alone, applies L and L^H as one sparse x dense product with M
+and M^H over all time levels, and L^{-1} and L^{-H} as a forward and a
+backward time march, with no factorization.
 
 A spatial Fourier transform reduces the rescaled relaxation system to
 an order-2N*N_t matrix I + X kron P per frequency xi, with P the time
@@ -27,11 +28,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import astuple, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.io import mmwrite
 
 from . import ap_scheme, explicit_scheme
@@ -42,6 +43,7 @@ __all__ = [
     "BlockSystem",
     "FourierMatrix",
     "FourierSymbols",
+    "TimeMarch",
     "assemble_ap_system",
     "assemble_explicit_system",
     "assemble_fourier_matrix",
@@ -53,7 +55,7 @@ __all__ = [
     "split_explicit_solution",
 ]
 
-ORDER_CAP_DEFAULT = 200_000
+ORDER_CAP_DEFAULT = 1_000_000
 
 
 def sparsity(A) -> int:
@@ -99,17 +101,12 @@ class BlockSystem:
     def order(self) -> int:
         return self.L.shape[0]
 
-    def marching_inverse(self) -> spla.LinearOperator:
-        """L^{-1} (matvec) and L^{-H} (rmatvec) by time marching.
-
-        Time-major, L has identity diagonal blocks and -M below them,
-        with M the one-step block: B for the upwind scheme and
-        [[B1, -A1], [-B2, A2]] for the relaxation scheme (off-diagonal
-        blocks scaled by 1/tau and tau when rescaled).  So L^{-1}x is
-        the forward march X[t] += M X[t-1] and L^{-H}x the backward
-        march X[t] += M^H X[t+1].  M is sliced from L once; the operator
-        keeps only M and forms no factorization.
-        """
+    @cached_property
+    def march(self) -> TimeMarch:
+        """L in time-major order, from its one-step block M, sliced from
+        L once: B for the upwind scheme and [[B1, -A1], [-B2, A2]] for
+        the relaxation scheme (off-diagonal blocks scaled by 1/tau and
+        tau when rescaled)."""
         k, N_t = self.groups, self.cfg.N_t
         m = self.order // (k * N_t)
 
@@ -121,23 +118,74 @@ class BlockSystem:
             step = -self.L[level(1)][:, level(0)]
         else:
             step = sp.csr_matrix((k * m, k * m), dtype=self.L.dtype)
-        step_h = step.conj(copy=False).T
+        return TimeMarch(step, N_t, k)
 
-        def march(x, block, levels):
-            X = np.moveaxis(np.reshape(x, (k, N_t, m)), 1, 0).reshape(N_t, k * m)
-            X = X.astype(np.result_type(block.dtype, X.dtype), copy=True)
-            for prev, t in levels:
-                X[t] += block @ X[prev]
-            return np.moveaxis(X.reshape(N_t, k, m), 0, 1).reshape(-1)
 
-        forward = [(t - 1, t) for t in range(1, N_t)]
-        backward = [(t + 1, t) for t in range(N_t - 2, -1, -1)]
-        return spla.LinearOperator(
-            self.L.shape,
-            matvec=lambda x: march(x, step, forward),
-            rmatvec=lambda x: march(x, step_h, backward),
-            dtype=np.result_type(step.dtype, np.float64),
-        )
+class TimeMarch:
+    """A space-time operator L applied level by level from its one-step
+    block M, with no copy of L.
+
+    Time-major, a vector is an (N_t, k*m) array whose row t holds time
+    level t of all k groups; L has identity diagonal blocks and -M below
+    them, so
+
+        (L X)[t] = X[t] - M X[t-1],      (L^H Y)[t] = Y[t] - M^H Y[t+1]
+
+    are one sparse x dense product over all levels at once, and L^{-1},
+    L^{-H} are the forward march X[t] += M X[t-1] and the backward march
+    X[t] += M^H X[t+1], with no factorization.  ``apply``, ``apply_h``,
+    ``solve`` and ``solve_h`` take and return flat time-major vectors;
+    ``to_time_major`` and ``from_time_major`` convert from and to the
+    group-major layout of S.
+    """
+
+    def __init__(self, step: sp.csr_matrix, levels: int, groups: int):
+        self.step = sp.csr_matrix(step)
+        self.step_h = self.step.conj(copy=False).T.tocsr()
+        self.levels = levels
+        self.groups = groups
+        n = levels * self.step.shape[0]
+        self.shape = (n, n)
+        self.dtype = np.result_type(self.step.dtype, np.float64)
+
+    def _rows(self, x) -> np.ndarray:
+        """A writable (N_t, k*m) copy of a flat time-major vector."""
+        X = np.reshape(x, (self.levels, -1))
+        return X.astype(np.result_type(self.dtype, X.dtype), copy=True)
+
+    def apply(self, x) -> np.ndarray:
+        """L x."""
+        X = self._rows(x)
+        X[1:] -= (self.step @ X[:-1].T).T  # the product is formed before the update
+        return X.ravel()
+
+    def apply_h(self, y) -> np.ndarray:
+        """L^H y."""
+        Y = self._rows(y)
+        Y[:-1] -= (self.step_h @ Y[1:].T).T
+        return Y.ravel()
+
+    def solve(self, y) -> np.ndarray:
+        """L^{-1} y, marching forward in time."""
+        X = self._rows(y)
+        for t in range(1, self.levels):
+            X[t] += self.step @ X[t - 1]
+        return X.ravel()
+
+    def solve_h(self, x) -> np.ndarray:
+        """L^{-H} x, marching backward in time."""
+        Y = self._rows(x)
+        for t in range(self.levels - 2, -1, -1):
+            Y[t] += self.step_h @ Y[t + 1]
+        return Y.ravel()
+
+    def to_time_major(self, s) -> np.ndarray:
+        """Reorder a vector laid out like S into time-major order."""
+        return np.moveaxis(np.reshape(s, (self.groups, self.levels, -1)), 1, 0).ravel()
+
+    def from_time_major(self, x) -> np.ndarray:
+        """Reorder a time-major vector into the layout of S."""
+        return np.moveaxis(np.reshape(x, (self.levels, self.groups, -1)), 0, 1).ravel()
 
 
 def _time_shift(N_t: int) -> sp.csr_matrix:

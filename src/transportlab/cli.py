@@ -6,11 +6,12 @@ config-file hash, the python, numpy, scipy and BLAS versions and the
 exit status, so any output row can be regenerated and a failed run is
 not mistaken for a finished one.  A run adds its subcommand's figures
 once they are computed: solve its steps and cost, spectrum the spectral
-method and residual, sweep one such entry per row, fourier its xi
-sample count, max ||E||/alpha and Weyl slack.  It holds no wall time or
-memory figure, so a rerun writes the same bytes.  A failed run removes its
-subcommand's output files, and the manifest too if its configuration
-did not resolve, so no earlier run's file reads as this run's.
+method, residual and ARPACK matvec counts, sweep one such entry per
+row, fourier its xi sample count, max ||E||/alpha and Weyl slack.  It
+holds no wall time or memory figure, so a rerun writes the same bytes.
+A failed run removes its subcommand's output files, and the manifest
+too if its configuration did not resolve, so no earlier run's file
+reads as this run's.
 Exit codes: 0 ok, 1 usage, 2 validation, 3 numerical failure, 4 I/O.
 """
 
@@ -182,7 +183,8 @@ def _cmd_assemble(args, cfg, outdir: Path, record: dict) -> list[Path]:
 
 def _cmd_spectrum(args, cfg, outdir: Path, record: dict) -> list[Path]:
     row = complexity.row_for(cfg, args.delta, rescaled=args.rescaled)
-    record["spectrum"] = {"method": row.method, "residual": row.residual}
+    record["spectrum"] = {"method": row.method, "residual": row.residual,
+                          "matvecs": row.matvecs}
     path = outdir / "spectrum.csv"
     emit_report([row], path)
     return [path]
@@ -238,7 +240,7 @@ def _cmd_sweep(args, cfg, outdir: Path, record: dict) -> list[Path]:
     )
     record["sweep"] = [
         {"epsilon": row.epsilon, "status": row.status,
-         "method": row.method, "residual": row.residual}
+         "method": row.method, "residual": row.residual, "matvecs": row.matvecs}
         for row in rows
     ]
     path = outdir / "sweep.csv"

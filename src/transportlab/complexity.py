@@ -62,8 +62,10 @@ class ComplexityRow:
     resolution-rule cost expressions N^2 eps^-3 delta^-1 and
     N^2 eps^-2 log2(1/(eps*delta)) for explicit-scheme rows (None for
     relaxation rows); they are reported alongside but are not part of
-    the CSV schema.  Nor are ``method`` and ``residual``, the spectral
-    path ("dense" or "iterative") and its residual of a measured row.
+    the CSV schema.  Nor are ``method``, ``residual`` and ``matvecs``,
+    the spectral path ("dense" or "iterative"), its residual and its
+    ARPACK matvec counts per stage (``{"sigma_max": .., "sigma_min": ..}``,
+    zeros on the dense path) of a measured row.
     """
 
     scheme: str
@@ -87,6 +89,7 @@ class ComplexityRow:
     closed_form_quantum: float | None = None
     method: str | None = None
     residual: float | None = None
+    matvecs: dict | None = None
 
 
 def _csv_cell(value) -> str:
@@ -149,8 +152,7 @@ def row_for(
     )
     if measure:
         system = schemes.scheme_for(cfg).assemble(cfg, rescaled, order_cap)
-        report = spectral.singular_extremes(system.L,
-                                            inverse=system.marching_inverse())
+        report = spectral.singular_extremes(system.L, march=system.march)
         row.quantum_queries = (
             qlsa_queries(report.sparsity, report.kappa, delta)
             if math.isfinite(report.kappa) else float("inf")
@@ -158,6 +160,8 @@ def row_for(
         row.sigma_min, row.sigma_max = report.sigma_min, report.sigma_max
         row.kappa, row.sparsity = report.kappa, report.sparsity
         row.method, row.residual = report.method, report.residual
+        row.matvecs = {"sigma_max": report.matvecs_max,
+                       "sigma_min": report.matvecs_min}
         row.status = "ok"
     return row
 

@@ -41,7 +41,10 @@ class SpectrumReport:
     computation: zero-order machine precision for the dense path, the
     worse relative eigen-residual of the two ARPACK Ritz pairs for the
     iterative path.  ``kappa`` is +inf when the matrix is singular to
-    working precision (sigma_min reported as 0).
+    working precision (sigma_min reported as 0).  ``matvecs_max`` and
+    ``matvecs_min`` count the operator applications ARPACK made for
+    sigma_max (A^H A) and sigma_min ((A^H A)^{-1}); both are 0 on the
+    dense path.
     """
 
     sigma_min: float
@@ -50,6 +53,8 @@ class SpectrumReport:
     sparsity: int
     method: str
     residual: float
+    matvecs_max: int
+    matvecs_min: int
 
 
 # ARPACK stops once a Ritz pair's eigen-residual is below this fraction
@@ -63,41 +68,61 @@ ARPACK_TOL = 1e-12
 DENSE_CAP = 192
 
 
-def _top_eigenpair(apply_op, n: int, dtype) -> tuple[float, float]:
+def _top_eigenpair(apply_op, v0: np.ndarray) -> tuple[float, float, int]:
     """Largest eigenvalue of a Hermitian positive operator by ARPACK's
-    implicitly restarted Lanczos, started from the normalized all-ones
-    vector so results are reproducible, and the relative eigen-residual
-    ||op(x) - rho*x|| / rho of its Ritz pair."""
-    op = spla.LinearOperator((n, n), matvec=apply_op, dtype=dtype)
-    v0 = np.ones(n, dtype=dtype) / np.sqrt(n)
-    values, vectors = spla.eigsh(op, k=1, which="LA", v0=v0, tol=ARPACK_TOL)
+    implicitly restarted Lanczos from the fixed start ``v0``, a vector
+    of +-1 entries normalized here, so results are reproducible; the
+    relative eigen-residual ||op(x) - rho*x|| / rho of its Ritz pair;
+    and the number of operator applications ARPACK made."""
+    matvecs = 0
+
+    def counted(x):
+        nonlocal matvecs
+        matvecs += 1
+        return apply_op(x)
+
+    n = v0.size
+    op = spla.LinearOperator((n, n), matvec=counted, dtype=v0.dtype)
+    values, vectors = spla.eigsh(op, k=1, which="LA", v0=v0 / np.sqrt(n),
+                                 tol=ARPACK_TOL)
     rho, x = float(values[0]), vectors[:, 0]
-    return rho, float(np.linalg.norm(apply_op(x) - rho * x) / rho)
+    return rho, float(np.linalg.norm(apply_op(x) - rho * x) / rho), matvecs
 
 
-def _lanczos_extremes(A, inverse=None) -> tuple[float, float, float]:
-    """sigma_min, sigma_max and the worse residual, from the top
-    eigenvalues of A^H A and of (A^H A)^{-1} = A^{-1} A^{-H}.
+def _lanczos_extremes(A, march=None) -> tuple[float, float, float, int, int]:
+    """sigma_min, sigma_max, the worse residual and the two stages'
+    matvec counts, from the top eigenvalues of A^H A and of
+    (A^H A)^{-1} = A^{-1} A^{-H}.
 
-    ``inverse`` applies A^{-1} (matvec) and A^{-H} (rmatvec); without
-    it both come from one sparse LU factorization of A.
+    With a ``march`` both stages run on its time-major vectors: A^H A
+    from its L and L^H products, started from the vector that flips sign
+    from one time level to the next (where the top singular vectors of a
+    block Toeplitz L with symbol I - e^{i theta} M sit, near theta = pi),
+    and the inverse from its two marches.  A bare matrix takes CSR
+    products and one sparse LU factorization.  The inverse stage starts
+    from the all-ones vector either way.
     """
-    n = A.shape[1]
     dtype = np.result_type(A.dtype, np.float64)
-    At = A.conj(copy=False).T
-    lam, res_max = _top_eigenpair(lambda x: At @ (A @ x), n, dtype)
-    del At  # not held alive next to the LU factors
-    if inverse is None:
+    if march is None:
+        At = A.conj(copy=False).T
+        lam, res_max, mv_max = _top_eigenpair(lambda x: At @ (A @ x),
+                                              np.ones(A.shape[1], dtype))
+        del At  # not held alive next to the LU factors
         lu = spla.splu(A.tocsc())
-        inverse = spla.LinearOperator(
-            A.shape, matvec=lu.solve,
-            rmatvec=lambda x: lu.solve(x, trans="H"), dtype=dtype)
-    mu, res_min = _top_eigenpair(
-        lambda x: inverse.matvec(inverse.rmatvec(x)), n, dtype)
-    return 1.0 / math.sqrt(mu), math.sqrt(lam), max(res_max, res_min)
+        mu, res_min, mv_min = _top_eigenpair(
+            lambda x: lu.solve(lu.solve(x, trans="H")), np.ones(A.shape[1], dtype))
+    else:
+        size = A.shape[1] // march.levels
+        alternating = np.resize(np.array([1.0, -1.0], dtype), march.levels)
+        lam, res_max, mv_max = _top_eigenpair(
+            lambda x: march.apply_h(march.apply(x)), np.repeat(alternating, size))
+        mu, res_min, mv_min = _top_eigenpair(
+            lambda x: march.solve(march.solve_h(x)), np.ones(A.shape[1], dtype))
+    return (1.0 / math.sqrt(mu), math.sqrt(lam), max(res_max, res_min),
+            mv_max, mv_min)
 
 
-def singular_extremes(M, method: str = "auto", inverse=None) -> SpectrumReport:
+def singular_extremes(M, method: str = "auto", march=None) -> SpectrumReport:
     """Compute sigma_min, sigma_max, kappa and sparsity of a matrix.
 
     With ``method="auto"``, matrices of order up to ``DENSE_CAP`` (192,
@@ -105,22 +130,23 @@ def singular_extremes(M, method: str = "auto", inverse=None) -> SpectrumReport:
     densely; ``method="dense"`` forces the dense SVD at any order and
     is the reference the iterative path is tested against.  Above the
     cap, ARPACK Lanczos on A^H A gives sigma_max, and on
-    (A^H A)^{-1} = A^{-1} A^{-H} gives sigma_min.  ``inverse`` is a
-    LinearOperator whose matvec applies A^{-1} and whose rmatvec
-    applies A^{-H}, such as a space-time system's
-    ``BlockSystem.marching_inverse()`` (a time march, no
-    factorization); only a bare matrix falls back to one sparse LU
-    factorization of A.  The dense path ignores ``inverse``.
-    Convergence failure and an exactly singular LU factor raise
-    RuntimeError.
+    (A^H A)^{-1} = A^{-1} A^{-H} gives sigma_min.  ``march`` is a
+    space-time system's ``BlockSystem.march``, which applies A, A^H,
+    A^{-1} and A^{-H} from the system's one-step block: with it the
+    iterative path makes no product with the CSR matrix and no
+    factorization, and starts sigma_max's run from the vector that
+    alternates sign per time level.  Only a bare matrix takes CSR
+    products, one sparse LU factorization of A and the all-ones start
+    for both runs.  The dense path ignores ``march``.  Convergence failure and an exactly singular LU factor
+    raise RuntimeError.
     """
     M = sp.csr_matrix(M)
     if M.shape[0] == 0 or M.shape[1] == 0:
         raise ValueError("matrix must be nonempty")
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    if inverse is not None and inverse.shape != M.shape:
-        raise ValueError(f"inverse has shape {inverse.shape}, matrix {M.shape}")
+    if march is not None and march.shape != M.shape:
+        raise ValueError(f"march has shape {march.shape}, matrix {M.shape}")
     if method == "auto":
         method = "dense" if max(M.shape) <= DENSE_CAP else "iterative"
     if method == "iterative" and max(M.shape) < 2:
@@ -132,15 +158,17 @@ def singular_extremes(M, method: str = "auto", inverse=None) -> SpectrumReport:
         sigma_max = float(values[0])
         sigma_min = float(values[-1])
         residual = 0.0
+        matvecs = (0, 0)
     else:
-        sigma_min, sigma_max, residual = _lanczos_extremes(M, inverse)
+        sigma_min, sigma_max, residual, *matvecs = _lanczos_extremes(M, march)
 
     # singular to working precision: flag rather than divide
     floor = np.finfo(float).eps * max(M.shape) * sigma_max
     if sigma_min <= floor:
-        return SpectrumReport(0.0, sigma_max, float("inf"), s, method, residual)
+        return SpectrumReport(0.0, sigma_max, float("inf"), s, method, residual,
+                              *matvecs)
     return SpectrumReport(
-        sigma_min, sigma_max, sigma_max / sigma_min, s, method, residual
+        sigma_min, sigma_max, sigma_max / sigma_min, s, method, residual, *matvecs
     )
 
 

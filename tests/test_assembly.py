@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.io import mmread
 from scipy.linalg import svdvals
 
@@ -381,6 +381,9 @@ def _relative_error(value, reference):
     Nt=st.integers(1, 16),
     seed=st.integers(0, 2**32 - 1),
 )
+# a single time level, where the march holds a zero one-step block
+@example(scheme="ap", rescaled=True, log_eps=-3.0, N=2, Nx=3, Nt=1, seed=0)
+@example(scheme="explicit", rescaled=False, log_eps=-1.0, N=2, Nx=3, Nt=1, seed=1)
 def test_marching_inverse_matches_solves_stepper_and_dense_spectrum(
         scheme, rescaled, log_eps, N, Nx, Nt, seed):
     cfg = resolve_config({"scheme": scheme, "epsilon": 10.0**log_eps,
@@ -389,17 +392,27 @@ def test_marching_inverse_matches_solves_stepper_and_dense_spectrum(
     rule = stepper.rule(cfg)
     initial = stepper.initial(cfg, rule)
     system = stepper.system(cfg, rule, initial, rescaled, 10**6)
-    L, inverse = system.L, system.marching_inverse()
+    L, march = system.L, system.march
+
+    def through(op, v):
+        """A time-major operator of the march applied to v laid out like S."""
+        return march.from_time_major(op(march.to_time_major(v)))
+
+    x = np.random.default_rng(seed).normal(size=system.order)
+    assert np.array_equal(march.from_time_major(march.to_time_major(x)), x)
+
+    # matrix-free L x and L^H x against the CSR products
+    assert _relative_error(through(march.apply, x), L @ x) <= 1e-14
+    assert _relative_error(through(march.apply_h, x), L.conj().T @ x) <= 1e-14
 
     # L^{-1}x and L^{-H}x against sparse direct solves
-    x = np.random.default_rng(seed).normal(size=system.order)
-    assert _relative_error(inverse.matvec(x),
+    assert _relative_error(through(march.solve, x),
                            spla.spsolve(L.tocsc(), x)) <= 1e-10
-    assert _relative_error(inverse.rmatvec(x),
+    assert _relative_error(through(march.solve_h, x),
                            spla.spsolve(L.conj().T.tocsc(), x)) <= 1e-10
 
     # L^{-1}F split into levels is the stepper's trajectory
-    pieces = stepper.split(system, inverse.matvec(system.F))
+    pieces = stepper.split(system, through(march.solve, system.F))
     levels = stepper.evolve(initial, cfg, rule).fields[1:]
     marched = np.hstack([np.hstack(piece) for piece in pieces])
     stepped = np.hstack([np.hstack([getattr(level, name) for name in ("r", "j", "f")
@@ -411,7 +424,7 @@ def test_marching_inverse_matches_solves_stepper_and_dense_spectrum(
     dense = singular_extremes(L, method="dense")
     if dense.sigma_min > 0.0:
         with mock.patch.object(spla, "splu", side_effect=AssertionError("splu")):
-            iterative = singular_extremes(L, method="iterative", inverse=inverse)
+            iterative = singular_extremes(L, method="iterative", march=march)
         assert iterative.sigma_max == pytest.approx(dense.sigma_max, rel=1e-8)
         assert iterative.sigma_min == pytest.approx(dense.sigma_min, rel=1e-8)
 

@@ -377,7 +377,8 @@ def test_spectrum_manifest_records_method_and_residual(explicit_config, tmp_path
     manifest = json.loads((out / "manifest.json").read_text())
     assert MANIFEST_KEYS <= manifest.keys()
     assert manifest["exit_status"] == 0
-    assert manifest["spectrum"] == {"method": "dense", "residual": 0.0}
+    assert manifest["spectrum"] == {"method": "dense", "residual": 0.0,
+                                    "matvecs": {"sigma_max": 0, "sigma_min": 0}}
 
 
 def test_failure_before_resolving_removes_a_stale_manifest(ap_config, tmp_path):
@@ -401,7 +402,9 @@ def test_sweep_manifest_records_each_row(ap_config, tmp_path):
     assert [e["epsilon"] for e in entries] == [1e-2, 1e-6, -1.0]
     assert [e["method"] for e in entries] == ["iterative", "iterative", None]
     assert ok["status"] == "ok" and 0.0 <= ok["residual"] <= 1e-8
+    assert ok["matvecs"]["sigma_max"] > 0 and ok["matvecs"]["sigma_min"] > 0
     assert failed["status"].startswith("error:") and failed["residual"] is None
+    assert failed["matvecs"] is None
 
 
 def test_sweep_csv_shape_and_determinism(ap_config, tmp_path):
@@ -466,7 +469,9 @@ def test_emit_report_preserves_failure_rows(tmp_path):
 
 def test_iterative_sweep_reruns_are_byte_identical(tmp_path):
     # criterion 6's grid: seven rescaled relaxation systems of order 1024,
-    # all on the ARPACK path; each run is a fresh interpreter
+    # all on the ARPACK path, then one spectrum of the eps=1 system; each
+    # run is a fresh interpreter, and its CSVs and manifests (with their
+    # matvec counts) must repeat byte for byte
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "scheme": "ap", "epsilon": 1.0, "tau": 0.01, "h": 0.1,
@@ -479,13 +484,28 @@ def test_iterative_sweep_reruns_are_byte_identical(tmp_path):
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
         for run in ("a", "b"):
-            out = tmp_path / f"{threads}{run}"
+            sweep_out = tmp_path / f"{threads}{run}sweep"
+            spectrum_out = tmp_path / f"{threads}{run}spectrum"
             subprocess.run(
                 [sys.executable, "-m", "transportlab.cli", "sweep",
-                 "--config", str(config), "--output-dir", str(out),
+                 "--config", str(config), "--output-dir", str(sweep_out),
                  "--allow-unstable", "--epsilons", "1,1e-1,1e-2,1e-3,1e-4,1e-5,1e-6"],
                 env=env, check=True, capture_output=True, timeout=300)
-            manifest = json.loads((out / "manifest.json").read_text())
+            subprocess.run(
+                [sys.executable, "-m", "transportlab.cli", "spectrum", "--rescaled",
+                 "--config", str(config), "--output-dir", str(spectrum_out),
+                 "--allow-unstable"],
+                env=env, check=True, capture_output=True, timeout=300)
+            manifest = json.loads((sweep_out / "manifest.json").read_text())
             assert {e["method"] for e in manifest["sweep"]} == {"iterative"}
-            outputs[threads, run] = (out / "sweep.csv").read_bytes()
+            assert all(count > 0 for e in manifest["sweep"]
+                       for count in e["matvecs"].values())
+            spectrum = json.loads((spectrum_out / "manifest.json").read_text())["spectrum"]
+            assert spectrum["method"] == "iterative"
+            assert spectrum["matvecs"]["sigma_max"] > 0 < spectrum["matvecs"]["sigma_min"]
+            outputs[threads, run] = [
+                (out / name).read_bytes()
+                for out, name in ((sweep_out, "sweep.csv"), (sweep_out, "manifest.json"),
+                                  (spectrum_out, "spectrum.csv"),
+                                  (spectrum_out, "manifest.json"))]
         assert outputs[threads, "a"] == outputs[threads, "b"]

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
@@ -100,11 +102,23 @@ def test_splitting_identity(N):
 
 
 def test_transport_block_norm_bound():
-    cfg = make_cfg()
-    mats = explicit_matrix(cfg, make_rule(cfg))
-    top = svdvals(mats.B1.toarray())[0]
-    assert top <= 1.0 - mats.alpha + 1e-10
-    assert np.all(mats.c >= 0.0)
+    for N, N_x in ((1, 1), (1, 8), (2, 5), (4, 8), (3, 50)):
+        cfg = make_cfg(N=N, N_x=N_x)
+        with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
+            mats = explicit_matrix(cfg, make_rule(cfg))
+        top = svdvals(mats.B1.toarray())[0]
+        assert top <= 1.0 - mats.alpha + 1e-10
+        assert np.all(mats.c >= 0.0)
+        # the construction check takes the norm from one stack of per-node
+        # blocks; reassembled, they are B1, so their largest norm is B1's
+        (blocks,), _ = svd.call_args
+        assert blocks.shape == (2 * N, N_x, N_x)
+        dense = mats.B1.toarray().reshape(N_x, 2 * N, N_x, 2 * N)
+        assert np.array_equal(np.einsum("akbk->kab", dense), blocks)
+        off_node = ~np.eye(2 * N, dtype=bool)[None, :, None, :]
+        assert not np.any(dense * off_node)
+        assert np.linalg.svd(blocks, compute_uv=False).max() == pytest.approx(
+            top, rel=1e-14)
 
 
 def test_power_norms_stay_below_half_w_norm():

@@ -1,3 +1,6 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,7 +20,7 @@ from transportlab import (
     schemes,
     singular_extremes,
 )
-from transportlab.assembly import assemble_fourier_matrix, frequency_matrix
+from transportlab.assembly import TimeMarch, assemble_fourier_matrix, frequency_matrix
 from transportlab.spectral import DENSE_CAP, _real_form
 
 # frozen by evaluating the three displayed terms independently by hand:
@@ -115,9 +118,44 @@ def test_empty_matrix_rejected():
         singular_extremes(sp.eye(1), method="iterative")
 
 
-def test_inverse_of_another_shape_rejected():
-    with pytest.raises(ValueError, match="inverse has shape"):
-        singular_extremes(sp.eye(5), inverse=spla.aslinearoperator(sp.eye(4)))
+def test_march_of_another_shape_rejected():
+    with pytest.raises(ValueError, match="march has shape"):
+        singular_extremes(sp.eye(5), march=TimeMarch(sp.eye(2), levels=2, groups=1))
+
+
+@contextlib.contextmanager
+def _spy_products():
+    """Yield a list that records the shape of every sparse matrix that
+    multiplies with @ inside the block."""
+    shapes = []
+
+    def spy(cls):
+        original = cls.__matmul__
+
+        def matmul(self, other):
+            shapes.append(self.shape)
+            return original(self, other)
+        return mock.patch.object(cls, "__matmul__", matmul)
+
+    with spy(sp.csr_matrix), spy(sp.csc_matrix):
+        yield shapes
+
+
+def test_system_path_makes_no_product_with_the_matrix():
+    cfg = resolve_config({"scheme": "explicit", "epsilon": 0.2, "tau": "auto",
+                          "h": 0.05, "N": 2, "Nx": 16, "Nt": 16})
+    system = schemes.scheme_for(cfg).assemble(cfg, False)
+    L, march = system.L, system.march
+    with _spy_products() as shapes:
+        bare = singular_extremes(L, method="iterative")
+    assert L.shape in shapes  # the spy sees the bare path's products
+    with _spy_products() as shapes, mock.patch.object(
+            spla, "splu", side_effect=AssertionError("splu")):
+        report = singular_extremes(L, method="iterative", march=march)
+    assert shapes and L.shape not in shapes
+    assert report.matvecs_max > 0 and report.matvecs_min > 0
+    assert report.sigma_max == pytest.approx(bare.sigma_max, rel=1e-12)
+    assert report.sigma_min == pytest.approx(bare.sigma_min, rel=1e-12)
 
 
 def test_rescaled_system_extremes_have_order_one_constants():
