@@ -26,6 +26,7 @@ from .model import (
     ParityField,
     Trajectory,
     UnsupportedConfigurationError,
+    Workspace,
     check_field,
     march,
 )
@@ -33,6 +34,7 @@ from .quadrature import QuadratureRule
 
 __all__ = [
     "ApStepMatrices",
+    "ApWorkspace",
     "ap_evolve",
     "ap_step_matrices",
     "boundary_forcing",
@@ -55,13 +57,47 @@ def _check_ap(cfg: GridConfig, rule: QuadratureRule | None = None):
         )
 
 
-def _pad(values: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Attach ghost columns at m = 0 and m = N_x + 1."""
-    return np.hstack([left[:, None], values, right[:, None]])
+class ApWorkspace(Workspace):
+    """Buffers and coefficient rows of one relaxation run, built once.
+
+    Holds the padded ghost buffers, the starred state, one scratch array
+    and the per-run rows gamma*(1-eps^2)*v, 1-lam*v and lam*v/2.
+    The steps compute into it through ufunc ``out=`` with the same
+    operations, operands and order as the plain expressions in their
+    docstrings, so a step gives the same bits with or without one.  The
+    starred state a step returns lives here and is overwritten by the
+    next relaxation step; each new level is a fresh array.
+    """
+
+    def __init__(self, cfg: GridConfig, rule: QuadratureRule):
+        _check_ap(cfg, rule)
+        super().__init__(cfg, rule)
+        N, Nx = cfg.N, cfg.N_x
+        v = rule.nodes[:, None]
+        self.drift = cfg.gamma * (1.0 - cfg.epsilon**2) * v
+        lam_v = cfg.lam * v
+        self.one_minus_lam_v = 1.0 - lam_v
+        self.half_lam_v = 0.5 * lam_v
+        self.rho = np.empty(Nx)
+        self.r_star = np.empty((N, Nx))
+        self.j_star = np.empty((N, Nx))
+        self.scratch = np.empty((N, Nx))
+        self.r_pad = np.empty((N, Nx + 2))
+        self.j_pad = np.empty((N, Nx + 2))
+
+
+def _pad_into(padded: np.ndarray, values: np.ndarray, left: np.ndarray,
+              right: np.ndarray) -> np.ndarray:
+    """Fill ``padded`` with ``values`` and ghost columns at m = 0 and m = N_x + 1."""
+    padded[:, 0] = left
+    padded[:, 1:-1] = values
+    padded[:, -1] = right
+    return padded
 
 
 def relaxation_step(
-    state: ParityField, cfg: GridConfig, rule: QuadratureRule
+    state: ParityField, cfg: GridConfig, rule: QuadratureRule, *,
+    workspace: ApWorkspace | None = None,
 ) -> ParityField:
     """Stiff half-step producing the starred intermediate state.
 
@@ -71,44 +107,65 @@ def relaxation_step(
     with gamma = tau/eps^2 and central differences using the Dirichlet
     ghost values at m = 0 and m = N_x + 1.  The velocity average rho is
     preserved exactly, which is what makes the implicit update
-    explicitly computable.
+    explicitly computable.  With a ``workspace`` the starred state lives
+    in its buffers until the next relaxation step; without one a fresh
+    workspace is built.
     """
     _check_ap(cfg, rule)
     check_field(state, cfg)
+    ws = ApWorkspace.resolve(workspace, cfg, rule)
     R, J = state.blocks()
     gamma = cfg.gamma
-    eps2 = cfg.epsilon**2
 
-    rho = rule.weights @ R
-    r_star = (R + gamma * rho[None, :]) / (1.0 + gamma)
+    rho = np.matmul(rule.weights, R, out=ws.rho)
+    np.multiply(gamma, rho, out=rho)
+    r_star = np.add(R, rho, out=ws.r_star)
+    np.divide(r_star, 1.0 + gamma, out=r_star)
 
-    padded = _pad(r_star, state.r_left, state.r_right)
-    central = padded[:, 2:] - padded[:, :-2]
-    v = rule.nodes[:, None]
-    j_star = (J - gamma * (1.0 - eps2) * v * central / (2.0 * cfg.h)) / (1.0 + gamma)
+    padded = _pad_into(ws.r_pad, r_star, state.r_left, state.r_right)
+    term = np.subtract(padded[:, 2:], padded[:, :-2], out=ws.scratch)
+    np.multiply(ws.drift, term, out=term)
+    np.divide(term, 2.0 * cfg.h, out=term)
+    j_star = np.subtract(J, term, out=ws.j_star)
+    np.divide(j_star, 1.0 + gamma, out=j_star)
     return state.with_values(r_star, j_star)
 
 
+def _transport_into(out: np.ndarray, own: np.ndarray, other: np.ndarray,
+                    ws: ApWorkspace) -> np.ndarray:
+    """(1-lam*v)*own + (lam*v/2)*(own_{m+1} + own_{m-1})
+    - (lam*v/2)*(other_{m+1} - other_{m-1}), from padded ``own``/``other``."""
+    np.multiply(ws.one_minus_lam_v, own[:, 1:-1], out=out)
+    term = np.add(own[:, 2:], own[:, :-2], out=ws.scratch)
+    np.multiply(ws.half_lam_v, term, out=term)
+    np.add(out, term, out=out)
+    np.subtract(other[:, 2:], other[:, :-2], out=term)
+    np.multiply(ws.half_lam_v, term, out=term)
+    return np.subtract(out, term, out=out)
+
+
 def transport_step(
-    star: ParityField, cfg: GridConfig, rule: QuadratureRule
+    star: ParityField, cfg: GridConfig, rule: QuadratureRule, *,
+    workspace: ApWorkspace | None = None,
 ) -> ParityField:
     """Centered transport update of the starred state.
 
         r^{n+1} = (1 - lam*v)r* + (lam*v/2)(r*_{m+1} + r*_{m-1})
                                 - (lam*v/2)(j*_{m+1} - j*_{m-1})
 
-    and the same formula with r and j swapped, where lam = tau/h.
+    and the same formula with r and j swapped, where lam = tau/h.  The
+    new level is a fresh array; a ``workspace`` only supplies the
+    padded buffers, the scratch array and the coefficient rows.  Without
+    one a fresh workspace is built.
     """
     _check_ap(cfg, rule)
     check_field(star, cfg)
-    Rp = _pad(star.blocks()[0], star.r_left, star.r_right)
-    Jp = _pad(star.blocks()[1], star.j_left, star.j_right)
-    lam_v = cfg.lam * rule.nodes[:, None]
-
-    sum_r, dif_r = Rp[:, 2:] + Rp[:, :-2], Rp[:, 2:] - Rp[:, :-2]
-    sum_j, dif_j = Jp[:, 2:] + Jp[:, :-2], Jp[:, 2:] - Jp[:, :-2]
-    r_new = (1.0 - lam_v) * Rp[:, 1:-1] + 0.5 * lam_v * sum_r - 0.5 * lam_v * dif_j
-    j_new = (1.0 - lam_v) * Jp[:, 1:-1] + 0.5 * lam_v * sum_j - 0.5 * lam_v * dif_r
+    ws = ApWorkspace.resolve(workspace, cfg, rule)
+    R, J = star.blocks()
+    Rp = _pad_into(ws.r_pad, R, star.r_left, star.r_right)
+    Jp = _pad_into(ws.j_pad, J, star.j_left, star.j_right)
+    r_new = _transport_into(np.empty_like(R), Rp, Jp, ws)
+    j_new = _transport_into(np.empty_like(J), Jp, Rp, ws)
     return star.with_values(r_new, j_new)
 
 
@@ -239,17 +296,21 @@ def ap_evolve(
 ) -> Trajectory:
     """Run N_t relaxation+transport steps through :func:`model.march`.
 
-    Each level n = 0..N_t goes to ``on_level(n, level)`` as it is made.
-    Without a callback the trajectory records every level; with one it
-    holds only the final level.  The cost counter charges N^2 * N_x per
-    step.
+    The run owns one :class:`ApWorkspace`, built here and passed to
+    both steps, so a step allocates only its new level.  Each level n = 0..N_t
+    goes to ``on_level(n, level)`` as it is made; it is a fresh array
+    that the run never writes again.  Without a callback the trajectory
+    records every level; with one it holds only the final level.  The
+    cost counter charges N^2 * N_x per step.
     """
     _check_ap(cfg, rule)
     check_field(initial, cfg)
+    ws = ApWorkspace(cfg, rule)
     # looked up at call time, so a wrapper on either step function sees every step
     return march(
         initial, cfg,
-        lambda state: transport_step(relaxation_step(state, cfg, rule), cfg, rule),
+        lambda state: transport_step(relaxation_step(state, cfg, rule, workspace=ws),
+                                     cfg, rule, workspace=ws),
         cfg.N**2 * cfg.N_x,
         lambda state: np.all(np.isfinite(state.r)) and np.all(np.isfinite(state.j)),
         on_level,

@@ -28,6 +28,7 @@ from .model import (
     GridConfig,
     KineticField,
     Trajectory,
+    Workspace,
     check_field,
     march,
 )
@@ -35,6 +36,7 @@ from .quadrature import QuadratureRule
 
 __all__ = [
     "ExplicitStepMatrix",
+    "ExplicitWorkspace",
     "boundary_vector",
     "explicit_evolve",
     "explicit_matrix",
@@ -54,28 +56,67 @@ def _check_explicit(cfg: GridConfig, rule: QuadratureRule | None = None):
         )
 
 
+def _upwind_rows(cfg: GridConfig, rule: QuadratureRule):
+    """v^+, v^- and the diagonal c of the upwind step, one entry per node."""
+    eps, tau, lam = cfg.epsilon, cfg.tau, cfg.lam
+    v_plus = np.maximum(rule.nodes, 0.0)
+    v_minus = np.minimum(rule.nodes, 0.0)
+    c = 1.0 - (lam / eps) * (v_plus - v_minus) - tau / eps**2
+    return v_plus, v_minus, c
+
+
+class ExplicitWorkspace(Workspace):
+    """Buffers and coefficient rows of one upwind run, built once.
+
+    Holds the padded ghost buffer, the collision column, one scratch
+    array and the per-run rows c, (lam/eps)v^+ and (lam/eps)v^-.  The
+    step computes into it through ufunc ``out=`` with the same
+    operations, operands and order as the formula in the module
+    docstring, so it gives the same bits with or without one.  Each new
+    level is a fresh array.
+    """
+
+    def __init__(self, cfg: GridConfig, rule: QuadratureRule):
+        _check_explicit(cfg, rule)
+        super().__init__(cfg, rule)
+        eps, lam = cfg.epsilon, cfg.lam
+        v_plus, v_minus, self.c = _upwind_rows(cfg, rule)
+        self.lam_v_plus = (lam / eps) * v_plus
+        self.lam_v_minus = (lam / eps) * v_minus
+        self.coll_scale = cfg.tau / (2.0 * eps**2)
+        self.coll = np.empty(cfg.N_x)
+        self.scratch = np.empty((cfg.N_x, 2 * cfg.N))
+        self.padded = np.empty((cfg.N_x + 2, 2 * cfg.N))
+
+
 def explicit_step(
-    field: KineticField, cfg: GridConfig, rule: QuadratureRule
+    field: KineticField, cfg: GridConfig, rule: QuadratureRule, *,
+    workspace: ExplicitWorkspace | None = None,
 ) -> KineticField:
-    """Apply one upwind step with Dirichlet ghost blocks at both ends."""
+    """Apply one upwind step with Dirichlet ghost blocks at both ends.
+
+    The new level is a fresh array; a ``workspace`` only supplies the
+    padded buffer, the scratch arrays and the coefficient rows.  Without
+    one a fresh workspace is built.
+    """
     _check_explicit(cfg, rule)
     check_field(field, cfg)
-    eps, tau, lam = cfg.epsilon, cfg.tau, cfg.lam
-    v = rule.nodes
-    w = rule.weights
-    v_plus = np.maximum(v, 0.0)
-    v_minus = np.minimum(v, 0.0)
-    c = 1.0 - (lam / eps) * (v_plus - v_minus) - tau / eps**2
+    ws = ExplicitWorkspace.resolve(workspace, cfg, rule)
 
     F = field.blocks()  # (N_x, 2N)
-    Fp = np.vstack([field.f_left, F, field.f_right])
-    coll = (tau / (2.0 * eps**2)) * (F @ w)
-    F_new = (
-        c[None, :] * F
-        + (lam / eps) * v_plus[None, :] * Fp[:-2]
-        - (lam / eps) * v_minus[None, :] * Fp[2:]
-        + coll[:, None]
-    )
+    Fp = ws.padded
+    Fp[0] = field.f_left
+    Fp[1:-1] = F
+    Fp[-1] = field.f_right
+    coll = np.matmul(F, rule.weights, out=ws.coll)
+    np.multiply(ws.coll_scale, coll, out=coll)
+
+    F_new = np.multiply(ws.c, F, out=np.empty_like(F))
+    term = np.multiply(ws.lam_v_plus, Fp[:-2], out=ws.scratch)
+    np.add(F_new, term, out=F_new)
+    np.multiply(ws.lam_v_minus, Fp[2:], out=term)
+    np.subtract(F_new, term, out=F_new)
+    np.add(F_new, coll[:, None], out=F_new)
     return field.with_values(F_new)
 
 
@@ -108,11 +149,8 @@ def explicit_matrix(cfg: GridConfig, rule: QuadratureRule) -> ExplicitStepMatrix
     eps, tau, lam = cfg.epsilon, cfg.tau, cfg.lam
     Nx = cfg.N_x
     two_N = 2 * cfg.N
-    v = rule.nodes
     w = rule.weights
-    v_plus = np.maximum(v, 0.0)
-    v_minus = np.minimum(v, 0.0)
-    c = 1.0 - (lam / eps) * (v_plus - v_minus) - tau / eps**2
+    v_plus, v_minus, c = _upwind_rows(cfg, rule)
     alpha = tau / eps**2
 
     C = np.diag(c)
@@ -167,17 +205,21 @@ def explicit_evolve(
 ) -> Trajectory:
     """Run N_t upwind steps through :func:`model.march`.
 
-    Each level n = 0..N_t goes to ``on_level(n, level)`` as it is made.
-    Without a callback the trajectory records every level; with one it
-    holds only the final level.  The cost counter charges (2N)^2 * N_x
-    per step.
+    The run owns one :class:`ExplicitWorkspace`, built here and passed
+    to every step: the coefficient rows are computed once per run and a
+    step allocates only its new level.
+    Each level n = 0..N_t goes to ``on_level(n, level)`` as it is made;
+    it is a fresh array that the run never writes again.  Without a
+    callback the trajectory records every level; with one it holds only
+    the final level.  The cost counter charges (2N)^2 * N_x per step.
     """
     _check_explicit(cfg, rule)
     check_field(initial, cfg)
+    ws = ExplicitWorkspace(cfg, rule)
     # looked up at call time, so a wrapper on explicit_step sees every step
     return march(
         initial, cfg,
-        lambda state: explicit_step(state, cfg, rule),
+        lambda state: explicit_step(state, cfg, rule, workspace=ws),
         (2 * cfg.N) ** 2 * cfg.N_x,
         lambda state: np.all(np.isfinite(state.f)),
         on_level,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 from contextlib import contextmanager
@@ -355,6 +356,31 @@ class Trajectory:
         return len(self.fields)
 
 
+class Workspace:
+    """Per-run buffers of one scheme's steps, tied to the grid and rule
+    they were built for.  Subclasses size their buffers in ``__init__``."""
+
+    def __init__(self, cfg: GridConfig, rule: QuadratureRule):
+        self.cfg, self.rule = cfg, rule
+
+    @classmethod
+    def resolve(cls, workspace, cfg: GridConfig, rule: QuadratureRule):
+        """``workspace`` if it was built for ``cfg`` and ``rule``, a fresh
+        one if it is None; any other workspace raises ValueError, since
+        its coefficient rows belong to another grid."""
+        if workspace is None:
+            return cls(cfg, rule)
+        if not (isinstance(workspace, cls) and workspace.cfg == cfg and (
+                workspace.rule is rule
+                or (np.array_equal(workspace.rule.nodes, rule.nodes)
+                    and np.array_equal(workspace.rule.weights, rule.weights)))):
+            raise ValueError(
+                f"{type(workspace).__name__} was built for another grid or rule; "
+                f"this step needs a {cls.__name__} for its own"
+            )
+        return workspace
+
+
 def march(
     initial,
     cfg: GridConfig,
@@ -370,7 +396,9 @@ def march(
     the run holds one level at a time.  Without a callback it keeps
     every level.  Each step charges ``step_cost``.  A level that fails
     ``finite`` raises :class:`DivergenceError` with its step index,
-    before it is handed on.
+    before it is handed on.  A level, once handed on, is never written
+    again: a scheme's ``step`` may reuse the buffers of its run's
+    :class:`Workspace`, but must return each level in a fresh array.
     """
     kept = []
     sink = on_level if on_level is not None else lambda n, level: kept.append(level)
@@ -488,14 +516,32 @@ def initial_kinetic_field(cfg: GridConfig, rule: QuadratureRule) -> KineticField
 # config files
 
 
+def _grid_count(raw: dict, key: str) -> int:
+    """``raw[key]`` as a count: an int, an integral float or an integer
+    string (command-line overrides arrive as strings).  A fractional
+    value or a boolean raises ValueError rather than being truncated."""
+    value = raw[key]
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be a whole number, got {value!r}")
+
+
 def resolve_config(raw: dict, allow_unstable: bool = False) -> GridConfig:
     """Build a GridConfig from a flat key/value mapping.
 
     Accepted keys are exactly ``CONFIG_KEYS``.  ``tau`` may be the
     string ``"auto"``, meaning ``TAU_SAFETY`` (0.9) times the largest
-    stable step, or a numeric string.  ``h`` and ``x_right`` are
-    redundant given (x_left, Nx); either may be omitted, and if both are
-    present they must agree.
+    stable step, or a numeric string.  ``N``, ``Nx`` and ``Nt`` must be
+    whole numbers; integral floats and integer strings are accepted.
+    ``h`` and ``x_right`` are redundant given (x_left, Nx); either may
+    be omitted, and if both are present they must agree.
     """
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
@@ -508,7 +554,7 @@ def resolve_config(raw: dict, allow_unstable: bool = False) -> GridConfig:
 
     scheme = str(raw["scheme"]).lower()
     epsilon = float(raw["epsilon"])
-    N_x = int(raw["Nx"])
+    N_x = _grid_count(raw, "Nx")
     x_left = float(raw.get("x_left", 0.0))
 
     h = raw.get("h")
@@ -540,9 +586,9 @@ def resolve_config(raw: dict, allow_unstable: bool = False) -> GridConfig:
         epsilon=epsilon,
         tau=tau,
         h=h,
-        N=int(raw["N"]),
+        N=_grid_count(raw, "N"),
         N_x=N_x,
-        N_t=int(raw["Nt"]),
+        N_t=_grid_count(raw, "Nt"),
         scheme=scheme,
         phi=float(raw.get("phi", 1.0)),
         x_left=x_left,

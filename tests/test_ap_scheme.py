@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transportlab import (
     DivergenceError,
@@ -8,11 +9,13 @@ from transportlab import (
     UnsupportedConfigurationError,
     alpha_bound,
     ap_evolve,
+    cfl_limit,
     density,
     gauss_rule,
     initial_parity_field,
 )
 from transportlab.ap_scheme import (
+    ApWorkspace,
     ap_step_matrices,
     boundary_forcing,
     matrix_step,
@@ -191,6 +194,79 @@ def test_full_step_matches_matrix_form_on_gaussian_data():
     mats = ap_step_matrices(cfg, rule)
     r_expect = mats.B @ star.r - mats.A @ star.j  # zero boundary terms
     np.testing.assert_allclose(out.r, r_expect, atol=1e-13)
+
+
+# --- bitwise reference --------------------------------------------------
+# The two steps as plain numpy expressions, each operation allocating its
+# result.  The workspace steps must reproduce them bit for bit.
+
+
+def reference_relaxation(state, cfg, rule):
+    R, J = state.blocks()
+    gamma = cfg.gamma
+    eps2 = cfg.epsilon**2
+    rho = rule.weights @ R
+    r_star = (R + gamma * rho[None, :]) / (1.0 + gamma)
+    padded = np.hstack([state.r_left[:, None], r_star, state.r_right[:, None]])
+    central = padded[:, 2:] - padded[:, :-2]
+    v = rule.nodes[:, None]
+    j_star = (J - gamma * (1.0 - eps2) * v * central / (2.0 * cfg.h)) / (1.0 + gamma)
+    return state.with_values(r_star, j_star)
+
+
+def reference_transport(star, cfg, rule):
+    R, J = star.blocks()
+    Rp = np.hstack([star.r_left[:, None], R, star.r_right[:, None]])
+    Jp = np.hstack([star.j_left[:, None], J, star.j_right[:, None]])
+    lam_v = cfg.lam * rule.nodes[:, None]
+    sum_r, dif_r = Rp[:, 2:] + Rp[:, :-2], Rp[:, 2:] - Rp[:, :-2]
+    sum_j, dif_j = Jp[:, 2:] + Jp[:, :-2], Jp[:, 2:] - Jp[:, :-2]
+    r_new = (1.0 - lam_v) * Rp[:, 1:-1] + 0.5 * lam_v * sum_r - 0.5 * lam_v * dif_j
+    j_new = (1.0 - lam_v) * Jp[:, 1:-1] + 0.5 * lam_v * sum_j - 0.5 * lam_v * dif_r
+    return star.with_values(r_new, j_new)
+
+
+def assert_same_bits(got, expected):
+    for name in ("r", "j", "r_left", "r_right", "j_left", "j_right"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name),
+                              equal_nan=True), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(1, 4), N_x=st.integers(1, 8), log_eps=st.floats(-8.0, 0.0),
+       # far past the step restriction the values overflow to inf and nan
+       tau_factor=st.sampled_from([0.5, 1e100]), seed=st.integers(0, 2**32 - 1))
+def test_steps_are_bitwise_the_reference_expressions(N, N_x, log_eps, tau_factor, seed):
+    eps, h = 10.0**log_eps, 0.1
+    cfg = make_cfg(epsilon=eps, tau=tau_factor * cfl_limit("ap", eps, h), h=h,
+                   N=N, N_x=N_x, N_t=3, allow_unstable=True)
+    rule = gauss_rule(N, 0.0, 1.0)
+    initial = random_field(np.random.default_rng(seed), N, N_x, ghosts=True)
+    workspace = ApWorkspace(cfg, rule)
+    expected = [initial]
+    with np.errstate(all="ignore"):
+        for _ in range(cfg.N_t):
+            star = reference_relaxation(expected[-1], cfg, rule)
+            expected.append(reference_transport(star, cfg, rule))
+            # a direct call, then the reused workspace, from the same state
+            for ws in (None, workspace):
+                got_star = relaxation_step(expected[-2], cfg, rule, workspace=ws)
+                assert_same_bits(got_star, star)
+                assert_same_bits(transport_step(got_star, cfg, rule, workspace=ws),
+                                 expected[-1])
+
+    # the levels a run hands out, through the workspace it owns
+    levels = []
+    try:
+        ap_evolve(initial, cfg, rule, lambda n, level: levels.append(level))
+        handed_out = cfg.N_t + 1
+    except DivergenceError as exc:
+        handed_out = exc.step
+        assert not (np.all(np.isfinite(expected[exc.step].r))
+                    and np.all(np.isfinite(expected[exc.step].j)))
+    assert len(levels) == handed_out
+    for got, want in zip(levels, expected):
+        assert_same_bits(got, want)
 
 
 # --- combined step vs matrices ------------------------------------------

@@ -194,6 +194,29 @@ def test_overrides_apply_on_top_of_config(ap_config, tmp_path):
     assert manifest["resolved_config"]["init"] == "constant"
 
 
+def test_fractional_count_exits_2_naming_the_key(ap_config, tmp_path, capsys):
+    # an override arrives as a string; a config file value as a JSON number
+    assert main(["solve", "--config", str(ap_config), "--output-dir",
+                 str(tmp_path / "o"), "--Nt", "8.5"]) == 2
+    assert "Nt must be a whole number, got '8.5'" in capsys.readouterr().err
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(dict(AP_RAW, Nx=32.5)), encoding="utf-8")
+    assert main(["solve", "--config", str(path), "--output-dir",
+                 str(tmp_path / "o")]) == 2
+    assert "Nx must be a whole number, got 32.5" in capsys.readouterr().err
+
+
+def test_integral_counts_are_recorded_as_ints(tmp_path):
+    path = tmp_path / "integral.json"
+    path.write_text(json.dumps(dict(AP_RAW, N=3.0)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--output-dir", str(out),
+                 "--Nt", "8"]) == 0
+    resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
+    assert [resolved["N"], resolved["Nt"]] == [3, 8]
+    assert type(resolved["N"]) is int and type(resolved["Nt"]) is int
+
+
 def test_unknown_flag_is_usage_error(ap_config, capsys):
     assert main(["solve", "--config", str(ap_config), "--bogus", "1"]) == 1
     err = capsys.readouterr().err

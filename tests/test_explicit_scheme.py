@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import svdvals
 
 from transportlab import (
@@ -13,6 +14,7 @@ from transportlab import (
     initial_kinetic_field,
 )
 from transportlab.explicit_scheme import (
+    ExplicitWorkspace,
     boundary_vector,
     explicit_evolve,
     explicit_matrix,
@@ -167,6 +169,69 @@ def test_step_nonexpansive_for_nonnegative_data_zero_inflow():
         current = np.abs(field.f).max()
         assert current <= previous + 1e-13
         previous = current
+
+
+# The upwind step as one plain numpy expression, each operation allocating
+# its result.  The workspace step must reproduce it bit for bit.
+def reference_step(field, cfg, rule):
+    eps, tau, lam = cfg.epsilon, cfg.tau, cfg.lam
+    v = rule.nodes
+    w = rule.weights
+    v_plus = np.maximum(v, 0.0)
+    v_minus = np.minimum(v, 0.0)
+    c = 1.0 - (lam / eps) * (v_plus - v_minus) - tau / eps**2
+    F = field.blocks()
+    Fp = np.vstack([field.f_left, F, field.f_right])
+    coll = (tau / (2.0 * eps**2)) * (F @ w)
+    F_new = (
+        c[None, :] * F
+        + (lam / eps) * v_plus[None, :] * Fp[:-2]
+        - (lam / eps) * v_minus[None, :] * Fp[2:]
+        + coll[:, None]
+    )
+    return field.with_values(F_new)
+
+
+def assert_same_bits(got, expected):
+    for name in ("f", "f_left", "f_right"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name),
+                              equal_nan=True), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(1, 4), N_x=st.integers(1, 8), log_eps=st.floats(-8.0, 0.0),
+       # far past the step restriction the values overflow to inf and nan
+       tau_factor=st.sampled_from([0.5, 1e100]), seed=st.integers(0, 2**32 - 1))
+def test_step_is_bitwise_the_reference_expression(N, N_x, log_eps, tau_factor, seed):
+    eps, h = 10.0**log_eps, 0.1
+    cfg = GridConfig(epsilon=eps, tau=tau_factor * cfl_limit("explicit", eps, h), h=h,
+                     N=N, N_x=N_x, N_t=3, scheme="explicit", allow_unstable=True)
+    rule = make_rule(cfg)
+    rng = np.random.default_rng(seed)
+    two_N = 2 * N
+    initial = KineticField(rng.uniform(-1.0, 1.0, two_N * N_x),
+                           rng.uniform(-1.0, 1.0, two_N), rng.uniform(-1.0, 1.0, two_N))
+    workspace = ExplicitWorkspace(cfg, rule)
+    expected = [initial]
+    with np.errstate(all="ignore"):
+        for _ in range(cfg.N_t):
+            expected.append(reference_step(expected[-1], cfg, rule))
+            # a direct call, then the reused workspace, from the same state
+            for ws in (None, workspace):
+                assert_same_bits(explicit_step(expected[-2], cfg, rule, workspace=ws),
+                                 expected[-1])
+
+    # the levels a run hands out, through the workspace it owns
+    levels = []
+    try:
+        explicit_evolve(initial, cfg, rule, lambda n, level: levels.append(level))
+        handed_out = cfg.N_t + 1
+    except DivergenceError as exc:
+        handed_out = exc.step
+        assert not np.all(np.isfinite(expected[exc.step].f))
+    assert len(levels) == handed_out
+    for got, want in zip(levels, expected):
+        assert_same_bits(got, want)
 
 
 def test_trajectory_csv_export(tmp_path):

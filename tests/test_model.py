@@ -218,6 +218,23 @@ def test_resolve_config_round_trip():
         resolve_config(config_dict(tau="fast"))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("N", 3.9), ("Nx", 32.5), ("Nt", True), ("Nt", False), ("Nt", "8.5"),
+    ("Nt", "eight"), ("N", float("nan")), ("Nx", None),
+])
+def test_resolve_config_rejects_counts_that_are_not_whole(key, value, tmp_path):
+    with pytest.raises(ValueError, match=f"{key} must be a whole number"):
+        resolve_config(config_dict(**{key: value}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_dict(**{key: value})), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{key} must be a whole number"):
+        load_config(path)
+
+
+def test_resolve_config_accepts_integral_counts():
+    assert resolve_config(config_dict(N=4.0, Nx="8", Nt=" 4 ")) == ap_cfg()
+
+
 def test_resolve_config_rejects_unknown_keys():
     with pytest.raises(ValueError) as err:
         resolve_config(config_dict(bogus=1))

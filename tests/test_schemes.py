@@ -1,11 +1,24 @@
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from transportlab import DivergenceError, GridConfig, ap_scheme, cfl_limit, explicit_scheme
+from transportlab import (
+    DivergenceError,
+    GridConfig,
+    ap_scheme,
+    cfl_limit,
+    explicit_scheme,
+    gauss_rule,
+    initial_kinetic_field,
+    initial_parity_field,
+)
+from transportlab.ap_scheme import ApWorkspace
+from transportlab.explicit_scheme import ExplicitWorkspace
 from transportlab.cli import main
 from transportlab.schemes import scheme_for
 
@@ -94,3 +107,95 @@ def test_streamed_levels_are_the_recorded_levels(scheme, log_eps, N, N_x, N_t,
     assert len(kept.fields) == 1
     assert _values(kept.fields[0]).tobytes() == _values(recorded.fields[-1]).tobytes()
     assert kept.cost == recorded.cost
+
+
+@pytest.mark.parametrize("raw, steps", [
+    ({"scheme": "ap", "tau": 0.004},
+     {"relaxation_step": 5, "transport_step": 5, "explicit_step": 0}),
+    ({"scheme": "explicit", "tau": "auto"},
+     {"relaxation_step": 0, "transport_step": 0, "explicit_step": 5}),
+], ids=["ap", "explicit"])
+def test_solve_calls_each_step_binding_once_per_step(monkeypatch, tmp_path, raw, steps):
+    # the benchmark tracer wraps these module attributes; each must see every step
+    calls = dict.fromkeys(steps, 0)
+    for module, name in ((ap_scheme, "relaxation_step"), (ap_scheme, "transport_step"),
+                         (explicit_scheme, "explicit_step")):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(raw, epsilon=0.5, h=0.1, N=2, Nx=4, Nt=5)),
+                      encoding="utf-8")
+    assert main(["solve", "--config", str(config),
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    assert calls == steps
+
+
+# peak traced bytes of a run over one level's bytes, measured at N=8,
+# N_x=2048: 5.09 for the relaxation scheme (workspace 2.5 levels, the
+# previous and the new level, ufunc buffers) and 4.33 for the upwind
+# one.  Relaxation steps that allocate a temporary per operation peak
+# at 7.02.
+PEAK_LEVELS = {"ap": 5.5, "explicit": 4.75}
+
+
+@pytest.mark.parametrize("scheme", ["ap", "explicit"])
+def test_run_peak_memory_is_a_few_levels_whatever_the_step_count(scheme):
+    eps, h = 0.5, 0.01
+    peaks = {}
+    for n_t in (8, 64):
+        cfg = GridConfig(epsilon=eps, tau=0.5 * cfl_limit(scheme, eps, h), h=h,
+                         N=8, N_x=2048, N_t=n_t, scheme=scheme)
+        sch = scheme_for(cfg)
+        rule = sch.rule(cfg)
+        initial = sch.initial(cfg, rule)
+        tracemalloc.start()
+        try:
+            sch.evolve(initial, cfg, rule, lambda step, level: None)
+            peaks[n_t] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    level = _values(initial).nbytes
+    assert abs(peaks[64] - peaks[8]) < level
+    assert peaks[64] < PEAK_LEVELS[scheme] * level
+
+
+AP_RULE = gauss_rule(AP_CFG.N, 0.0, 1.0)
+EXPLICIT_RULE = gauss_rule(2 * EXPLICIT_CFG.N, -1.0, 1.0)
+
+# (relaxation workspace, upwind workspace) built for something else
+FOREIGN_WORKSPACES = {
+    # same shapes, other coefficient rows
+    "tau": lambda: (ApWorkspace(replace(AP_CFG, tau=AP_CFG.tau / 2), AP_RULE),
+                    ExplicitWorkspace(replace(EXPLICIT_CFG, tau=EXPLICIT_CFG.tau / 2),
+                                      EXPLICIT_RULE)),
+    "shape": lambda: (ApWorkspace(replace(AP_CFG, N_x=7), AP_RULE),
+                      ExplicitWorkspace(replace(EXPLICIT_CFG, N_x=7), EXPLICIT_RULE)),
+    "rule": lambda: (ApWorkspace(AP_CFG, gauss_rule(AP_CFG.N, 0.0, 0.5)),
+                     ExplicitWorkspace(EXPLICIT_CFG,
+                                       gauss_rule(2 * EXPLICIT_CFG.N, -1.0, 0.5))),
+    "scheme": lambda: (ExplicitWorkspace(EXPLICIT_CFG, EXPLICIT_RULE),
+                       ApWorkspace(AP_CFG, AP_RULE)),
+}
+
+
+@pytest.mark.parametrize("foreign", FOREIGN_WORKSPACES)
+def test_step_rejects_a_workspace_built_for_another_grid(foreign):
+    ap_ws, explicit_ws = FOREIGN_WORKSPACES[foreign]()
+    parity = initial_parity_field(AP_CFG, AP_RULE)
+    kinetic = initial_kinetic_field(EXPLICIT_CFG, EXPLICIT_RULE)
+    with pytest.raises(ValueError, match="built for another grid or rule"):
+        ap_scheme.relaxation_step(parity, AP_CFG, AP_RULE, workspace=ap_ws)
+    with pytest.raises(ValueError, match="built for another grid or rule"):
+        ap_scheme.transport_step(parity, AP_CFG, AP_RULE, workspace=ap_ws)
+    with pytest.raises(ValueError, match="built for another grid or rule"):
+        explicit_scheme.explicit_step(kinetic, EXPLICIT_CFG, EXPLICIT_RULE,
+                                      workspace=explicit_ws)
+
+
+def test_step_accepts_a_workspace_built_for_an_equal_grid_and_rule():
+    ws = ApWorkspace(replace(AP_CFG), gauss_rule(AP_CFG.N, 0.0, 1.0))
+    parity = initial_parity_field(AP_CFG, AP_RULE)
+    star = ap_scheme.relaxation_step(parity, AP_CFG, AP_RULE, workspace=ws)
+    assert np.array_equal(star.r, ap_scheme.relaxation_step(parity, AP_CFG, AP_RULE).r)
