@@ -1,21 +1,24 @@
 """All-at-once space-time systems and per-frequency symbol matrices.
 
-The relaxation scheme's N_t steps stack into L S = F with
+N_t steps of a scheme with one-step block M stack into L S = F.  In
+time-major order L is unit block lower bidiagonal with -M below the
+diagonal.  S stacks the unknown groups one after the other, each with
+its N_t levels in order: [r^1..r^{N_t}; j^1..j^{N_t}] for the relaxation
+scheme, [f^1..f^{N_t}] for the upwind one.  With P the time shift and
+M_ab the (a, b) block of M over the groups,
 
-    L = [[L11, L12], [L21, L22]],   S = [r^1..r^{N_t}; j^1..j^{N_t}],
+    L = I - [[P kron M_ab]]_{a,b}.
 
-where L11/L22 are block lower bidiagonal (identity diagonal, -B1 resp.
--A2 subdiagonal) and L12/L21 carry A1 resp. B2 strictly below the
-diagonal.  The rescaled variant substitutes r~ = r/tau, i.e. blocks
-[[L11, L12/tau], [tau*L21, L22]], which keeps the system nondegenerate
-as eps -> 0.  The explicit scheme stacks into a single block
-bidiagonal system with -B below the identity diagonal.
+For the relaxation scheme M = [[B1, -A1], [-B2, A2]].  The rescaled
+variant substitutes r~ = r/tau, which gives M = [[B1, -A1/tau],
+[-tau*B2, A2]] and keeps the system nondegenerate as eps -> 0.  For the
+upwind scheme M = B.
 
-Reordered time-major, either L is unit block lower bidiagonal with the
-one-step block -M below the diagonal.  So ``BlockSystem.march``, built
-from M alone, applies L and L^H as one sparse x dense product with M
-and M^H over all time levels, and L^{-1} and L^{-H} as a forward and a
-backward time march, with no factorization.
+A ``BlockSystem`` holds M, not L, and is itself the operator: it applies
+L and L^H as one sparse x dense product with M and M^H over all time
+levels, and L^{-1} and L^{-H} as a forward and a backward time march,
+with no factorization.  ``space_time_matrix`` is the one place L is
+built, and ``BlockSystem.L`` builds it only when asked for.
 
 A spatial Fourier transform reduces the rescaled relaxation system to
 an order-2N*N_t matrix I + X kron P per frequency xi, with P the time
@@ -43,13 +46,13 @@ __all__ = [
     "BlockSystem",
     "FourierMatrix",
     "FourierSymbols",
-    "TimeMarch",
     "assemble_ap_system",
     "assemble_explicit_system",
     "assemble_fourier_matrix",
     "export_matrix_market",
     "fourier_symbols",
     "frequency_matrix",
+    "space_time_matrix",
     "sparsity",
     "split_ap_solution",
     "split_explicit_solution",
@@ -81,16 +84,62 @@ def _check_order(order: int, order_cap: int):
         )
 
 
+def _time_shift(N_t: int) -> sp.csr_matrix:
+    """Subdiagonal shift P of order N_t (unit spectral norm for N_t >= 2)."""
+    return sp.diags([np.ones(N_t - 1)], [-1], shape=(N_t, N_t), format="csr")
+
+
+def _canonical(A) -> sp.csr_matrix:
+    """A copy of A in canonical CSR: sorted indices, no duplicate and no
+    stored zero entries."""
+    A = sp.csr_matrix(A, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return A
+
+
+def space_time_matrix(M, levels: int, groups: int) -> sp.csr_matrix:
+    """The CSR matrix L = I - [[P kron M_ab]]_{a,b} of ``levels`` steps
+    of the one-step block M, in the group-major layout of S.
+
+    P is the order-``levels`` time shift and M_ab the (a, b) block of M
+    over its ``groups`` equal groups.  L is in canonical CSR form.
+    """
+    m = M.shape[0] // groups
+    P = _time_shift(levels)
+    blocks = [[sp.kron(P, M[a * m:(a + 1) * m, b * m:(b + 1) * m])
+               for b in range(groups)] for a in range(groups)]
+    L = (sp.eye(levels * M.shape[0]) - sp.bmat(blocks)).tocsr()
+    L.sum_duplicates()
+    L.eliminate_zeros()
+    return L
+
+
 @dataclass
 class BlockSystem:
-    """Assembled space-time system L S = F with its provenance.
+    """The space-time system L S = F of one scheme, with its provenance,
+    held as its one-step block M.
 
     S stacks ``groups`` unknown groups one after the other ([r; j] for
     the relaxation scheme, f for the upwind one), each holding its N_t
-    time levels in order.
+    time levels in order.  M is in canonical CSR form and has one row
+    and column per unknown of a time level.
+
+    The system is the operator L.  Time-major, a vector is an
+    (N_t, k*m) array whose row t holds time level t of all k groups, and
+
+        (L X)[t] = X[t] - M X[t-1],      (L^H Y)[t] = Y[t] - M^H Y[t+1].
+
+    So ``apply`` and ``apply_h`` are one sparse x dense product over all
+    levels at once, and ``solve`` and ``solve_h`` (L^{-1}, L^{-H}) are
+    the forward march X[t] += M X[t-1] and the backward march
+    Y[t] += M^H Y[t+1], with no factorization.  The four take and return
+    flat time-major vectors; ``to_time_major`` and ``from_time_major``
+    convert from and to the layout of S.  The CSR matrix ``L`` is built
+    from M on first access only.
     """
 
-    L: sp.csr_matrix
+    M: sp.csr_matrix
     F: np.ndarray
     scheme: str
     rescaled: bool
@@ -98,55 +147,36 @@ class BlockSystem:
     groups: int
 
     @property
+    def levels(self) -> int:
+        return self.cfg.N_t
+
+    @property
     def order(self) -> int:
-        return self.L.shape[0]
+        return self.levels * self.M.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.order, self.order)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(self.M.dtype, np.float64)
+
+    @property
+    def sparsity(self) -> int:
+        """``sparsity(L)``, from M: a row or column of L holds its
+        identity entry and, on all but one time level, one row or column
+        of M.  M holds no stored zeros, so this is exact."""
+        return 1 + sparsity(self.M) if self.levels > 1 else 1
 
     @cached_property
-    def march(self) -> TimeMarch:
-        """L in time-major order, from its one-step block M, sliced from
-        L once: B for the upwind scheme and [[B1, -A1], [-B2, A2]] for
-        the relaxation scheme (off-diagonal blocks scaled by 1/tau and
-        tau when rescaled)."""
-        k, N_t = self.groups, self.cfg.N_t
-        m = self.order // (k * N_t)
+    def L(self) -> sp.csr_matrix:
+        """The CSR matrix of the system, built once, on first access."""
+        return space_time_matrix(self.M, self.levels, self.groups)
 
-        def level(t):
-            """Positions of time level t's unknowns in S."""
-            return (np.arange(k)[:, None] * (N_t * m) + t * m + np.arange(m)).ravel()
-
-        if N_t > 1:
-            step = -self.L[level(1)][:, level(0)]
-        else:
-            step = sp.csr_matrix((k * m, k * m), dtype=self.L.dtype)
-        return TimeMarch(step, N_t, k)
-
-
-class TimeMarch:
-    """A space-time operator L applied level by level from its one-step
-    block M, with no copy of L.
-
-    Time-major, a vector is an (N_t, k*m) array whose row t holds time
-    level t of all k groups; L has identity diagonal blocks and -M below
-    them, so
-
-        (L X)[t] = X[t] - M X[t-1],      (L^H Y)[t] = Y[t] - M^H Y[t+1]
-
-    are one sparse x dense product over all levels at once, and L^{-1},
-    L^{-H} are the forward march X[t] += M X[t-1] and the backward march
-    X[t] += M^H X[t+1], with no factorization.  ``apply``, ``apply_h``,
-    ``solve`` and ``solve_h`` take and return flat time-major vectors;
-    ``to_time_major`` and ``from_time_major`` convert from and to the
-    group-major layout of S.
-    """
-
-    def __init__(self, step: sp.csr_matrix, levels: int, groups: int):
-        self.step = sp.csr_matrix(step)
-        self.step_h = self.step.conj(copy=False).T.tocsr()
-        self.levels = levels
-        self.groups = groups
-        n = levels * self.step.shape[0]
-        self.shape = (n, n)
-        self.dtype = np.result_type(self.step.dtype, np.float64)
+    @cached_property
+    def _M_h(self) -> sp.csr_matrix:
+        return self.M.conj(copy=False).T.tocsr()
 
     def _rows(self, x) -> np.ndarray:
         """A writable (N_t, k*m) copy of a flat time-major vector."""
@@ -156,27 +186,27 @@ class TimeMarch:
     def apply(self, x) -> np.ndarray:
         """L x."""
         X = self._rows(x)
-        X[1:] -= (self.step @ X[:-1].T).T  # the product is formed before the update
+        X[1:] -= (self.M @ X[:-1].T).T  # the product is formed before the update
         return X.ravel()
 
     def apply_h(self, y) -> np.ndarray:
         """L^H y."""
         Y = self._rows(y)
-        Y[:-1] -= (self.step_h @ Y[1:].T).T
+        Y[:-1] -= (self._M_h @ Y[1:].T).T
         return Y.ravel()
 
     def solve(self, y) -> np.ndarray:
         """L^{-1} y, marching forward in time."""
         X = self._rows(y)
         for t in range(1, self.levels):
-            X[t] += self.step @ X[t - 1]
+            X[t] += self.M @ X[t - 1]
         return X.ravel()
 
     def solve_h(self, x) -> np.ndarray:
         """L^{-H} x, marching backward in time."""
         Y = self._rows(x)
         for t in range(self.levels - 2, -1, -1):
-            Y[t] += self.step_h @ Y[t + 1]
+            Y[t] += self._M_h @ Y[t + 1]
         return Y.ravel()
 
     def to_time_major(self, s) -> np.ndarray:
@@ -186,11 +216,6 @@ class TimeMarch:
     def from_time_major(self, x) -> np.ndarray:
         """Reorder a time-major vector into the layout of S."""
         return np.moveaxis(np.reshape(x, (self.levels, self.groups, -1)), 0, 1).ravel()
-
-
-def _time_shift(N_t: int) -> sp.csr_matrix:
-    """Subdiagonal shift P of order N_t (unit spectral norm for N_t >= 2)."""
-    return sp.diags([np.ones(N_t - 1)], [-1], shape=(N_t, N_t), format="csr")
 
 
 def assemble_ap_system(
@@ -214,28 +239,20 @@ def assemble_ap_system(
     mats = ap_scheme.ap_step_matrices(cfg, rule)
     f_tilde, g_tilde = ap_scheme.boundary_forcing(cfg, rule, initial, mats)
 
-    P = _time_shift(cfg.N_t)
-    I_t = sp.eye(cfg.N_t)
-    I_n = sp.eye(n)
-    L11 = sp.kron(I_t, I_n) - sp.kron(P, mats.B1)
-    L12 = sp.kron(P, mats.A1)
-    L21 = sp.kron(P, mats.B2)
-    L22 = sp.kron(I_t, I_n) - sp.kron(P, mats.A2)
-
     F1 = np.tile(f_tilde, cfg.N_t)
     F2 = np.tile(g_tilde, cfg.N_t)
     F1[:n] += mats.B1 @ initial.r - mats.A1 @ initial.j
     F2[:n] += -(mats.B2 @ initial.r) + mats.A2 @ initial.j
 
     if rescaled:
-        L = sp.bmat([[L11, L12 / cfg.tau], [cfg.tau * L21, L22]], format="csr")
+        M = sp.bmat([[mats.B1, -(mats.A1 / cfg.tau)],
+                     [-(cfg.tau * mats.B2), mats.A2]])
         F = np.concatenate([F1 / cfg.tau, F2])
     else:
-        L = sp.bmat([[L11, L12], [L21, L22]], format="csr")
+        M = sp.bmat([[mats.B1, -mats.A1], [-mats.B2, mats.A2]])
         F = np.concatenate([F1, F2])
-    L.sum_duplicates()
-    L.eliminate_zeros()
-    return BlockSystem(L=L, F=F, scheme=AP, rescaled=rescaled, cfg=cfg, groups=2)
+    return BlockSystem(M=_canonical(M), F=F, scheme=AP, rescaled=rescaled, cfg=cfg,
+                       groups=2)
 
 
 def split_ap_solution(system: BlockSystem, S: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -270,14 +287,10 @@ def assemble_explicit_system(
     mats = explicit_scheme.explicit_matrix(cfg, rule)
     b = explicit_scheme.boundary_vector(cfg, rule, initial)
 
-    P = _time_shift(cfg.N_t)
-    L = (sp.kron(sp.eye(cfg.N_t), sp.eye(n)) - sp.kron(P, mats.B)).tocsr()
     F = np.tile(b, cfg.N_t)
     F[:n] += mats.B @ initial.f
-    L.sum_duplicates()
-    L.eliminate_zeros()
-    return BlockSystem(L=L, F=F, scheme=EXPLICIT, rescaled=False, cfg=cfg,
-                       groups=1)
+    return BlockSystem(M=_canonical(mats.B), F=F, scheme=EXPLICIT, rescaled=False,
+                       cfg=cfg, groups=1)
 
 
 def split_explicit_solution(system: BlockSystem, U: np.ndarray) -> list[np.ndarray]:

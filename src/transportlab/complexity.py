@@ -152,7 +152,7 @@ def row_for(
     )
     if measure:
         system = schemes.scheme_for(cfg).assemble(cfg, rescaled, order_cap)
-        report = spectral.singular_extremes(system.L, march=system.march)
+        report = spectral.singular_extremes(system)
         row.quantum_queries = (
             qlsa_queries(report.sparsity, report.kappa, delta)
             if math.isfinite(report.kappa) else float("inf")

@@ -533,6 +533,21 @@ def _grid_count(raw: dict, key: str) -> int:
     raise ValueError(f"{key} must be a whole number, got {value!r}")
 
 
+def _real(key: str, value, expected: str = "a number") -> float:
+    """A config value as a float: a real number or a numeric string
+    (command-line overrides arrive as strings).  A boolean, a
+    non-numeric string or any other value raises ValueError naming the
+    key rather than being read as 0 or 1."""
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{key} must be {expected}, got {value!r}")
+
+
 def resolve_config(raw: dict, allow_unstable: bool = False) -> GridConfig:
     """Build a GridConfig from a flat key/value mapping.
 
@@ -540,6 +555,8 @@ def resolve_config(raw: dict, allow_unstable: bool = False) -> GridConfig:
     string ``"auto"``, meaning ``TAU_SAFETY`` (0.9) times the largest
     stable step, or a numeric string.  ``N``, ``Nx`` and ``Nt`` must be
     whole numbers; integral floats and integer strings are accepted.
+    The other numeric keys take a real number or a numeric string; a
+    boolean is rejected, not read as 0 or 1.
     ``h`` and ``x_right`` are redundant given (x_left, Nx); either may
     be omitted, and if both are present they must agree.
     """
@@ -553,21 +570,23 @@ def resolve_config(raw: dict, allow_unstable: bool = False) -> GridConfig:
         raise ValueError(f"missing required config keys {missing}")
 
     scheme = str(raw["scheme"]).lower()
-    epsilon = float(raw["epsilon"])
+    epsilon = _real("epsilon", raw["epsilon"])
     N_x = _grid_count(raw, "Nx")
-    x_left = float(raw.get("x_left", 0.0))
+    x_left = _real("x_left", raw.get("x_left", 0.0))
 
     h = raw.get("h")
     x_right = raw.get("x_right")
     if h is None and x_right is None:
         raise ValueError("config must provide h or x_right")
+    if x_right is not None:
+        x_right = _real("x_right", x_right)
     if h is None:
-        h = (float(x_right) - x_left) / (N_x + 1)
+        h = (x_right - x_left) / (N_x + 1)
     else:
-        h = float(h)
+        h = _real("h", h)
         if x_right is not None:
             implied = x_left + (N_x + 1) * h
-            if not math.isclose(float(x_right), implied, rel_tol=1e-12, abs_tol=1e-12):
+            if not math.isclose(x_right, implied, rel_tol=1e-12, abs_tol=1e-12):
                 raise ValueError(
                     f"inconsistent grid: x_left + (Nx+1)*h = {implied!r} "
                     f"but x_right = {x_right!r}"
@@ -577,10 +596,7 @@ def resolve_config(raw: dict, allow_unstable: bool = False) -> GridConfig:
     if tau == "auto":
         tau = TAU_SAFETY * cfl_limit(scheme, epsilon, h)
     else:
-        try:
-            tau = float(tau)
-        except ValueError:
-            raise ValueError(f"tau must be a number or 'auto', got {tau!r}") from None
+        tau = _real("tau", tau, "a number or 'auto'")
 
     return GridConfig(
         epsilon=epsilon,
@@ -590,10 +606,10 @@ def resolve_config(raw: dict, allow_unstable: bool = False) -> GridConfig:
         N_x=N_x,
         N_t=_grid_count(raw, "Nt"),
         scheme=scheme,
-        phi=float(raw.get("phi", 1.0)),
+        phi=_real("phi", raw.get("phi", 1.0)),
         x_left=x_left,
-        bc_left=float(raw.get("bc_left", 0.0)),
-        bc_right=float(raw.get("bc_right", 0.0)),
+        bc_left=_real("bc_left", raw.get("bc_left", 0.0)),
+        bc_right=_real("bc_right", raw.get("bc_right", 0.0)),
         init=str(raw.get("init", "gaussian")),
         allow_unstable=allow_unstable,
     )

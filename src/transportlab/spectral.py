@@ -18,7 +18,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import svdvals
 
-from .assembly import FourierSymbols, assemble_fourier_matrix, frequency_matrix, sparsity
+from .assembly import (
+    BlockSystem,
+    FourierSymbols,
+    assemble_fourier_matrix,
+    frequency_matrix,
+    sparsity,
+)
 from .model import GridConfig
 from .quadrature import QuadratureRule
 
@@ -89,12 +95,12 @@ def _top_eigenpair(apply_op, v0: np.ndarray) -> tuple[float, float, int]:
     return rho, float(np.linalg.norm(apply_op(x) - rho * x) / rho), matvecs
 
 
-def _lanczos_extremes(A, march=None) -> tuple[float, float, float, int, int]:
+def _lanczos_extremes(A) -> tuple[float, float, float, int, int]:
     """sigma_min, sigma_max, the worse residual and the two stages'
     matvec counts, from the top eigenvalues of A^H A and of
     (A^H A)^{-1} = A^{-1} A^{-H}.
 
-    With a ``march`` both stages run on its time-major vectors: A^H A
+    A ``BlockSystem`` runs both stages on its time-major vectors: A^H A
     from its L and L^H products, started from the vector that flips sign
     from one time level to the next (where the top singular vectors of a
     block Toeplitz L with symbol I - e^{i theta} M sit, near theta = pi),
@@ -103,7 +109,13 @@ def _lanczos_extremes(A, march=None) -> tuple[float, float, float, int, int]:
     from the all-ones vector either way.
     """
     dtype = np.result_type(A.dtype, np.float64)
-    if march is None:
+    if isinstance(A, BlockSystem):
+        alternating = np.resize(np.array([1.0, -1.0], dtype), A.levels)
+        lam, res_max, mv_max = _top_eigenpair(
+            lambda x: A.apply_h(A.apply(x)), np.repeat(alternating, A.M.shape[0]))
+        mu, res_min, mv_min = _top_eigenpair(
+            lambda x: A.solve(A.solve_h(x)), np.ones(A.shape[1], dtype))
+    else:
         At = A.conj(copy=False).T
         lam, res_max, mv_max = _top_eigenpair(lambda x: At @ (A @ x),
                                               np.ones(A.shape[1], dtype))
@@ -111,59 +123,54 @@ def _lanczos_extremes(A, march=None) -> tuple[float, float, float, int, int]:
         lu = spla.splu(A.tocsc())
         mu, res_min, mv_min = _top_eigenpair(
             lambda x: lu.solve(lu.solve(x, trans="H")), np.ones(A.shape[1], dtype))
-    else:
-        size = A.shape[1] // march.levels
-        alternating = np.resize(np.array([1.0, -1.0], dtype), march.levels)
-        lam, res_max, mv_max = _top_eigenpair(
-            lambda x: march.apply_h(march.apply(x)), np.repeat(alternating, size))
-        mu, res_min, mv_min = _top_eigenpair(
-            lambda x: march.solve(march.solve_h(x)), np.ones(A.shape[1], dtype))
     return (1.0 / math.sqrt(mu), math.sqrt(lam), max(res_max, res_min),
             mv_max, mv_min)
 
 
-def singular_extremes(M, method: str = "auto", march=None) -> SpectrumReport:
+def singular_extremes(A, method: str = "auto") -> SpectrumReport:
     """Compute sigma_min, sigma_max, kappa and sparsity of a matrix.
 
-    With ``method="auto"``, matrices of order up to ``DENSE_CAP`` (192,
-    the measured cost crossover of the two paths) are decomposed
-    densely; ``method="dense"`` forces the dense SVD at any order and
-    is the reference the iterative path is tested against.  Above the
-    cap, ARPACK Lanczos on A^H A gives sigma_max, and on
-    (A^H A)^{-1} = A^{-1} A^{-H} gives sigma_min.  ``march`` is a
-    space-time system's ``BlockSystem.march``, which applies A, A^H,
-    A^{-1} and A^{-H} from the system's one-step block: with it the
-    iterative path makes no product with the CSR matrix and no
-    factorization, and starts sigma_max's run from the vector that
-    alternates sign per time level.  Only a bare matrix takes CSR
-    products, one sparse LU factorization of A and the all-ones start
-    for both runs.  The dense path ignores ``march``.  Convergence failure and an exactly singular LU factor
-    raise RuntimeError.
+    ``A`` is a sparse matrix or a space-time ``BlockSystem``.  With
+    ``method="auto"``, matrices of order up to ``DENSE_CAP`` (192, the
+    measured cost crossover of the two paths) are decomposed densely;
+    ``method="dense"`` forces the dense SVD at any order and is the
+    reference the iterative path is tested against.  Above the cap,
+    ARPACK Lanczos on A^H A gives sigma_max, and on
+    (A^H A)^{-1} = A^{-1} A^{-H} gives sigma_min.
+
+    A ``BlockSystem`` applies A, A^H, A^{-1} and A^{-H} from its
+    one-step block: on the iterative path it makes no product with a
+    CSR ``L``, builds none and factors nothing, and sigma_max's run
+    starts from the vector that alternates sign per time level.  Its
+    sparsity comes from the one-step block too, and only the dense path
+    builds its ``L``.  A bare matrix takes CSR products, one sparse LU
+    factorization and the all-ones start for both runs.  Convergence
+    failure and an exactly singular LU factor raise RuntimeError.
     """
-    M = sp.csr_matrix(M)
-    if M.shape[0] == 0 or M.shape[1] == 0:
+    system = isinstance(A, BlockSystem)
+    if not system:
+        A = sp.csr_matrix(A)
+    if A.shape[0] == 0 or A.shape[1] == 0:
         raise ValueError("matrix must be nonempty")
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    if march is not None and march.shape != M.shape:
-        raise ValueError(f"march has shape {march.shape}, matrix {M.shape}")
     if method == "auto":
-        method = "dense" if max(M.shape) <= DENSE_CAP else "iterative"
-    if method == "iterative" and max(M.shape) < 2:
+        method = "dense" if max(A.shape) <= DENSE_CAP else "iterative"
+    if method == "iterative" and max(A.shape) < 2:
         raise ValueError("the iterative method needs order >= 2 (ARPACK k < n)")
 
-    s = sparsity(M)
+    s = A.sparsity if system else sparsity(A)
     if method == "dense":
-        values = svdvals(M.toarray())
+        values = svdvals((A.L if system else A).toarray())
         sigma_max = float(values[0])
         sigma_min = float(values[-1])
         residual = 0.0
         matvecs = (0, 0)
     else:
-        sigma_min, sigma_max, residual, *matvecs = _lanczos_extremes(M, march)
+        sigma_min, sigma_max, residual, *matvecs = _lanczos_extremes(A)
 
     # singular to working precision: flag rather than divide
-    floor = np.finfo(float).eps * max(M.shape) * sigma_max
+    floor = np.finfo(float).eps * max(A.shape) * sigma_max
     if sigma_min <= floor:
         return SpectrumReport(0.0, sigma_max, float("inf"), s, method, residual,
                               *matvecs)

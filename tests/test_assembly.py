@@ -33,6 +33,7 @@ from transportlab.assembly import (
     system_metadata,
     _time_shift,
 )
+from transportlab.ap_scheme import ap_step_matrices
 from transportlab.explicit_scheme import explicit_matrix
 
 
@@ -381,7 +382,7 @@ def _relative_error(value, reference):
     Nt=st.integers(1, 16),
     seed=st.integers(0, 2**32 - 1),
 )
-# a single time level, where the march holds a zero one-step block
+# a single time level, where the system applies no one-step block
 @example(scheme="ap", rescaled=True, log_eps=-3.0, N=2, Nx=3, Nt=1, seed=0)
 @example(scheme="explicit", rescaled=False, log_eps=-1.0, N=2, Nx=3, Nt=1, seed=1)
 def test_marching_inverse_matches_solves_stepper_and_dense_spectrum(
@@ -392,27 +393,29 @@ def test_marching_inverse_matches_solves_stepper_and_dense_spectrum(
     rule = stepper.rule(cfg)
     initial = stepper.initial(cfg, rule)
     system = stepper.system(cfg, rule, initial, rescaled, 10**6)
-    L, march = system.L, system.march
+    L = system.L
+    assert system.shape == L.shape
+    assert system.sparsity == sparsity(L)
 
     def through(op, v):
-        """A time-major operator of the march applied to v laid out like S."""
-        return march.from_time_major(op(march.to_time_major(v)))
+        """A time-major operator of the system applied to v laid out like S."""
+        return system.from_time_major(op(system.to_time_major(v)))
 
     x = np.random.default_rng(seed).normal(size=system.order)
-    assert np.array_equal(march.from_time_major(march.to_time_major(x)), x)
+    assert np.array_equal(system.from_time_major(system.to_time_major(x)), x)
 
     # matrix-free L x and L^H x against the CSR products
-    assert _relative_error(through(march.apply, x), L @ x) <= 1e-14
-    assert _relative_error(through(march.apply_h, x), L.conj().T @ x) <= 1e-14
+    assert _relative_error(through(system.apply, x), L @ x) <= 1e-14
+    assert _relative_error(through(system.apply_h, x), L.conj().T @ x) <= 1e-14
 
     # L^{-1}x and L^{-H}x against sparse direct solves
-    assert _relative_error(through(march.solve, x),
+    assert _relative_error(through(system.solve, x),
                            spla.spsolve(L.tocsc(), x)) <= 1e-10
-    assert _relative_error(through(march.solve_h, x),
+    assert _relative_error(through(system.solve_h, x),
                            spla.spsolve(L.conj().T.tocsc(), x)) <= 1e-10
 
     # L^{-1}F split into levels is the stepper's trajectory
-    pieces = stepper.split(system, through(march.solve, system.F))
+    pieces = stepper.split(system, through(system.solve, system.F))
     levels = stepper.evolve(initial, cfg, rule).fields[1:]
     marched = np.hstack([np.hstack(piece) for piece in pieces])
     stepped = np.hstack([np.hstack([getattr(level, name) for name in ("r", "j", "f")
@@ -420,11 +423,50 @@ def test_marching_inverse_matches_solves_stepper_and_dense_spectrum(
                          for level in levels])
     assert _relative_error(marched, stepped) <= 1e-10
 
-    # the iterative spectrum through the march, with no factorization
+    # the iterative spectrum through the system, with no factorization
     dense = singular_extremes(L, method="dense")
     if dense.sigma_min > 0.0:
         with mock.patch.object(spla, "splu", side_effect=AssertionError("splu")):
-            iterative = singular_extremes(L, method="iterative", march=march)
+            iterative = singular_extremes(system, method="iterative")
         assert iterative.sigma_max == pytest.approx(dense.sigma_max, rel=1e-8)
         assert iterative.sigma_min == pytest.approx(dense.sigma_min, rel=1e-8)
 
+
+def _kron_bmat_reference(cfg, rule, rescaled):
+    """L by the module docstring's formula, block by block from the step
+    matrices: identity diagonal, -M_ab kron P below it."""
+    P = _time_shift(cfg.N_t)
+    if cfg.scheme == "explicit":
+        B = explicit_matrix(cfg, rule).B
+        L = (sp.kron(sp.eye(cfg.N_t), sp.eye(B.shape[0])) - sp.kron(P, B)).tocsr()
+    else:
+        mats = ap_step_matrices(cfg, rule)
+        I = sp.kron(sp.eye(cfg.N_t), sp.eye(cfg.N * cfg.N_x))
+        L11 = I - sp.kron(P, mats.B1)
+        L12 = sp.kron(P, mats.A1)
+        L21 = sp.kron(P, mats.B2)
+        L22 = I - sp.kron(P, mats.A2)
+        if rescaled:
+            L = sp.bmat([[L11, L12 / cfg.tau], [cfg.tau * L21, L22]], format="csr")
+        else:
+            L = sp.bmat([[L11, L12], [L21, L22]], format="csr")
+    L.sum_duplicates()
+    L.eliminate_zeros()
+    return L
+
+
+@pytest.mark.parametrize("N_t", [1, 2, 7])
+@pytest.mark.parametrize("scheme, rescaled", [
+    ("ap", False), ("ap", True), ("explicit", False)])
+def test_stacked_matrix_is_the_kron_bmat_formula_exactly(scheme, rescaled, N_t):
+    cfg = resolve_config({"scheme": scheme, "epsilon": 0.1, "tau": "auto",
+                          "h": 0.1, "N": 2, "Nx": 3, "Nt": N_t,
+                          "bc_left": 0.3, "bc_right": 0.7})
+    stepper = schemes.scheme_for(cfg)
+    rule = stepper.rule(cfg)
+    system = stepper.system(cfg, rule, stepper.initial(cfg, rule), rescaled, 10**6)
+    L, reference = system.L, _kron_bmat_reference(cfg, rule, rescaled)
+    assert system.L is L  # built once
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(L, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name

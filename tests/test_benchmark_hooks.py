@@ -1,19 +1,27 @@
-"""The benchmark tracer's table names functions that exist.
+"""The benchmark tracer names functions that exist and counts what they do.
 
 ``perfbench/spans.py`` wraps package functions by module and name; a
-renamed function would otherwise surface only in a benchmark run.
+renamed function, or a result the tracer can no longer read, would
+otherwise surface only in a benchmark run.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+from transportlab import cli, resolve_config, schemes
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up while the file runs
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -22,7 +30,7 @@ def load_spans(monkeypatch):
 
 
 def test_every_traced_function_resolves(monkeypatch):
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench(monkeypatch, "spans")
     missing = []
     for module_name, functions in spans.SPANS.values():
         module = importlib.import_module(f"{spans.PACKAGE}.{module_name}")
@@ -31,3 +39,42 @@ def test_every_traced_function_resolves(monkeypatch):
     assert missing == []
     expected = set().union(*spans.EXPECTED_SPANS.values())
     assert expected <= spans.SPANS.keys()
+
+
+def _systems(inv):
+    """The space-time systems an invocation assembles, built afresh."""
+    cfg = resolve_config(inv.config)
+    if inv.subcommand == "spectrum":
+        return [schemes.scheme_for(cfg).assemble(cfg, "--rescaled" in inv.args)]
+    if "--no-spectrum" in inv.args:
+        return []
+    assert "fixed_grid" in inv.args
+    return [schemes.scheme_for(c).assemble(c, True) for c in (
+        dataclasses.replace(cfg, epsilon=eps, allow_unstable=True)
+        for eps in inv.epsilons)]
+
+
+@pytest.mark.parametrize("name", ["spectrum", "sweep"])
+def test_traced_smoke_pass_counts_each_systems_matrix(name, monkeypatch, tmp_path):
+    spans = load_perfbench(monkeypatch, "spans")
+    workloads = load_perfbench(monkeypatch, "workloads")
+    invocations = workloads.build(name, 1, smoke=True)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for index, inv in enumerate(invocations):
+            config = tmp_path / f"{index}.json"
+            config.write_text(json.dumps(inv.config), encoding="utf-8")
+            assert cli.main([inv.subcommand, "--config", str(config), "--output-dir",
+                             str(tmp_path / str(index)), *inv.args]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing_spans(name) == []
+    matrices = [system.L for inv in invocations for system in _systems(inv)]
+    assert matrices
+    counters = tracer.pass_metrics()
+    assert counters["assembly.systems"] == len(matrices)
+    assert counters["assembly.order_total"] == sum(L.shape[0] for L in matrices)
+    assert counters["assembly.nnz_total"] == sum(L.nnz for L in matrices)
+    assert counters["assembly.csr_bytes"] == sum(
+        L.data.nbytes + L.indices.nbytes + L.indptr.nbytes for L in matrices)

@@ -532,3 +532,47 @@ def test_iterative_sweep_reruns_are_byte_identical(tmp_path):
                                   (spectrum_out, "spectrum.csv"),
                                   (spectrum_out, "manifest.json"))]
         assert outputs[threads, "a"] == outputs[threads, "b"]
+
+
+@pytest.mark.parametrize("raw, argv, csv_name", [
+    # order 1024, above DENSE_CAP
+    ({"scheme": "explicit", "epsilon": 0.2, "tau": "auto", "h": 0.05,
+      "N": 2, "Nx": 16, "Nt": 16}, ["spectrum"], "spectrum.csv"),
+    # criterion 6's grid: rows of order 1024
+    ({"scheme": "ap", "epsilon": 1.0, "tau": 0.01, "h": 0.1, "N": 4, "Nx": 8, "Nt": 16},
+     ["sweep", "--mode", "fixed_grid", "--allow-unstable", "--epsilons", "1,1e-3"],
+     "sweep.csv"),
+], ids=["spectrum", "sweep"])
+def test_iterative_spectrum_builds_no_space_time_matrix(raw, argv, csv_name, tmp_path,
+                                                        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("space-time matrix built")
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    outputs = []
+    for run in ("plain", "spied"):
+        if run == "spied":
+            monkeypatch.setattr(assembly, "space_time_matrix", refuse)
+        out = tmp_path / run
+        assert main([*argv, "--config", str(config), "--output-dir", str(out)]) == 0
+        outputs.append((out / csv_name).read_bytes())
+    assert b",ok\n" in outputs[0] and b"error" not in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [["assemble"], ["spectrum"]])
+def test_assemble_and_dense_spectrum_build_the_matrix_once(argv, ap_config, tmp_path,
+                                                           monkeypatch):
+    calls = []
+    original = assembly.space_time_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "space_time_matrix", counted)
+    assert 2 * 3 * 6 * 4 <= transportlab.spectral.DENSE_CAP  # AP_RAW's order
+    assert main([*argv, "--config", str(ap_config),
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1

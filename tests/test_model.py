@@ -231,6 +231,21 @@ def test_resolve_config_rejects_counts_that_are_not_whole(key, value, tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("value", [True, False, "fast"], ids=repr)
+@pytest.mark.parametrize("key", [
+    "epsilon", "h", "x_left", "x_right", "tau", "phi", "bc_left", "bc_right"])
+def test_resolve_config_rejects_float_keys_that_are_not_numbers(key, value, tmp_path):
+    raw = config_dict(**{key: value})
+    if key == "x_right":
+        del raw["h"]
+    with pytest.raises(ValueError, match=f"{key} must be a number"):
+        resolve_config(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{key} must be a number"):
+        load_config(path)
+
+
 def test_resolve_config_accepts_integral_counts():
     assert resolve_config(config_dict(N=4.0, Nx="8", Nt=" 4 ")) == ap_cfg()
 

@@ -20,7 +20,7 @@ from transportlab import (
     schemes,
     singular_extremes,
 )
-from transportlab.assembly import TimeMarch, assemble_fourier_matrix, frequency_matrix
+from transportlab.assembly import assemble_fourier_matrix, frequency_matrix
 from transportlab.spectral import DENSE_CAP, _real_form
 
 # frozen by evaluating the three displayed terms independently by hand:
@@ -118,11 +118,6 @@ def test_empty_matrix_rejected():
         singular_extremes(sp.eye(1), method="iterative")
 
 
-def test_march_of_another_shape_rejected():
-    with pytest.raises(ValueError, match="march has shape"):
-        singular_extremes(sp.eye(5), march=TimeMarch(sp.eye(2), levels=2, groups=1))
-
-
 @contextlib.contextmanager
 def _spy_products():
     """Yield a list that records the shape of every sparse matrix that
@@ -145,15 +140,16 @@ def test_system_path_makes_no_product_with_the_matrix():
     cfg = resolve_config({"scheme": "explicit", "epsilon": 0.2, "tau": "auto",
                           "h": 0.05, "N": 2, "Nx": 16, "Nt": 16})
     system = schemes.scheme_for(cfg).assemble(cfg, False)
-    L, march = system.L, system.march
+    L = system.L
     with _spy_products() as shapes:
         bare = singular_extremes(L, method="iterative")
     assert L.shape in shapes  # the spy sees the bare path's products
     with _spy_products() as shapes, mock.patch.object(
             spla, "splu", side_effect=AssertionError("splu")):
-        report = singular_extremes(L, method="iterative", march=march)
+        report = singular_extremes(system, method="iterative")
     assert shapes and L.shape not in shapes
     assert report.matvecs_max > 0 and report.matvecs_min > 0
+    assert report.sparsity == bare.sparsity
     assert report.sigma_max == pytest.approx(bare.sigma_max, rel=1e-12)
     assert report.sigma_min == pytest.approx(bare.sigma_min, rel=1e-12)
 
