@@ -1,0 +1,94 @@
+"""One OpenBLAS thread for small dense decompositions.
+
+At the orders of the per-frequency and dense-path SVDs, OpenBLAS's
+hand-off to a second thread costs more than the second thread saves:
+on 2-core OpenBLAS one ``scipy.linalg.svdvals`` of a block-bidiagonal
+``I + X kron P`` takes 0.44 of its 2-thread time at one thread at order
+128, 0.79 at order 256 and 0.95 at order 512, with the same bits, and
+1.34 at order 1024, with other bits.  So every dense SVD of the package
+runs inside ``one_thread(order)``, which drops each loaded OpenBLAS to
+one thread when ``order <= ONE_THREAD_MAX_ORDER`` and restores its
+previous count afterwards.
+
+The libraries are found on first use, not at import: every mapped
+object of the process whose path names ``openblas`` and that exports a
+``{scipy_,}openblas_{get,set}_num_threads{64_,}`` pair.  Where none is
+found (another BLAS, or no ``/proc``) nothing is changed.  The thread
+count is a per-process setting, so ``one_thread`` is not meant for
+concurrent use from several Python threads.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+# the largest order run at one thread: the measured crossover above, the
+# last order at which one thread is faster and gives the same bits
+ONE_THREAD_MAX_ORDER = 512
+
+# the getter and setter names, in the order tried: scipy's wheels rename
+# OpenBLAS's symbols, and its 64-bit-integer builds add a suffix
+_SYMBOLS = tuple((f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+                 for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", ""))
+
+
+class _OpenBLAS(NamedTuple):
+    name: str
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+@functools.cache
+def _libraries() -> tuple[_OpenBLAS, ...]:
+    """The thread-count getter and setter of every loaded OpenBLAS."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append(_OpenBLAS(Path(path).name, get, set_))
+                break
+    return tuple(found)
+
+
+def thread_counts() -> dict[str, int]:
+    """Current thread count of each loaded OpenBLAS, by library file name."""
+    return {lib.name: lib.get() for lib in _libraries()}
+
+
+@contextlib.contextmanager
+def one_thread(order: int):
+    """Run the body at one OpenBLAS thread if ``order`` is at most
+    ``ONE_THREAD_MAX_ORDER``, else at the libraries' current counts.
+
+    A library already at one thread is left alone; every other one gets
+    its previous count back when the body ends, also when it raises.
+    """
+    saved = []
+    if order <= ONE_THREAD_MAX_ORDER:
+        for lib in _libraries():
+            count = lib.get()
+            if count > 1:
+                lib.set(1)
+                saved.append((lib, count))
+    try:
+        yield
+    finally:
+        for lib, count in reversed(saved):
+            lib.set(count)

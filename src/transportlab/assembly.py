@@ -30,8 +30,9 @@ of the conditioning.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,11 @@ class FourierSymbols:
     gamma0_d2: complex
 
 
+# a node's symbols as a tuple in field order; unlike ``astuple``, which
+# deep-copies every field, a plain read
+_symbol_fields = attrgetter(*(f.name for f in fields(FourierSymbols)))
+
+
 def fourier_symbols(cfg: GridConfig, v_k: float, xi: float) -> FourierSymbols:
     """Evaluate the four symbols, their gamma products and those
     products' eps -> 0 limits.
@@ -407,7 +413,7 @@ def assemble_fourier_matrix(
     syms = tuple(fourier_symbols(cfg, v_k, xi) for v_k in rule.nodes)
     # one complex array per symbol field, in FourierSymbols field order
     c1, c2, d1, d2, gc1, gd2, g0c1, g0d2 = np.array(
-        [astuple(s) for s in syms], dtype=complex).T
+        [_symbol_fields(s) for s in syms], dtype=complex).T
     W = np.tile(rule.weights, (N, 1))
     zero = np.zeros((N, N))
     # v[:, None] * W is diag(v) @ W with one product per entry

@@ -2,8 +2,9 @@
 
 Every run whose configuration resolves writes a manifest once it ends,
 recording the fully resolved configuration, the tool version, the
-config-file hash, the python, numpy, scipy and BLAS versions and the
-exit status, so any output row can be regenerated and a failed run is
+config-file hash, the python, numpy, scipy and BLAS versions, each
+loaded OpenBLAS's thread count at the start of the run and the exit
+status, so any output row can be regenerated and a failed run is
 not mistaken for a finished one.  A run adds its subcommand's figures
 once they are computed: solve its steps and cost, spectrum the spectral
 method, residual and ARPACK matvec counts, sweep one such entry per
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, assembly, complexity, schemes, spectral
+from . import __version__, _blas, assembly, complexity, schemes, spectral
 from .model import (
     CONFIG_KEYS,
     CflViolationError,
@@ -119,8 +120,9 @@ def emit_report(rows, destination) -> Path:
     return destination
 
 
-def _runtime() -> dict:
-    """Python, numpy, scipy and numpy's BLAS build of this process.
+def _runtime(blas_threads: dict) -> dict:
+    """Python, numpy, scipy and numpy's BLAS build of this process, and
+    the ``blas_threads`` count of each loaded OpenBLAS.
 
     Only facts that stay the same from run to run: a rerun must write
     the same bytes.
@@ -131,10 +133,12 @@ def _runtime() -> dict:
     except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
         blas = {"name": None, "version": None}
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "blas": blas}
+            "scipy": scipy.__version__, "blas": blas,
+            "blas_threads": blas_threads}
 
 
-def _write_manifest(args, cfg: GridConfig, outdir: Path, extra: dict):
+def _write_manifest(args, cfg: GridConfig, outdir: Path, extra: dict,
+                    blas_threads: dict):
     config_bytes = Path(args.config).read_bytes()
     manifest = {
         "tool": "transportlab",
@@ -143,7 +147,7 @@ def _write_manifest(args, cfg: GridConfig, outdir: Path, extra: dict):
         "resolved_config": config_as_dict(cfg),
         "allow_unstable": bool(args.allow_unstable),
         "input_sha256": hashlib.sha256(config_bytes).hexdigest(),
-        "runtime": _runtime(),
+        "runtime": _runtime(blas_threads),
         **extra,
     }
     path = outdir / "manifest.json"
@@ -272,6 +276,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     handler, outputs = COMMANDS[args.subcommand]
+    blas_threads = _blas.thread_counts()
     outdir = Path(args.output_dir)
     cfg = None
     record: dict = {}
@@ -306,7 +311,8 @@ def main(argv=None) -> int:
 
     try:
         if cfg is not None:
-            _write_manifest(args, cfg, outdir, {**record, "exit_status": code})
+            _write_manifest(args, cfg, outdir, {**record, "exit_status": code},
+                            blas_threads)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         # a failed run keeps its own exit code

@@ -32,14 +32,18 @@ CSV_HEADER = (
 )
 
 
+def _check_delta(delta: float) -> None:
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
 def qlsa_queries(s: int, kappa: float, delta: float) -> float:
     """Sparse-access query estimate s * kappa * log2(1/delta)."""
     if s < 1:
         raise ValueError(f"sparsity must be a positive integer, got {s}")
     if kappa < 1.0:
         raise ValueError(f"condition number must be >= 1, got {kappa}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     return s * kappa * math.log2(1.0 / delta)
 
 
@@ -130,7 +134,9 @@ def row_for(
 ) -> ComplexityRow:
     """The grid and cost row of one configuration; with ``measure`` the
     spectrum of its space-time system (tau-rescaled for the relaxation
-    scheme when ``rescaled``) fills the measured columns."""
+    scheme when ``rescaled``) fills the measured columns.  A ``delta``
+    outside (0, 1) raises ValueError before anything is assembled."""
+    _check_delta(delta)
     row = ComplexityRow(
         scheme=cfg.scheme,
         epsilon=cfg.epsilon,
@@ -212,8 +218,7 @@ def sweep_epsilon(
     """
     if mode not in ("fixed_grid", "cfl_driven"):
         raise ValueError(f"mode must be 'fixed_grid' or 'cfl_driven', got {mode!r}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     if mode == "cfl_driven":
         if base_cfg.scheme != EXPLICIT:
             raise ValueError("cfl_driven mode applies the explicit scheme's grid rules")

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from ._blas import one_thread
 from .model import (
     EXPLICIT,
     GridConfig,
@@ -143,7 +144,8 @@ def explicit_matrix(cfg: GridConfig, rule: QuadratureRule) -> ExplicitStepMatrix
 
     When the step restriction holds and the order is small enough for a
     dense check, sigma_max(B1) <= 1 - tau/eps^2 is verified numerically
-    at construction, from one batched SVD of B1's per-node blocks.
+    at construction, from one batched SVD of B1's per-node blocks, run
+    at one OpenBLAS thread (``_blas.one_thread``).
     """
     _check_explicit(cfg, rule)
     eps, tau, lam = cfg.epsilon, cfg.tau, cfg.lam
@@ -173,7 +175,8 @@ def explicit_matrix(cfg: GridConfig, rule: QuadratureRule) -> ExplicitStepMatrix
         blocks = (c[:, None, None] * np.eye(Nx)
                   + (lam / eps) * v_plus[:, None, None] * np.eye(Nx, k=-1)
                   - (lam / eps) * v_minus[:, None, None] * np.eye(Nx, k=1))
-        top = np.linalg.svd(blocks, compute_uv=False).max()
+        with one_thread(Nx):
+            top = np.linalg.svd(blocks, compute_uv=False).max()
         if top > 1.0 - alpha + 1e-10:
             raise RuntimeError(
                 f"transport block norm {top!r} exceeds 1 - tau/eps^2 = "

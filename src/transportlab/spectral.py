@@ -18,6 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import svdvals
 
+from ._blas import one_thread
 from .assembly import (
     BlockSystem,
     FourierSymbols,
@@ -144,8 +145,10 @@ def singular_extremes(A, method: str = "auto") -> SpectrumReport:
     starts from the vector that alternates sign per time level.  Its
     sparsity comes from the one-step block too, and only the dense path
     builds its ``L``.  A bare matrix takes CSR products, one sparse LU
-    factorization and the all-ones start for both runs.  Convergence
-    failure and an exactly singular LU factor raise RuntimeError.
+    factorization and the all-ones start for both runs.  The dense SVD
+    runs at one OpenBLAS thread up to order 512 (``_blas.one_thread``).
+    Convergence failure and an exactly singular LU factor raise
+    RuntimeError.
     """
     system = isinstance(A, BlockSystem)
     if not system:
@@ -161,7 +164,8 @@ def singular_extremes(A, method: str = "auto") -> SpectrumReport:
 
     s = A.sparsity if system else sparsity(A)
     if method == "dense":
-        values = svdvals((A.L if system else A).toarray())
+        with one_thread(max(A.shape)):
+            values = svdvals((A.L if system else A).toarray())
         sigma_max = float(values[0])
         sigma_min = float(values[-1])
         residual = 0.0
@@ -269,7 +273,8 @@ def perturbation_check(
     orthonormal basis of span(u, z), L~_0 maps range(Q kron I) into
     itself and is the identity on its complement, so its singular
     values are those of the order-2*N_t matrix I + (Q^T X_zero Q) kron P,
-    plus the value 1 when N >= 2.
+    plus the value 1 when N >= 2.  The sweep runs at one OpenBLAS thread
+    when 2N*N_t is at most 512 (``_blas.one_thread``).
     """
     xi_values = np.asarray(xi_values, dtype=float)
     n = xi_values.size
@@ -284,17 +289,19 @@ def perturbation_check(
     shift_norm = 1.0 if cfg.N_t > 1 else 0.0
     z = np.concatenate([rule.weights, np.zeros(cfg.N)])
 
-    for i, xi in enumerate(xi_values):
-        fm = assemble_fourier_matrix(cfg, rule, xi)
-        symbols.append(fm.symbols)
-        X_eps, X_zero = _real_form(fm.X_eps), _real_form(fm.X_zero)
-        vals_eps = svdvals(frequency_matrix(X_eps, cfg.N_t))
-        e_norms[i] = svdvals(X_eps - X_zero)[0] * shift_norm
-        # column 0 of X_zero is u scaled by the weight w_1 > 0
-        Q = np.linalg.qr(np.column_stack([X_zero[:, 0], z]))[0]
-        vals_zero = svdvals(frequency_matrix(Q.T @ X_zero @ Q, cfg.N_t))
-        smax_e[i], smin_e[i] = vals_eps[0], vals_eps[-1]
-        smax_0[i], smin_0[i] = vals_zero[0], vals_zero[-1]
+    # L~_eps, of order 2N*N_t, is the largest matrix decomposed per xi
+    with one_thread(2 * cfg.N * cfg.N_t):
+        for i, xi in enumerate(xi_values):
+            fm = assemble_fourier_matrix(cfg, rule, xi)
+            symbols.append(fm.symbols)
+            X_eps, X_zero = _real_form(fm.X_eps), _real_form(fm.X_zero)
+            vals_eps = svdvals(frequency_matrix(X_eps, cfg.N_t))
+            e_norms[i] = svdvals(X_eps - X_zero)[0] * shift_norm
+            # column 0 of X_zero is u scaled by the weight w_1 > 0
+            Q = np.linalg.qr(np.column_stack([X_zero[:, 0], z]))[0]
+            vals_zero = svdvals(frequency_matrix(Q.T @ X_zero @ Q, cfg.N_t))
+            smax_e[i], smin_e[i] = vals_eps[0], vals_eps[-1]
+            smax_0[i], smin_0[i] = vals_zero[0], vals_zero[-1]
     if cfg.N > 1:
         # the 1s of the complement; unit triangular up to a permutation,
         # the reduced matrix has singular values multiplying to 1, so

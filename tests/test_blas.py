@@ -1,0 +1,149 @@
+import numpy as np
+import pytest
+
+from transportlab import (
+    GridConfig,
+    _blas,
+    assemble_ap_system,
+    explicit_matrix,
+    gauss_rule,
+    initial_parity_field,
+    perturbation_check,
+    resolve_config,
+    singular_extremes,
+    spectral,
+)
+from transportlab._blas import ONE_THREAD_MAX_ORDER, one_thread
+
+
+class FakeOpenBLAS:
+    """A library's thread count, with a log of every set."""
+
+    def __init__(self, name, count):
+        self.name, self.count, self.sets = name, count, []
+
+    def handle(self):
+        def set_(n):
+            self.sets.append(n)
+            self.count = n
+        return _blas._OpenBLAS(self.name, lambda: self.count, set_)
+
+
+@pytest.fixture
+def fakes(monkeypatch):
+    libs = [FakeOpenBLAS("two", 2), FakeOpenBLAS("four", 4), FakeOpenBLAS("one", 1)]
+    monkeypatch.setattr(_blas, "_libraries", lambda: tuple(lib.handle() for lib in libs))
+    return libs
+
+
+def test_one_thread_inside_and_previous_counts_after(fakes):
+    with one_thread(ONE_THREAD_MAX_ORDER):
+        assert _blas.thread_counts() == {"two": 1, "four": 1, "one": 1}
+    assert _blas.thread_counts() == {"two": 2, "four": 4, "one": 1}
+    # a library already at one thread is never set
+    assert [lib.sets for lib in fakes] == [[1, 2], [1, 4], []]
+
+
+def test_previous_counts_restored_when_the_body_raises(fakes):
+    with pytest.raises(ZeroDivisionError):
+        with one_thread(3):
+            assert _blas.thread_counts() == {"two": 1, "four": 1, "one": 1}
+            1 / 0
+    assert _blas.thread_counts() == {"two": 2, "four": 4, "one": 1}
+
+
+def test_orders_above_the_cap_keep_the_counts(fakes):
+    with one_thread(ONE_THREAD_MAX_ORDER + 1):
+        assert _blas.thread_counts() == {"two": 2, "four": 4, "one": 1}
+    assert [lib.sets for lib in fakes] == [[], [], []]
+
+
+def test_loaded_libraries_restored_to_their_own_counts():
+    libs = _blas._libraries()
+    if not libs:
+        pytest.skip("no OpenBLAS thread setter in this process")
+    before = _blas.thread_counts()
+    try:
+        libs[0].set(2)
+        expected = _blas.thread_counts()
+        with pytest.raises(RuntimeError):
+            with one_thread(64):
+                assert set(_blas.thread_counts().values()) == {1}
+                raise RuntimeError
+        assert _blas.thread_counts() == expected
+    finally:
+        for lib in libs:
+            lib.set(before[lib.name])
+
+
+def _dense_outputs():
+    """Every dense-SVD result of the package, at orders within the cap."""
+    cfg = GridConfig(epsilon=0.3, tau=0.004, h=0.1, N=4, N_x=6, N_t=16)
+    rule = gauss_rule(4, 0.0, 1.0)
+    report = perturbation_check(cfg, rule, np.linspace(0.0, np.pi, 5) / cfg.h)
+    system = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule))
+    dense = singular_extremes(system, method="dense")
+    return (report.e_norms, report.sigma_max_eps, report.sigma_min_eps,
+            report.sigma_max_zero, report.sigma_min_zero,
+            np.array([dense.sigma_min, dense.sigma_max]))
+
+
+def test_values_bit_identical_when_no_library_is_found(monkeypatch):
+    pinned = _dense_outputs()
+    monkeypatch.setattr(_blas, "_libraries", lambda: ())
+    unpinned = _dense_outputs()
+    for a, b in zip(pinned, unpinned):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_dense_spectrum_same_bits_with_and_without_the_pin(monkeypatch):
+    # order 2 * N * N_x * N_t = 192 <= ONE_THREAD_MAX_ORDER
+    cfg = GridConfig(epsilon=0.3, tau=0.004, h=0.1, N=4, N_x=6, N_t=4)
+    rule = gauss_rule(4, 0.0, 1.0)
+    L = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule)).L
+    assert L.shape[0] <= ONE_THREAD_MAX_ORDER
+    counts_seen = []
+    svdvals = spectral.svdvals
+
+    def spy(a):
+        counts_seen.append(_blas.thread_counts())
+        return svdvals(a)
+
+    monkeypatch.setattr(spectral, "svdvals", spy)
+    pinned = singular_extremes(L, method="dense")
+    assert all(set(counts.values()) <= {1} for counts in counts_seen)
+    monkeypatch.setattr(_blas, "_libraries", lambda: ())
+    unpinned = singular_extremes(L, method="dense")
+    assert pinned == unpinned
+
+
+def test_explicit_norm_check_runs_at_one_thread(monkeypatch):
+    counts_seen = []
+    svd = np.linalg.svd
+
+    def spy(a, **kwargs):
+        counts_seen.append(_blas.thread_counts())
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    cfg = resolve_config({"scheme": "explicit", "epsilon": 0.4, "tau": "auto",
+                          "h": 0.1, "N": 3, "Nx": 6, "Nt": 4})
+    explicit_matrix(cfg, gauss_rule(6, -1.0, 1.0))
+    assert len(counts_seen) == 1
+    assert set(counts_seen[0].values()) <= {1}
+
+
+def test_perturbation_sweep_runs_at_one_thread(monkeypatch):
+    counts_seen = []
+    svdvals = spectral.svdvals
+
+    def spy(a):
+        counts_seen.append(_blas.thread_counts())
+        return svdvals(a)
+
+    monkeypatch.setattr(spectral, "svdvals", spy)
+    # 2 * N * N_t = 128 <= ONE_THREAD_MAX_ORDER
+    cfg = GridConfig(epsilon=0.3, tau=0.004, h=0.1, N=4, N_x=6, N_t=16)
+    perturbation_check(cfg, gauss_rule(4, 0.0, 1.0), [0.0, 1.0])
+    assert len(counts_seen) == 6
+    assert all(set(counts.values()) <= {1} for counts in counts_seen)

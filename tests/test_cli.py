@@ -23,10 +23,10 @@ from transportlab import (
     perturbation_check,
     resolve_config,
 )
-from transportlab import assembly, cli
+from transportlab import assembly, cli, spectral
 from transportlab.cli import emit_report, main
 from transportlab.complexity import ComplexityRow, sweep_epsilon
-from transportlab.schemes import scheme_for, write_trajectory_csv
+from transportlab.schemes import Scheme, scheme_for, write_trajectory_csv
 
 
 AP_RAW = {
@@ -453,6 +453,21 @@ def test_sweep_rejects_delta_outside_the_unit_interval(ap_config, tmp_path,
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("delta", ["1.5", "0", "nan"])
+def test_spectrum_rejects_delta_before_assembling(explicit_config, tmp_path,
+                                                  capsys, monkeypatch, delta):
+    def refuse(*args, **kwargs):
+        raise AssertionError("system assembled or measured")
+
+    monkeypatch.setattr(Scheme, "assemble", refuse)
+    monkeypatch.setattr(spectral, "singular_extremes", refuse)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(explicit_config), "--output-dir", str(out),
+                 f"--delta={delta}"]) == 2
+    assert "delta must lie in (0, 1)" in capsys.readouterr().err
+    assert not (out / "spectrum.csv").exists()
+
+
 @pytest.mark.parametrize("final_time", ["0", "-1", "inf", "nan"])
 def test_cfl_sweep_rejects_a_final_time_that_is_not_positive(
         explicit_config, tmp_path, capsys, final_time):
@@ -494,14 +509,16 @@ def test_iterative_sweep_reruns_are_byte_identical(tmp_path):
     # criterion 6's grid: seven rescaled relaxation systems of order 1024,
     # all on the ARPACK path, then one spectrum of the eps=1 system; each
     # run is a fresh interpreter, and its CSVs and manifests (with their
-    # matvec counts) must repeat byte for byte
+    # matvec counts) must repeat byte for byte.  A fourier run on the
+    # same grid, whose SVDs (order 2N*N_t = 128) run at one thread, must
+    # also write the same CSV bytes at either thread count
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "scheme": "ap", "epsilon": 1.0, "tau": 0.01, "h": 0.1,
         "N": 4, "Nx": 8, "Nt": 16,
     }), encoding="utf-8")
     src = str(Path(transportlab.__file__).parents[1])
-    outputs = {}
+    outputs, fourier = {}, {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
@@ -532,6 +549,19 @@ def test_iterative_sweep_reruns_are_byte_identical(tmp_path):
                                   (spectrum_out, "spectrum.csv"),
                                   (spectrum_out, "manifest.json"))]
         assert outputs[threads, "a"] == outputs[threads, "b"]
+        fourier_out = tmp_path / f"{threads}fourier"
+        subprocess.run(
+            [sys.executable, "-m", "transportlab.cli", "fourier", "--xi-samples", "8",
+             "--config", str(config), "--output-dir", str(fourier_out),
+             "--allow-unstable"],
+            env=env, check=True, capture_output=True, timeout=300)
+        fourier[threads] = [(fourier_out / name).read_bytes()
+                            for name in ("symbols.csv", "fourier_norms.csv")]
+        counts = json.loads((fourier_out / "manifest.json").read_text())[
+            "runtime"]["blas_threads"]
+        if threads == "1":
+            assert set(counts.values()) <= {1}
+    assert fourier["1"] == fourier["2"]
 
 
 @pytest.mark.parametrize("raw, argv, csv_name", [
