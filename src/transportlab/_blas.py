@@ -1,4 +1,4 @@
-"""One OpenBLAS thread for small dense decompositions.
+"""One OpenBLAS thread where a second one costs more than it saves.
 
 At the orders of the per-frequency and dense-path SVDs, OpenBLAS's
 hand-off to a second thread costs more than the second thread saves:
@@ -9,6 +9,11 @@ on 2-core OpenBLAS one ``scipy.linalg.svdvals`` of a block-bidiagonal
 runs inside ``one_thread(order)``, which drops each loaded OpenBLAS to
 one thread when ``order <= ONE_THREAD_MAX_ORDER`` and restores its
 previous count afterwards.
+
+The iterative spectrum of a space-time system has its own crossover,
+``ITERATIVE_ONE_THREAD_MAX_ORDER``: there the BLAS work is ARPACK's
+reorthogonalization against its Lanczos basis, whose cost grows with
+the order, and the sparse products run at one thread either way.
 
 The libraries are found on first use, not at import: every mapped
 object of the process whose path names ``openblas`` and that exports a
@@ -29,6 +34,14 @@ from typing import Callable, NamedTuple
 # the largest order run at one thread: the measured crossover above, the
 # last order at which one thread is faster and gives the same bits
 ONE_THREAD_MAX_ORDER = 512
+
+# the largest order whose iterative spectrum (``spectral._lanczos_extremes``
+# on a space-time system) runs at one thread: the measured crossover.  On
+# 2-core OpenBLAS, alternating in one process on upwind systems, one thread
+# takes 0.60 of the 2-thread time at order 12,152, 0.88 and 0.96 at 29,304,
+# 1.08 and 0.86 at 39,600, 0.98 and 1.08 at 49,896, 1.05 at 60,192, 1.08 at
+# 69,696, 1.18 at 97,416 and 1.61 at 778,488, with the same matvec counts
+ITERATIVE_ONE_THREAD_MAX_ORDER = 40_000
 
 # the getter and setter names, in the order tried: scipy's wheels rename
 # OpenBLAS's symbols, and its 64-bit-integer builds add a suffix
@@ -73,15 +86,15 @@ def thread_counts() -> dict[str, int]:
 
 
 @contextlib.contextmanager
-def one_thread(order: int):
+def one_thread(order: int, max_order: int = ONE_THREAD_MAX_ORDER):
     """Run the body at one OpenBLAS thread if ``order`` is at most
-    ``ONE_THREAD_MAX_ORDER``, else at the libraries' current counts.
+    ``max_order``, else at the libraries' current counts.
 
     A library already at one thread is left alone; every other one gets
     its previous count back when the body ends, also when it raises.
     """
     saved = []
-    if order <= ONE_THREAD_MAX_ORDER:
+    if order <= max_order:
         for lib in _libraries():
             count = lib.get()
             if count > 1:

@@ -68,8 +68,9 @@ class ComplexityRow:
     relaxation rows); they are reported alongside but are not part of
     the CSV schema.  Nor are ``method``, ``residual`` and ``matvecs``,
     the spectral path ("dense" or "iterative"), its residual and its
-    ARPACK matvec counts per stage (``{"sigma_max": .., "sigma_min": ..}``,
-    zeros on the dense path) of a measured row.
+    ARPACK matvec counts per stage (``{"sigma_max": .., "sigma_min": ..,
+    "symbol": ..}``, the last the order-m solve that seeds sigma_max's
+    start; zeros on the dense path) of a measured row.
     """
 
     scheme: str
@@ -167,7 +168,8 @@ def row_for(
         row.kappa, row.sparsity = report.kappa, report.sparsity
         row.method, row.residual = report.method, report.residual
         row.matvecs = {"sigma_max": report.matvecs_max,
-                       "sigma_min": report.matvecs_min}
+                       "sigma_min": report.matvecs_min,
+                       "symbol": report.matvecs_symbol}
         row.status = "ok"
     return row
 

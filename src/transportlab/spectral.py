@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import svdvals
+from scipy.linalg import svd, svdvals
 
-from ._blas import one_thread
+from ._blas import ITERATIVE_ONE_THREAD_MAX_ORDER, one_thread
 from .assembly import (
     BlockSystem,
     FourierSymbols,
@@ -50,8 +50,10 @@ class SpectrumReport:
     iterative path.  ``kappa`` is +inf when the matrix is singular to
     working precision (sigma_min reported as 0).  ``matvecs_max`` and
     ``matvecs_min`` count the operator applications ARPACK made for
-    sigma_max (A^H A) and sigma_min ((A^H A)^{-1}); both are 0 on the
-    dense path.
+    sigma_max (A^H A) and sigma_min ((A^H A)^{-1}), and
+    ``matvecs_symbol`` those of the order-m solve for the start of the
+    sigma_max run of a ``BlockSystem`` (0 when that solve is dense); all
+    three are 0 on the dense path.
     """
 
     sigma_min: float
@@ -62,6 +64,7 @@ class SpectrumReport:
     residual: float
     matvecs_max: int
     matvecs_min: int
+    matvecs_symbol: int
 
 
 # ARPACK stops once a Ritz pair's eigen-residual is below this fraction
@@ -74,13 +77,17 @@ ARPACK_TOL = 1e-12
 # upwind systems; from order 256 up the Lanczos path is faster everywhere
 DENSE_CAP = 192
 
+# the tolerance of the order-m ARPACK solve for the symbol's top singular
+# vector, which only seeds the sigma_max run: a loose start serves as well
+SYMBOL_TOL = 1e-6
 
-def _top_eigenpair(apply_op, v0: np.ndarray) -> tuple[float, float, int]:
-    """Largest eigenvalue of a Hermitian positive operator by ARPACK's
-    implicitly restarted Lanczos from the fixed start ``v0``, a vector
-    of +-1 entries normalized here, so results are reproducible; the
-    relative eigen-residual ||op(x) - rho*x|| / rho of its Ritz pair;
-    and the number of operator applications ARPACK made."""
+
+def _top_eigenpair(apply_op, v0: np.ndarray,
+                   tol: float = ARPACK_TOL) -> tuple[float, np.ndarray, int]:
+    """Largest eigenvalue of a Hermitian positive operator and its
+    vector, by ARPACK's implicitly restarted Lanczos from the fixed
+    start ``v0`` (normalized here by its 2-norm, so results are
+    reproducible), and the number of operator applications ARPACK made."""
     matvecs = 0
 
     def counted(x):
@@ -90,42 +97,75 @@ def _top_eigenpair(apply_op, v0: np.ndarray) -> tuple[float, float, int]:
 
     n = v0.size
     op = spla.LinearOperator((n, n), matvec=counted, dtype=v0.dtype)
-    values, vectors = spla.eigsh(op, k=1, which="LA", v0=v0 / np.sqrt(n),
-                                 tol=ARPACK_TOL)
-    rho, x = float(values[0]), vectors[:, 0]
+    values, vectors = spla.eigsh(op, k=1, which="LA", v0=v0 / np.linalg.norm(v0),
+                                 tol=tol)
+    return float(values[0]), vectors[:, 0], matvecs
+
+
+def _top_eigenvalue(apply_op, v0: np.ndarray) -> tuple[float, float, int]:
+    """``_top_eigenpair`` at ``ARPACK_TOL``: the eigenvalue rho, the
+    relative eigen-residual ||op(x) - rho*x|| / rho of its Ritz pair,
+    and the matvec count."""
+    rho, x, matvecs = _top_eigenpair(apply_op, v0)
     return rho, float(np.linalg.norm(apply_op(x) - rho * x) / rho), matvecs
 
 
-def _lanczos_extremes(A) -> tuple[float, float, float, int, int]:
-    """sigma_min, sigma_max, the worse residual and the two stages'
-    matvec counts, from the top eigenvalues of A^H A and of
-    (A^H A)^{-1} = A^{-1} A^{-H}.
+def _symbol_top_vector(M: sp.csr_matrix) -> tuple[np.ndarray, int]:
+    """The top right singular vector u of I + M, the symbol
+    I - e^{i theta} M of a block Toeplitz L at theta = pi, and the
+    operator applications its ARPACK run made: a dense SVD when M has at
+    most ``DENSE_CAP`` rows (0 applications), else Lanczos on
+    (I + M)^H (I + M) from the all-ones start at ``SYMBOL_TOL``."""
+    m = M.shape[0]
+    S = sp.identity(m, dtype=M.dtype, format="csr") + M
+    if m <= DENSE_CAP:
+        return svd(S.toarray())[2][0].conj(), 0
+    Sh = S.conj(copy=False).T.tocsr()
+    _, u, matvecs = _top_eigenpair(lambda x: Sh @ (S @ x),
+                                   np.ones(m, np.result_type(S.dtype, np.float64)),
+                                   tol=SYMBOL_TOL)
+    return u, matvecs
+
+
+def _lanczos_extremes(A) -> tuple[float, float, float, int, int, int]:
+    """sigma_min, sigma_max, the worse residual and the matvec counts of
+    the sigma_max, sigma_min and symbol stages, from the top eigenvalues
+    of A^H A and of (A^H A)^{-1} = A^{-1} A^{-H}.
 
     A ``BlockSystem`` runs both stages on its time-major vectors: A^H A
-    from its L and L^H products, started from the vector that flips sign
-    from one time level to the next (where the top singular vectors of a
-    block Toeplitz L with symbol I - e^{i theta} M sit, near theta = pi),
-    and the inverse from its two marches.  A bare matrix takes CSR
-    products and one sparse LU factorization.  The inverse stage starts
-    from the all-ones vector either way.
+    from its L and L^H products, and the inverse from its two marches.
+    The top singular vectors of a block Toeplitz L with symbol
+    I - e^{i theta} M sit near theta = pi (Boettcher-Grudsky), so the
+    sigma_max run starts from the time-major vector
+    ((-1)^t sin(pi (t+1) / (N_t+1)))_t kron u, u the top right singular
+    vector of I + M (``_symbol_top_vector``, whose applications are the
+    symbol count).  The whole path runs at one OpenBLAS thread up to
+    order ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (``_blas.one_thread``).  A
+    bare matrix takes CSR products, one sparse LU factorization and no
+    symbol solve, at the library's thread count.  The inverse stage
+    starts from the all-ones vector either way.
     """
     dtype = np.result_type(A.dtype, np.float64)
     if isinstance(A, BlockSystem):
-        alternating = np.resize(np.array([1.0, -1.0], dtype), A.levels)
-        lam, res_max, mv_max = _top_eigenpair(
-            lambda x: A.apply_h(A.apply(x)), np.repeat(alternating, A.M.shape[0]))
-        mu, res_min, mv_min = _top_eigenpair(
-            lambda x: A.solve(A.solve_h(x)), np.ones(A.shape[1], dtype))
+        with one_thread(A.order, ITERATIVE_ONE_THREAD_MAX_ORDER):
+            u, mv_symbol = _symbol_top_vector(A.M)
+            t = np.arange(A.levels)
+            wave = (-1.0) ** t * np.sin(np.pi * (t + 1) / (A.levels + 1))
+            lam, res_max, mv_max = _top_eigenvalue(
+                lambda x: A.apply_h(A.apply(x)), np.kron(wave, u))
+            mu, res_min, mv_min = _top_eigenvalue(
+                lambda x: A.solve(A.solve_h(x)), np.ones(A.shape[1], dtype))
     else:
         At = A.conj(copy=False).T
-        lam, res_max, mv_max = _top_eigenpair(lambda x: At @ (A @ x),
-                                              np.ones(A.shape[1], dtype))
+        lam, res_max, mv_max = _top_eigenvalue(lambda x: At @ (A @ x),
+                                               np.ones(A.shape[1], dtype))
         del At  # not held alive next to the LU factors
         lu = spla.splu(A.tocsc())
-        mu, res_min, mv_min = _top_eigenpair(
+        mu, res_min, mv_min = _top_eigenvalue(
             lambda x: lu.solve(lu.solve(x, trans="H")), np.ones(A.shape[1], dtype))
+        mv_symbol = 0
     return (1.0 / math.sqrt(mu), math.sqrt(lam), max(res_max, res_min),
-            mv_max, mv_min)
+            mv_max, mv_min, mv_symbol)
 
 
 def singular_extremes(A, method: str = "auto") -> SpectrumReport:
@@ -140,12 +180,14 @@ def singular_extremes(A, method: str = "auto") -> SpectrumReport:
     (A^H A)^{-1} = A^{-1} A^{-H} gives sigma_min.
 
     A ``BlockSystem`` applies A, A^H, A^{-1} and A^{-H} from its
-    one-step block: on the iterative path it makes no product with a
-    CSR ``L``, builds none and factors nothing, and sigma_max's run
-    starts from the vector that alternates sign per time level.  Its
-    sparsity comes from the one-step block too, and only the dense path
-    builds its ``L``.  A bare matrix takes CSR products, one sparse LU
-    factorization and the all-ones start for both runs.  The dense SVD
+    one-step block M: on the iterative path it makes no product with a
+    CSR ``L``, builds none and factors nothing, sigma_max's run starts
+    from the symbol's top mode (``_lanczos_extremes``), and the whole
+    path runs at one OpenBLAS thread up to order
+    ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (40,000).  Its sparsity comes
+    from M too, and only the dense path builds its ``L``.  A bare matrix
+    takes CSR products, one sparse LU factorization and the all-ones
+    start for both runs, at the library's thread count.  The dense SVD
     runs at one OpenBLAS thread up to order 512 (``_blas.one_thread``).
     Convergence failure and an exactly singular LU factor raise
     RuntimeError.
@@ -169,7 +211,7 @@ def singular_extremes(A, method: str = "auto") -> SpectrumReport:
         sigma_max = float(values[0])
         sigma_min = float(values[-1])
         residual = 0.0
-        matvecs = (0, 0)
+        matvecs = (0, 0, 0)
     else:
         sigma_min, sigma_max, residual, *matvecs = _lanczos_extremes(A)
 

@@ -10,10 +10,11 @@ from transportlab import (
     initial_parity_field,
     perturbation_check,
     resolve_config,
+    schemes,
     singular_extremes,
     spectral,
 )
-from transportlab._blas import ONE_THREAD_MAX_ORDER, one_thread
+from transportlab._blas import ITERATIVE_ONE_THREAD_MAX_ORDER, ONE_THREAD_MAX_ORDER, one_thread
 
 
 class FakeOpenBLAS:
@@ -147,3 +148,52 @@ def test_perturbation_sweep_runs_at_one_thread(monkeypatch):
     perturbation_check(cfg, gauss_rule(4, 0.0, 1.0), [0.0, 1.0])
     assert len(counts_seen) == 6
     assert all(set(counts.values()) <= {1} for counts in counts_seen)
+
+
+def _system_above_the_symbol_cap():
+    # order 2 * N * N_x * N_t = 1000, one-step block of m = 200 > DENSE_CAP
+    # rows: three ARPACK runs (symbol, sigma_max, sigma_min)
+    cfg = resolve_config({"scheme": "explicit", "epsilon": 0.3, "tau": "auto",
+                          "h": 0.04, "N": 4, "Nx": 25, "Nt": 5})
+    return schemes.scheme_for(cfg).assemble(cfg, False)
+
+
+def _spy_arpack(monkeypatch):
+    """A list that records the OpenBLAS thread counts at each ARPACK run."""
+    counts_seen = []
+    eigsh = spectral.spla.eigsh
+
+    def spy(*args, **kwargs):
+        counts_seen.append(_blas.thread_counts())
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", spy)
+    return counts_seen
+
+
+def test_system_spectrum_runs_arpack_at_one_thread(monkeypatch):
+    system = _system_above_the_symbol_cap()
+    assert system.order <= ITERATIVE_ONE_THREAD_MAX_ORDER
+    counts_seen = _spy_arpack(monkeypatch)
+    report = singular_extremes(system, method="iterative")
+    assert report.matvecs_symbol > 0
+    assert len(counts_seen) == 3
+    assert all(set(counts.values()) <= {1} for counts in counts_seen)
+
+
+def test_system_spectrum_keeps_the_counts_just_above_the_crossover(fakes, monkeypatch):
+    system = _system_above_the_symbol_cap()
+    for lib in fakes:
+        lib.sets.clear()  # the assembler's block-norm check pins too
+    counts_seen = _spy_arpack(monkeypatch)
+    monkeypatch.setattr(spectral, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order)
+    pinned = singular_extremes(system, method="iterative")
+    assert counts_seen == [{"two": 1, "four": 1, "one": 1}] * 3
+    assert _blas.thread_counts() == {"two": 2, "four": 4, "one": 1}
+    counts_seen.clear()
+    monkeypatch.setattr(spectral, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order - 1)
+    unpinned = singular_extremes(system, method="iterative")
+    assert counts_seen == [{"two": 2, "four": 4, "one": 1}] * 3
+    assert [lib.sets for lib in fakes] == [[1, 2], [1, 4], []]
+    # the fakes set no real library, so both runs took the same path
+    assert pinned == unpinned

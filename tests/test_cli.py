@@ -24,6 +24,7 @@ from transportlab import (
     resolve_config,
 )
 from transportlab import assembly, cli, spectral
+from transportlab._blas import ITERATIVE_ONE_THREAD_MAX_ORDER
 from transportlab.cli import emit_report, main
 from transportlab.complexity import ComplexityRow, sweep_epsilon
 from transportlab.schemes import Scheme, scheme_for, write_trajectory_csv
@@ -401,7 +402,8 @@ def test_spectrum_manifest_records_method_and_residual(explicit_config, tmp_path
     assert MANIFEST_KEYS <= manifest.keys()
     assert manifest["exit_status"] == 0
     assert manifest["spectrum"] == {"method": "dense", "residual": 0.0,
-                                    "matvecs": {"sigma_max": 0, "sigma_min": 0}}
+                                    "matvecs": {"sigma_max": 0, "sigma_min": 0,
+                                                "symbol": 0}}
 
 
 def test_failure_before_resolving_removes_a_stale_manifest(ap_config, tmp_path):
@@ -426,6 +428,7 @@ def test_sweep_manifest_records_each_row(ap_config, tmp_path):
     assert [e["method"] for e in entries] == ["iterative", "iterative", None]
     assert ok["status"] == "ok" and 0.0 <= ok["residual"] <= 1e-8
     assert ok["matvecs"]["sigma_max"] > 0 and ok["matvecs"]["sigma_min"] > 0
+    assert ok["matvecs"]["symbol"] == 0  # a one-step block of 36 rows is dense
     assert failed["status"].startswith("error:") and failed["residual"] is None
     assert failed["matvecs"] is None
 
@@ -538,8 +541,8 @@ def test_iterative_sweep_reruns_are_byte_identical(tmp_path):
                 env=env, check=True, capture_output=True, timeout=300)
             manifest = json.loads((sweep_out / "manifest.json").read_text())
             assert {e["method"] for e in manifest["sweep"]} == {"iterative"}
-            assert all(count > 0 for e in manifest["sweep"]
-                       for count in e["matvecs"].values())
+            assert all(e["matvecs"]["sigma_max"] > 0 < e["matvecs"]["sigma_min"]
+                       and e["matvecs"]["symbol"] == 0 for e in manifest["sweep"])
             spectrum = json.loads((spectrum_out / "manifest.json").read_text())["spectrum"]
             assert spectrum["method"] == "iterative"
             assert spectrum["matvecs"]["sigma_max"] > 0 < spectrum["matvecs"]["sigma_min"]
@@ -562,6 +565,55 @@ def test_iterative_sweep_reruns_are_byte_identical(tmp_path):
         if threads == "1":
             assert set(counts.values()) <= {1}
     assert fourier["1"] == fourier["2"]
+
+
+def _run_module(module, argv, threads=None):
+    """Run ``python -m module argv`` from this checkout's sources."""
+    src = str(Path(transportlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    subprocess.run([sys.executable, "-m", module, *argv], env=env, check=True,
+                   capture_output=True, timeout=300)
+
+
+@pytest.mark.parametrize("raw", [
+    # order 1024, a one-step block of 64 rows: the symbol's top vector is dense
+    {"scheme": "explicit", "epsilon": 0.2, "tau": "auto", "h": 0.05,
+     "N": 2, "Nx": 16, "Nt": 16},
+    # order 1000, a one-step block of 200 rows > DENSE_CAP: it is ARPACK's
+    {"scheme": "explicit", "epsilon": 0.3, "tau": "auto", "h": 0.04,
+     "N": 4, "Nx": 25, "Nt": 5},
+], ids=["dense-symbol", "arpack-symbol"])
+def test_iterative_spectrum_is_the_same_at_either_thread_count(raw, tmp_path):
+    # both orders are below ITERATIVE_ONE_THREAD_MAX_ORDER, so every
+    # ARPACK run is at one thread whatever the process starts with
+    assert 2 * raw["N"] * raw["Nx"] * raw["Nt"] <= ITERATIVE_ONE_THREAD_MAX_ORDER
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        _run_module("transportlab.cli", ["spectrum", "--config", str(config),
+                                         "--output-dir", str(out)], threads)
+        outputs[threads] = (out / "spectrum.csv").read_bytes()
+        spectrum = json.loads((out / "manifest.json").read_text())["spectrum"]
+        assert spectrum["method"] == "iterative"
+        assert (spectrum["matvecs"]["symbol"] > 0) == (raw["Nx"] == 25)
+    assert b",ok\n" in outputs["1"]
+    assert outputs["1"] == outputs["2"]
+
+
+def test_python_dash_m_package_is_the_cli(explicit_config, tmp_path):
+    written = {}
+    for module in ("transportlab", "transportlab.cli"):
+        out = tmp_path / module
+        _run_module(module, ["spectrum", "--config", str(explicit_config),
+                             "--output-dir", str(out)])
+        written[module] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(written["transportlab"]) == {"spectrum.csv", "manifest.json"}
+    assert written["transportlab"] == written["transportlab.cli"]
 
 
 @pytest.mark.parametrize("raw, argv, csv_name", [

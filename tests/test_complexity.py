@@ -261,7 +261,7 @@ def test_csv_writes_numpy_scalars_as_plain_floats():
 def test_row_carries_the_spectral_method_outside_the_csv():
     row = sweep_epsilon(ap_base(), [1e-2], mode="fixed_grid")[0]
     assert (row.method, row.residual) == ("dense", 0.0)
-    assert row.matvecs == {"sigma_max": 0, "sigma_min": 0}
+    assert row.matvecs == {"sigma_max": 0, "sigma_min": 0, "symbol": 0}
     unmeasured = dataclasses.replace(row, method=None, residual=None, matvecs=None)
     assert rows_to_csv([row]) == rows_to_csv([unmeasured])
 

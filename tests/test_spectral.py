@@ -21,7 +21,7 @@ from transportlab import (
     singular_extremes,
 )
 from transportlab.assembly import assemble_fourier_matrix, frequency_matrix
-from transportlab.spectral import DENSE_CAP, _real_form
+from transportlab.spectral import DENSE_CAP, _real_form, _top_eigenvalue
 
 # frozen by evaluating the three displayed terms independently by hand:
 # 0.5*102.03 + 24.75*1.01 + 75.25*202 = 51.015 + 24.9975 + 15200.5
@@ -152,6 +152,60 @@ def test_system_path_makes_no_product_with_the_matrix():
     assert report.sparsity == bare.sparsity
     assert report.sigma_max == pytest.approx(bare.sigma_max, rel=1e-12)
     assert report.sigma_min == pytest.approx(bare.sigma_min, rel=1e-12)
+
+
+# the top two singular values of the rescaled relaxation system below,
+# from eigsh with k = 6, ncv = 80, tol = 1e-15: a near-double pair
+NEAR_DOUBLE_TOP = 18.549335336222246
+NEAR_DOUBLE_SECOND = 18.549335336015044
+
+
+def test_near_double_top_pair_gives_its_top_member():
+    # k = 1 Lanczos from a start nearly orthogonal to the top vector
+    # returned the second member, 1.1e-11 low, with a residual of 6e-13
+    cfg = resolve_config({"scheme": "ap", "epsilon": 1.0, "tau": "auto", "h": 0.05,
+                          "N": 4, "Nx": 19, "Nt": 40})
+    system = schemes.scheme_for(cfg).assemble(cfg, True)
+    assert system.order == 6080
+    report = singular_extremes(system)
+    assert report.method == "iterative"
+    assert report.sigma_max == pytest.approx(NEAR_DOUBLE_TOP, rel=1e-14, abs=0.0)
+    assert report.sigma_max != pytest.approx(NEAR_DOUBLE_SECOND, rel=1e-12, abs=0.0)
+
+
+# one-step blocks with m = 32 and m = 200 rows, on either side of
+# DENSE_CAP, so the symbol's top vector comes from a dense SVD or ARPACK
+@pytest.mark.parametrize("N, Nx", [(2, 8), (4, 25)], ids=["m32", "m200"])
+@pytest.mark.parametrize("Nt", [1, 2, 7])
+@pytest.mark.parametrize("scheme, rescaled", [("ap", False), ("ap", True),
+                                              ("explicit", False)],
+                         ids=["ap", "ap-rescaled", "explicit"])
+def test_symbol_started_system_path_matches_dense(scheme, rescaled, N, Nx, Nt):
+    cfg = resolve_config({"scheme": scheme, "epsilon": 0.3, "tau": "auto", "h": 0.04,
+                          "N": N, "Nx": Nx, "Nt": Nt})
+    system = schemes.scheme_for(cfg).assemble(cfg, rescaled)
+    m = system.M.shape[0]
+    dense = singular_extremes(system, method="dense")
+    iterative = singular_extremes(system, method="iterative")
+    assert (iterative.matvecs_symbol > 0) == (m > DENSE_CAP)
+    assert iterative.sigma_max == pytest.approx(dense.sigma_max, rel=1e-12, abs=0.0)
+    assert iterative.sigma_min == pytest.approx(dense.sigma_min, rel=1e-12, abs=0.0)
+    assert iterative.kappa == pytest.approx(dense.kappa, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [10.0**-k for k in range(7)])
+def test_symbol_start_takes_fewer_applications_than_the_alternating_one(epsilon):
+    # the sweep workload's fixed grid: rescaled relaxation, order 1024
+    cfg = GridConfig(epsilon=epsilon, tau=9e-3, h=0.1, N=4, N_x=8, N_t=16,
+                     allow_unstable=True)
+    rule = gauss_rule(4, 0.0, 1.0)
+    system = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule), rescaled=True)
+    report = singular_extremes(system)
+    alternating = np.repeat(np.resize([1.0, -1.0], system.levels), system.M.shape[0])
+    lam, _, matvecs = _top_eigenvalue(lambda x: system.apply_h(system.apply(x)),
+                                      alternating)
+    assert report.sigma_max == pytest.approx(np.sqrt(lam), rel=1e-12, abs=0.0)
+    assert report.matvecs_max < matvecs
 
 
 def test_rescaled_system_extremes_have_order_one_constants():
