@@ -53,10 +53,22 @@ class _UsageError(Exception):
     pass
 
 
+class _ParserExit(Exception):
+    def __init__(self, status):
+        super().__init__(status)
+        self.status = status
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; route through our exit codes instead
     def error(self, message):
         raise _UsageError(message)
+
+    # --help and --version end parsing by exiting; main returns instead
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _ParserExit(status)
 
 
 def _build_parser() -> _Parser:
@@ -274,6 +286,8 @@ def main(argv=None) -> int:
             print(f"valid override keys: {', '.join(CONFIG_KEYS)}",
                   file=sys.stderr)
         return EXIT_USAGE
+    except _ParserExit as exc:
+        return exc.status
 
     handler, outputs = COMMANDS[args.subcommand]
     blas_threads = _blas.thread_counts()

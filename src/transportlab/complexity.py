@@ -70,24 +70,26 @@ class ComplexityRow:
     the spectral path ("dense" or "iterative"), its residual and its
     ARPACK matvec counts per stage (``{"sigma_max": .., "sigma_min": ..,
     "symbol": ..}``, the last the order-m solve that seeds sigma_max's
-    start; zeros on the dense path) of a measured row.
+    start; zeros on the dense path) of a measured row.  An error row
+    holds None in each grid field the sweep failed before deriving, and
+    in ``alpha`` and ``classical_cost`` when they need such a field.
     """
 
     scheme: str
     epsilon: float
     phi: float
-    tau: float
-    h: float
+    tau: float | None
+    h: float | None
     N: int
-    Nx: int
-    Nt: int
+    Nx: int | None
+    Nt: int | None
     delta: float
     sigma_min: float | None
     sigma_max: float | None
     kappa: float | None
     sparsity: int | None
-    alpha: float
-    classical_cost: int
+    alpha: float | None
+    classical_cost: int | None
     quantum_queries: float | None
     status: str
     closed_form_classical: float | None = None
@@ -175,21 +177,25 @@ def row_for(
 
 
 def _error_row(base_cfg: GridConfig, grid: dict, delta: float, exc) -> ComplexityRow:
-    """Row of a failed epsilon, reporting the grid that was tried."""
+    """Row of a failed epsilon, reporting the grid that was tried.  A grid
+    value that ``grid`` holds as None was never derived: its cells, and
+    those computed from it, stay blank."""
     tried = {"tau": base_cfg.tau, "h": base_cfg.h,
              "N_x": base_cfg.N_x, "N_t": base_cfg.N_t, **grid}
-    try:
-        alpha = spectral.alpha_bound(tried["epsilon"], tried["tau"], base_cfg.N)
-    except ValueError:
-        alpha = float("nan")
+    alpha = cost = None
+    if tried["tau"] is not None:
+        try:
+            alpha = spectral.alpha_bound(tried["epsilon"], tried["tau"], base_cfg.N)
+        except ValueError:
+            alpha = float("nan")
+    if tried["N_t"] is not None:
+        cost = classical_cost(dc_replace(base_cfg, N_x=tried["N_x"], N_t=tried["N_t"]))
     return ComplexityRow(
         scheme=base_cfg.scheme, epsilon=tried["epsilon"], phi=base_cfg.phi,
         tau=tried["tau"], h=tried["h"], N=base_cfg.N,
         Nx=tried["N_x"], Nt=tried["N_t"], delta=delta,
         sigma_min=None, sigma_max=None, kappa=None, sparsity=None, alpha=alpha,
-        classical_cost=classical_cost(
-            dc_replace(base_cfg, N_x=tried["N_x"], N_t=tried["N_t"])),
-        quantum_queries=None, status=f"error: {exc}",
+        classical_cost=cost, quantum_queries=None, status=f"error: {exc}",
     )
 
 
@@ -213,10 +219,12 @@ def sweep_epsilon(
     the fixed domain length over eps * delta, rounded, less one;
     h = length/(N_x + 1) keeps the domain exact;
     tau = TAU_SAFETY * h * eps^2/(eps+h) and N_t = ceil(final_time/tau).
-    A failure is recorded in the row status, with the grid that was
-    tried, and the sweep continues.  A ``delta`` outside (0, 1), or in
-    cfl_driven mode a ``final_time`` that is not finite and positive,
-    fails every row alike and raises ValueError before any row.
+    In cfl_driven mode an epsilon that is not finite and positive, or
+    whose tau underflows to zero, fails its row.  A failure is recorded
+    in the row status, with as much of the grid as was derived, and the
+    sweep continues.  A ``delta`` outside (0, 1), or in cfl_driven mode
+    a ``final_time`` that is not finite and positive, fails every row
+    alike and raises ValueError before any row.
     """
     if mode not in ("fixed_grid", "cfl_driven"):
         raise ValueError(f"mode must be 'fixed_grid' or 'cfl_driven', got {mode!r}")
@@ -234,11 +242,17 @@ def sweep_epsilon(
         grid = {"epsilon": eps}
         try:
             if mode == "cfl_driven":
-                N_x = max(1, round(length / (eps * delta)) - 1)
-                h = length / (N_x + 1)
-                tau = TAU_SAFETY * h * eps**2 / (eps + h)
-                grid.update(h=h, tau=tau, N_x=N_x,
-                            N_t=max(1, math.ceil(final_time / tau)))
+                # filled step by step: an error row reports what was derived
+                grid.update(dict.fromkeys(("N_x", "h", "tau", "N_t")))
+                if not (math.isfinite(eps) and eps > 0):
+                    raise ValueError(f"epsilon must be finite and positive, got {eps}")
+                grid["N_x"] = N_x = max(1, round(length / (eps * delta)) - 1)
+                grid["h"] = h = length / (N_x + 1)
+                grid["tau"] = tau = TAU_SAFETY * h * eps**2 / (eps + h)
+                if not tau > 0:
+                    raise ValueError(
+                        f"tau = {tau} is not positive at epsilon = {eps}")
+                grid["N_t"] = max(1, math.ceil(final_time / tau))
             cfg = dc_replace(base_cfg, allow_unstable=mode == "fixed_grid", **grid)
             closed_form = schemes.scheme_for(cfg).closed_form(cfg, delta)
             # both schemes yield order 2N*N_x*N_t (parity pair vs 2N nodes)

@@ -9,6 +9,8 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 from transportlab import cli, resolve_config, schemes
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def load_perfbench(monkeypatch, name):
@@ -27,6 +30,41 @@ def load_perfbench(monkeypatch, name):
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+def _modules_after(code, *argv):
+    """Module names loaded by ``code`` in a fresh interpreter on ``src/``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_setup_code_loads_no_scipy(monkeypatch, tmp_path):
+    # run.py imports its sibling modules by their bare names
+    for name in ("spans", "workloads"):
+        monkeypatch.setitem(sys.modules, name, load_perfbench(monkeypatch, name))
+    run = load_perfbench(monkeypatch, "run")
+    invocations = sys.modules["workloads"].build("solve", 1)
+    assert {inv.config["scheme"] for inv in invocations} == {"ap", "explicit"}
+    paths = []
+    for inv in invocations:
+        paths.append(tmp_path / f"{inv.label}.json")
+        paths[-1].write_text(json.dumps(inv.config), encoding="utf-8")
+    loaded = _modules_after(run.SETUP_CODE, *map(str, paths))
+    assert {"transportlab.model", "transportlab.quadrature"} <= set(loaded)
+    assert [name for name in loaded if name.startswith("scipy")] == []
+
+
+def test_cli_import_loads_every_traced_module(monkeypatch):
+    # the tracer reads each span's home module from sys.modules after
+    # importing transportlab.cli, so the CLI must load them all
+    spans = load_perfbench(monkeypatch, "spans")
+    loaded = _modules_after("import transportlab.cli")
+    homes = {f"{spans.PACKAGE}.{module}" for module, _ in spans.SPANS.values()}
+    assert sorted(homes - set(loaded)) == []
 
 
 def test_every_traced_function_resolves(monkeypatch):

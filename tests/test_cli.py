@@ -568,14 +568,15 @@ def test_iterative_sweep_reruns_are_byte_identical(tmp_path):
 
 
 def _run_module(module, argv, threads=None):
-    """Run ``python -m module argv`` from this checkout's sources."""
+    """Run ``python -m module argv`` from this checkout's sources and
+    return the completed process."""
     src = str(Path(transportlab.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    subprocess.run([sys.executable, "-m", module, *argv], env=env, check=True,
-                   capture_output=True, timeout=300)
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          check=True, capture_output=True, timeout=300)
 
 
 @pytest.mark.parametrize("raw", [
@@ -603,6 +604,27 @@ def test_iterative_spectrum_is_the_same_at_either_thread_count(raw, tmp_path):
         assert (spectrum["matvecs"]["symbol"] > 0) == (raw["Nx"] == 25)
     assert b",ok\n" in outputs["1"]
     assert outputs["1"] == outputs["2"]
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--version"], None),
+    (["--help"], "usage: transportlab "),
+    (["solve", "--help"], "usage: transportlab solve "),
+], ids=["version", "help", "solve-help"])
+def test_help_and_version_return_zero(argv, usage, capsys):
+    # main returns its exit code; it does not raise SystemExit
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if usage is None:
+        assert out == f"{transportlab.__version__}\n"
+    else:
+        assert out.startswith(usage)
+
+
+def test_python_dash_m_version():
+    done = _run_module("transportlab", ["--version"])
+    assert (done.returncode, done.stdout) == (0, f"{transportlab.__version__}\n".encode())
 
 
 def test_python_dash_m_package_is_the_cli(explicit_config, tmp_path):

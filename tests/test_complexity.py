@@ -185,6 +185,36 @@ def test_failed_row_reports_the_grid_it_tried(monkeypatch):
     assert row.classical_cost == 6**2 * 31 * 49
 
 
+def test_cfl_driven_bad_epsilons_fail_their_rows_only():
+    valid = [0.4, 0.2, 0.1]
+    bad = {float("nan"): "epsilon must be finite and positive, got nan",
+           float("inf"): "epsilon must be finite and positive, got inf",
+           0.0: "epsilon must be finite and positive, got 0.0",
+           -0.1: "epsilon must be finite and positive, got -0.1",
+           1e-300: "tau = 0.0 is not positive at epsilon = 1e-300"}
+    mixed = [0.4, *list(bad)[:3], 0.2, *list(bad)[3:], 0.1]
+    base = explicit_base()
+    rows = sweep_epsilon(base, mixed, mode="cfl_driven", measure_spectrum=False)
+    alone = sweep_epsilon(base, valid, mode="cfl_driven", measure_spectrum=False)
+    # the valid rows are those of a sweep over the valid values alone
+    good = [row for row in rows if row.status == "counts_only"]
+    assert rows_to_csv(good) == rows_to_csv(alone)
+    failed = [row for row in rows if row.status.startswith("error")]
+    assert [row.status for row in failed] == [f"error: {text}" for text in bad.values()]
+    for row in failed[:4]:
+        # rejected before any grid value was derived: those cells are blank
+        assert (row.tau, row.h, row.Nx, row.Nt) == (None,) * 4
+        assert (row.alpha, row.classical_cost) == (None, None)
+    tiny = failed[4]
+    length = base.x_right - base.x_left
+    assert tiny.Nx == round(length / (1e-300 * 0.1)) - 1
+    assert (tiny.h, tiny.tau, tiny.Nt) == (length / (tiny.Nx + 1), 0.0, None)
+    assert tiny.classical_cost is None
+    text = rows_to_csv(rows)
+    assert text.count("\n") == 1 + len(mixed)
+    assert text.splitlines()[2].startswith("explicit,,1.0,,,3,,,0.1,")
+
+
 @pytest.mark.parametrize("raw", [
     # the benchmark's smoke spectrum cases, enlarged past DENSE_CAP
     {"scheme": "ap", "epsilon": 1e-6, "tau": 2e-3, "h": 0.1, "N": 4, "Nx": 16, "Nt": 33},
