@@ -10,10 +10,11 @@ runs inside ``one_thread(order)``, which drops each loaded OpenBLAS to
 one thread when ``order <= ONE_THREAD_MAX_ORDER`` and restores its
 previous count afterwards.
 
-The iterative spectrum of a space-time system has its own crossover,
-``ITERATIVE_ONE_THREAD_MAX_ORDER``: there the BLAS work is ARPACK's
-reorthogonalization against its Lanczos basis, whose cost grows with
-the order, and the sparse products run at one thread either way.
+The iterative path of ``spectral.singular_extremes``, above its dense
+cap, has its own crossover, ``ITERATIVE_ONE_THREAD_MAX_ORDER``: there
+the BLAS work is ARPACK's reorthogonalization against its Lanczos
+basis, whose cost grows with the order, and the products with the
+one-step block run at one thread either way.
 
 The libraries are found on first use, not at import: every mapped
 object of the process whose path names ``openblas`` and that exports a
@@ -35,8 +36,8 @@ from typing import Callable, NamedTuple
 # last order at which one thread is faster and gives the same bits
 ONE_THREAD_MAX_ORDER = 512
 
-# the largest order whose iterative spectrum (``spectral._lanczos_extremes``
-# on a space-time system) runs at one thread: the measured crossover.  On
+# the largest order whose iterative spectrum (``spectral._lanczos_extremes``)
+# runs at one thread: the measured crossover.  On
 # 2-core OpenBLAS, alternating in one process on upwind systems, one thread
 # takes 0.60 of the 2-thread time at order 12,152, 0.88 and 0.96 at 29,304,
 # 1.08 and 0.86 at 39,600, 0.98 and 1.08 at 49,896, 1.05 at 60,192, 1.08 at

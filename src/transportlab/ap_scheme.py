@@ -300,8 +300,7 @@ def ap_evolve(
     both steps, so a step allocates only its new level.  Each level n = 0..N_t
     goes to ``on_level(n, level)`` as it is made; it is a fresh array
     that the run never writes again.  Without a callback the trajectory
-    records every level; with one it holds only the final level.  The
-    cost counter charges N^2 * N_x per step.
+    records every level; with one it holds only the final level.
     """
     _check_ap(cfg, rule)
     check_field(initial, cfg)
@@ -311,7 +310,6 @@ def ap_evolve(
         initial, cfg,
         lambda state: transport_step(relaxation_step(state, cfg, rule, workspace=ws),
                                      cfg, rule, workspace=ws),
-        cfg.N**2 * cfg.N_x,
         lambda state: np.all(np.isfinite(state.r)) and np.all(np.isfinite(state.j)),
         on_level,
     )

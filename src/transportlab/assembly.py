@@ -59,7 +59,8 @@ __all__ = [
     "split_explicit_solution",
 ]
 
-ORDER_CAP_DEFAULT = 1_000_000
+# the largest system order assembled; read at call time
+ORDER_CAP = 1_000_000
 
 
 def sparsity(A) -> int:
@@ -77,12 +78,9 @@ def sparsity(A) -> int:
     return max(row_max, col_max)
 
 
-def _check_order(order: int, order_cap: int):
-    if order > order_cap:
-        raise ValueError(
-            f"system order {order} exceeds the cap {order_cap}; raise order_cap "
-            "to assemble anyway"
-        )
+def _check_order(order: int):
+    if order > ORDER_CAP:
+        raise ValueError(f"system order {order} exceeds the cap ORDER_CAP = {ORDER_CAP}")
 
 
 def _time_shift(N_t: int) -> sp.csr_matrix:
@@ -224,7 +222,6 @@ def assemble_ap_system(
     rule: QuadratureRule,
     initial: ParityField,
     rescaled: bool = False,
-    order_cap: int = ORDER_CAP_DEFAULT,
 ) -> BlockSystem:
     """Stack the relaxation scheme's one-step relations into L S = F.
 
@@ -235,7 +232,7 @@ def assemble_ap_system(
     if cfg.scheme != AP:
         raise ValueError(f"config scheme must be {AP!r}, got {cfg.scheme!r}")
     n = cfg.N * cfg.N_x
-    _check_order(2 * n * cfg.N_t, order_cap)
+    _check_order(2 * n * cfg.N_t)
 
     mats = ap_scheme.ap_step_matrices(cfg, rule)
     f_tilde, g_tilde = ap_scheme.boundary_forcing(cfg, rule, initial, mats)
@@ -277,13 +274,12 @@ def assemble_explicit_system(
     cfg: GridConfig,
     rule: QuadratureRule,
     initial: KineticField,
-    order_cap: int = ORDER_CAP_DEFAULT,
 ) -> BlockSystem:
     """Stack the upwind scheme into the block bidiagonal system L U = F."""
     if cfg.scheme != EXPLICIT:
         raise ValueError(f"config scheme must be {EXPLICIT!r}, got {cfg.scheme!r}")
     n = 2 * cfg.N * cfg.N_x
-    _check_order(n * cfg.N_t, order_cap)
+    _check_order(n * cfg.N_t)
 
     mats = explicit_scheme.explicit_matrix(cfg, rule)
     b = explicit_scheme.boundary_vector(cfg, rule, initial)

@@ -177,7 +177,7 @@ def _cmd_solve(args, cfg, outdir: Path, record: dict) -> list[Path]:
             else contextlib.nullcontext(lambda step, level: None))
     with sink as on_level:
         trajectory = scheme.evolve(scheme.initial(cfg, rule), cfg, rule, on_level)
-    record["solve"] = {"steps": cfg.N_t, "cost": trajectory.cost}
+    record["solve"] = {"steps": cfg.N_t, "cost": complexity.classical_cost(cfg)}
     rho = scheme.density(trajectory.fields[-1], rule)
     x = cfg.interior_x()
     lines = ["x,rho"]

@@ -50,9 +50,11 @@ def qlsa_queries(s: int, kappa: float, delta: float) -> float:
 def classical_cost(cfg: GridConfig) -> int:
     """Nominal operation count of time stepping: N_vel^2 * N_t * N_x.
 
-    Matches the instrumented counters of the evolution drivers exactly
-    (both charge N_vel^2 * N_x per step, with N_vel = N for the parity
-    scheme and 2N for the explicit one).
+    Each of the N_t steps charges N_vel^2 * N_x, the nominal work of one
+    application of the O(N_vel)-sparse one-step matrices of order
+    N_vel * N_x, with N_vel = N for the parity scheme and 2N for the
+    explicit one.  A run that diverges raises, so every finished run
+    costs exactly this.
     """
     n_vel = cfg.n_velocities()
     return n_vel**2 * cfg.N_t * cfg.N_x
@@ -133,7 +135,6 @@ def row_for(
     delta: float,
     measure: bool = True,
     rescaled: bool = True,
-    order_cap: int = assembly.ORDER_CAP_DEFAULT,
 ) -> ComplexityRow:
     """The grid and cost row of one configuration; with ``measure`` the
     spectrum of its space-time system (tau-rescaled for the relaxation
@@ -160,7 +161,7 @@ def row_for(
         status="counts_only",
     )
     if measure:
-        system = schemes.scheme_for(cfg).assemble(cfg, rescaled, order_cap)
+        system = schemes.scheme_for(cfg).assemble(cfg, rescaled)
         report = spectral.singular_extremes(system)
         row.quantum_queries = (
             qlsa_queries(report.sparsity, report.kappa, delta)
@@ -206,7 +207,6 @@ def sweep_epsilon(
     delta: float = 0.1,
     final_time: float = 0.1,
     measure_spectrum: bool = True,
-    order_cap: int = assembly.ORDER_CAP_DEFAULT,
 ) -> list[ComplexityRow]:
     """Produce one ComplexityRow per epsilon.
 
@@ -219,11 +219,14 @@ def sweep_epsilon(
     the fixed domain length over eps * delta, rounded, less one;
     h = length/(N_x + 1) keeps the domain exact;
     tau = TAU_SAFETY * h * eps^2/(eps+h) and N_t = ceil(final_time/tau).
-    In cfl_driven mode an epsilon that is not finite and positive, or
-    whose tau underflows to zero, fails its row.  A failure is recorded
-    in the row status, with as much of the grid as was derived, and the
-    sweep continues.  A ``delta`` outside (0, 1), or in cfl_driven mode
-    a ``final_time`` that is not finite and positive, fails every row
+    In cfl_driven mode an epsilon that is not finite and positive, whose
+    tau underflows to zero, or at which a derived quantity overflows the
+    float range, fails its row with a message that names it.  A failure
+    is recorded in the row status, with as much of the grid as was
+    derived, and the sweep continues.  A row whose system has more than
+    ``assembly.ORDER_CAP`` unknowns is counts_only: its spectrum is not
+    measured.  A ``delta`` outside (0, 1), or in cfl_driven mode a
+    ``final_time`` that is not finite and positive, fails every row
     alike and raises ValueError before any row.
     """
     if mode not in ("fixed_grid", "cfl_driven"):
@@ -246,19 +249,29 @@ def sweep_epsilon(
                 grid.update(dict.fromkeys(("N_x", "h", "tau", "N_t")))
                 if not (math.isfinite(eps) and eps > 0):
                     raise ValueError(f"epsilon must be finite and positive, got {eps}")
-                grid["N_x"] = N_x = max(1, round(length / (eps * delta)) - 1)
+                cells = length / (eps * delta) if eps * delta > 0 else math.inf
+                if not math.isfinite(cells):
+                    raise ValueError(
+                        f"length/(epsilon*delta) overflows at epsilon = {eps}")
+                grid["N_x"] = N_x = max(1, round(cells) - 1)
                 grid["h"] = h = length / (N_x + 1)
-                grid["tau"] = tau = TAU_SAFETY * h * eps**2 / (eps + h)
+                try:
+                    eps2 = eps**2
+                except OverflowError:
+                    raise ValueError(f"epsilon**2 overflows at epsilon = {eps}") from None
+                grid["tau"] = tau = TAU_SAFETY * h * eps2 / (eps + h)
                 if not tau > 0:
                     raise ValueError(
                         f"tau = {tau} is not positive at epsilon = {eps}")
-                grid["N_t"] = max(1, math.ceil(final_time / tau))
+                steps = final_time / tau
+                if not math.isfinite(steps):
+                    raise ValueError(f"final_time/tau overflows at epsilon = {eps}")
+                grid["N_t"] = max(1, math.ceil(steps))
             cfg = dc_replace(base_cfg, allow_unstable=mode == "fixed_grid", **grid)
             closed_form = schemes.scheme_for(cfg).closed_form(cfg, delta)
             # both schemes yield order 2N*N_x*N_t (parity pair vs 2N nodes)
             order = 2 * cfg.N * cfg.N_x * cfg.N_t
-            row = row_for(cfg, delta, measure_spectrum and order <= order_cap,
-                          order_cap=order_cap)
+            row = row_for(cfg, delta, measure_spectrum and order <= assembly.ORDER_CAP)
             row.closed_form_classical, row.closed_form_quantum = closed_form
         except Exception as exc:  # per-epsilon failure: record and continue
             row = _error_row(base_cfg, grid, delta, exc)

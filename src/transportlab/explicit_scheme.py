@@ -214,7 +214,7 @@ def explicit_evolve(
     Each level n = 0..N_t goes to ``on_level(n, level)`` as it is made;
     it is a fresh array that the run never writes again.  Without a
     callback the trajectory records every level; with one it holds only
-    the final level.  The cost counter charges (2N)^2 * N_x per step.
+    the final level.
     """
     _check_explicit(cfg, rule)
     check_field(initial, cfg)
@@ -223,7 +223,6 @@ def explicit_evolve(
     return march(
         initial, cfg,
         lambda state: explicit_step(state, cfg, rule, workspace=ws),
-        (2 * cfg.N) ** 2 * cfg.N_x,
         lambda state: np.all(np.isfinite(state.f)),
         on_level,
     )

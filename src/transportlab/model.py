@@ -343,14 +343,9 @@ def check_field(field, cfg: GridConfig):
 
 @dataclass
 class Trajectory:
-    """The levels the caller asked to keep of a run, plus a cost counter.
-
-    The counter charges N_vel^2 * N_x per step, the nominal work of one
-    application of the O(N_vel)-sparse one-step matrices of order N_vel*N_x.
-    """
+    """The levels the caller asked to keep of a run."""
 
     fields: list
-    cost: int
 
     def __len__(self):
         return len(self.fields)
@@ -385,7 +380,6 @@ def march(
     initial,
     cfg: GridConfig,
     step: Callable,
-    step_cost: int,
     finite: Callable,
     on_level: Callable | None = None,
 ) -> Trajectory:
@@ -394,9 +388,8 @@ def march(
     Each level n = 0..N_t goes to ``on_level(n, level)`` as soon as it
     exists; the returned trajectory then keeps only the final level, so
     the run holds one level at a time.  Without a callback it keeps
-    every level.  Each step charges ``step_cost``.  A level that fails
-    ``finite`` raises :class:`DivergenceError` with its step index,
-    before it is handed on.  A level, once handed on, is never written
+    every level.  A level that fails ``finite`` raises
+    :class:`DivergenceError` with its step index, before it is handed on.  A level, once handed on, is never written
     again: a scheme's ``step`` may reuse the buffers of its run's
     :class:`Workspace`, but must return each level in a fresh array.
     """
@@ -404,16 +397,14 @@ def march(
     sink = on_level if on_level is not None else lambda n, level: kept.append(level)
     sink(0, initial)
     state = initial
-    cost = 0
     # divergence is detected and reported; don't warn about the overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, cfg.N_t + 1):
             state = step(state)
-            cost += step_cost
             if not finite(state):
                 raise DivergenceError(n)
             sink(n, state)
-    return Trajectory(fields=kept if on_level is None else [state], cost=cost)
+    return Trajectory(fields=kept if on_level is None else [state])
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ class Scheme:
         grid = model.SCHEME_GRIDS[self.name]
         return quadrature.gauss_rule(grid.velocity_factor * cfg.N, *grid.rule_interval)
 
-    def assemble(self, cfg, rescaled: bool, order_cap: int = assembly.ORDER_CAP_DEFAULT):
+    def assemble(self, cfg, rescaled: bool):
         """Space-time system L S = F started from the initial field."""
         rule = self.rule(cfg)
-        return self.system(cfg, rule, self.initial(cfg, rule), rescaled, order_cap)
+        return self.system(cfg, rule, self.initial(cfg, rule), rescaled)
 
     def closed_form(self, cfg, delta: float):
         """(classical, quantum) cost expressions, or (None, None)."""
@@ -57,9 +57,8 @@ class _Relaxation(Scheme):
         return ([step, k + 1, m + 1, repr(R[k, m]), repr(J[k, m])]
                 for k in range(cfg.N) for m in range(cfg.N_x))
 
-    def system(self, cfg, rule, initial, rescaled, order_cap):
-        return assembly.assemble_ap_system(cfg, rule, initial, rescaled=rescaled,
-                                           order_cap=order_cap)
+    def system(self, cfg, rule, initial, rescaled):
+        return assembly.assemble_ap_system(cfg, rule, initial, rescaled=rescaled)
 
     def split(self, system, S):
         return assembly.split_ap_solution(system, S)
@@ -84,9 +83,9 @@ class _Upwind(Scheme):
         return ([step, labels[idx], m + 1, repr(F[m, idx])]
                 for m in range(cfg.N_x) for idx in range(2 * cfg.N))
 
-    def system(self, cfg, rule, initial, rescaled, order_cap):
+    def system(self, cfg, rule, initial, rescaled):
         # the tau-rescaling is the relaxation system's; this one has no variant
-        return assembly.assemble_explicit_system(cfg, rule, initial, order_cap=order_cap)
+        return assembly.assemble_explicit_system(cfg, rule, initial)
 
     def split(self, system, S):
         return assembly.split_explicit_solution(system, S)

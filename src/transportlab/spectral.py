@@ -19,13 +19,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import svd, svdvals
 
 from ._blas import ITERATIVE_ONE_THREAD_MAX_ORDER, one_thread
-from .assembly import (
-    BlockSystem,
-    FourierSymbols,
-    assemble_fourier_matrix,
-    frequency_matrix,
-    sparsity,
-)
+from .assembly import BlockSystem, FourierSymbols, assemble_fourier_matrix, frequency_matrix
 from .model import GridConfig
 from .quadrature import QuadratureRule
 
@@ -42,18 +36,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Extreme singular values of one matrix.
+    """Extreme singular values of one space-time system.
 
+    ``method`` is the path that computed them, "dense" or "iterative".
     ``residual`` is a backward-error estimate of the extreme
     computation: zero-order machine precision for the dense path, the
     worse relative eigen-residual of the two ARPACK Ritz pairs for the
     iterative path.  ``kappa`` is +inf when the matrix is singular to
     working precision (sigma_min reported as 0).  ``matvecs_max`` and
     ``matvecs_min`` count the operator applications ARPACK made for
-    sigma_max (A^H A) and sigma_min ((A^H A)^{-1}), and
+    sigma_max (L^H L) and sigma_min ((L^H L)^{-1}), and
     ``matvecs_symbol`` those of the order-m solve for the start of the
-    sigma_max run of a ``BlockSystem`` (0 when that solve is dense); all
-    three are 0 on the dense path.
+    sigma_max run (0 when that solve is dense); all three are 0 on the
+    dense path.
     """
 
     sigma_min: float
@@ -71,10 +66,10 @@ class SpectrumReport:
 # of its Ritz value
 ARPACK_TOL = 1e-12
 
-# the largest order decomposed densely by ``method="auto"``: the measured
-# crossover, on 2-core OpenBLAS, of one dense SVD against the two Lanczos
-# runs with a marching L^{-1}, on relaxation (plain and rescaled) and
-# upwind systems; from order 256 up the Lanczos path is faster everywhere
+# the largest order that ``singular_extremes`` decomposes densely: the
+# measured crossover, on 2-core OpenBLAS, of one dense SVD against the two
+# Lanczos runs with a marching L^{-1}, on relaxation (plain and rescaled)
+# and upwind systems; from order 256 up the Lanczos path is faster everywhere
 DENSE_CAP = 192
 
 # the tolerance of the order-m ARPACK solve for the symbol's top singular
@@ -127,102 +122,77 @@ def _symbol_top_vector(M: sp.csr_matrix) -> tuple[np.ndarray, int]:
     return u, matvecs
 
 
-def _lanczos_extremes(A) -> tuple[float, float, float, int, int, int]:
+def _lanczos_extremes(system: BlockSystem) -> tuple[float, float, float, int, int, int]:
     """sigma_min, sigma_max, the worse residual and the matvec counts of
     the sigma_max, sigma_min and symbol stages, from the top eigenvalues
-    of A^H A and of (A^H A)^{-1} = A^{-1} A^{-H}.
+    of L^H L and of (L^H L)^{-1} = L^{-1} L^{-H}.
 
-    A ``BlockSystem`` runs both stages on its time-major vectors: A^H A
-    from its L and L^H products, and the inverse from its two marches.
-    The top singular vectors of a block Toeplitz L with symbol
-    I - e^{i theta} M sit near theta = pi (Boettcher-Grudsky), so the
-    sigma_max run starts from the time-major vector
+    Both stages run on the system's time-major vectors: L^H L from its
+    L and L^H products, and the inverse from its two marches.  The top
+    singular vectors of a block Toeplitz L with symbol I - e^{i theta} M
+    sit near theta = pi (Boettcher-Grudsky), so the sigma_max run starts
+    from the time-major vector
     ((-1)^t sin(pi (t+1) / (N_t+1)))_t kron u, u the top right singular
     vector of I + M (``_symbol_top_vector``, whose applications are the
-    symbol count).  The whole path runs at one OpenBLAS thread up to
-    order ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (``_blas.one_thread``).  A
-    bare matrix takes CSR products, one sparse LU factorization and no
-    symbol solve, at the library's thread count.  The inverse stage
-    starts from the all-ones vector either way.
+    symbol count).  The sigma_min run starts from the all-ones vector.
+    The whole path runs at one OpenBLAS thread up to order
+    ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (``_blas.one_thread``).
     """
-    dtype = np.result_type(A.dtype, np.float64)
-    if isinstance(A, BlockSystem):
-        with one_thread(A.order, ITERATIVE_ONE_THREAD_MAX_ORDER):
-            u, mv_symbol = _symbol_top_vector(A.M)
-            t = np.arange(A.levels)
-            wave = (-1.0) ** t * np.sin(np.pi * (t + 1) / (A.levels + 1))
-            lam, res_max, mv_max = _top_eigenvalue(
-                lambda x: A.apply_h(A.apply(x)), np.kron(wave, u))
-            mu, res_min, mv_min = _top_eigenvalue(
-                lambda x: A.solve(A.solve_h(x)), np.ones(A.shape[1], dtype))
-    else:
-        At = A.conj(copy=False).T
-        lam, res_max, mv_max = _top_eigenvalue(lambda x: At @ (A @ x),
-                                               np.ones(A.shape[1], dtype))
-        del At  # not held alive next to the LU factors
-        lu = spla.splu(A.tocsc())
+    with one_thread(system.order, ITERATIVE_ONE_THREAD_MAX_ORDER):
+        u, mv_symbol = _symbol_top_vector(system.M)
+        t = np.arange(system.levels)
+        wave = (-1.0) ** t * np.sin(np.pi * (t + 1) / (system.levels + 1))
+        lam, res_max, mv_max = _top_eigenvalue(
+            lambda x: system.apply_h(system.apply(x)), np.kron(wave, u))
         mu, res_min, mv_min = _top_eigenvalue(
-            lambda x: lu.solve(lu.solve(x, trans="H")), np.ones(A.shape[1], dtype))
-        mv_symbol = 0
+            lambda x: system.solve(system.solve_h(x)),
+            np.ones(system.order, system.dtype))
     return (1.0 / math.sqrt(mu), math.sqrt(lam), max(res_max, res_min),
             mv_max, mv_min, mv_symbol)
 
 
-def singular_extremes(A, method: str = "auto") -> SpectrumReport:
-    """Compute sigma_min, sigma_max, kappa and sparsity of a matrix.
+def singular_extremes(system: BlockSystem) -> SpectrumReport:
+    """Compute sigma_min, sigma_max, kappa and sparsity of a space-time
+    system's matrix L.
 
-    ``A`` is a sparse matrix or a space-time ``BlockSystem``.  With
-    ``method="auto"``, matrices of order up to ``DENSE_CAP`` (192, the
-    measured cost crossover of the two paths) are decomposed densely;
-    ``method="dense"`` forces the dense SVD at any order and is the
-    reference the iterative path is tested against.  Above the cap,
-    ARPACK Lanczos on A^H A gives sigma_max, and on
-    (A^H A)^{-1} = A^{-1} A^{-H} gives sigma_min.
-
-    A ``BlockSystem`` applies A, A^H, A^{-1} and A^{-H} from its
-    one-step block M: on the iterative path it makes no product with a
-    CSR ``L``, builds none and factors nothing, sigma_max's run starts
-    from the symbol's top mode (``_lanczos_extremes``), and the whole
-    path runs at one OpenBLAS thread up to order
-    ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (40,000).  Its sparsity comes
-    from M too, and only the dense path builds its ``L``.  A bare matrix
-    takes CSR products, one sparse LU factorization and the all-ones
-    start for both runs, at the library's thread count.  The dense SVD
-    runs at one OpenBLAS thread up to order 512 (``_blas.one_thread``).
-    Convergence failure and an exactly singular LU factor raise
-    RuntimeError.
+    Systems of order up to ``DENSE_CAP`` (192, the measured cost
+    crossover of the two paths) are decomposed densely, by ``svdvals``
+    of the system's ``L`` at one OpenBLAS thread (``_blas.one_thread``).
+    Above the cap, ARPACK Lanczos on L^H L gives sigma_max, started from
+    the symbol's top mode, and on (L^H L)^{-1} = L^{-1} L^{-H} gives
+    sigma_min (``_lanczos_extremes``): L, L^H, L^{-1} and L^{-H} are
+    applied from the one-step block M, so this path builds no ``L`` and
+    factors nothing, and it runs at one OpenBLAS thread up to order
+    ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (40,000).  The sparsity comes
+    from M on both paths.  An argument that is not a ``BlockSystem``
+    raises TypeError, a system of order 0 ValueError, and an ARPACK
+    convergence failure RuntimeError.
     """
-    system = isinstance(A, BlockSystem)
-    if not system:
-        A = sp.csr_matrix(A)
-    if A.shape[0] == 0 or A.shape[1] == 0:
-        raise ValueError("matrix must be nonempty")
-    if method not in ("auto", "dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "dense" if max(A.shape) <= DENSE_CAP else "iterative"
-    if method == "iterative" and max(A.shape) < 2:
-        raise ValueError("the iterative method needs order >= 2 (ARPACK k < n)")
+    if not isinstance(system, BlockSystem):
+        raise TypeError(
+            f"singular_extremes takes a BlockSystem, got {type(system).__name__}")
+    order = system.order
+    if order == 0:
+        raise ValueError("system must be nonempty")
 
-    s = A.sparsity if system else sparsity(A)
-    if method == "dense":
-        with one_thread(max(A.shape)):
-            values = svdvals((A.L if system else A).toarray())
-        sigma_max = float(values[0])
-        sigma_min = float(values[-1])
+    if order <= DENSE_CAP:
+        method = "dense"
+        with one_thread(order):
+            values = svdvals(system.L.toarray())
+        sigma_min, sigma_max = float(values[-1]), float(values[0])
         residual = 0.0
         matvecs = (0, 0, 0)
     else:
-        sigma_min, sigma_max, residual, *matvecs = _lanczos_extremes(A)
+        method = "iterative"
+        sigma_min, sigma_max, residual, *matvecs = _lanczos_extremes(system)
 
     # singular to working precision: flag rather than divide
-    floor = np.finfo(float).eps * max(A.shape) * sigma_max
-    if sigma_min <= floor:
-        return SpectrumReport(0.0, sigma_max, float("inf"), s, method, residual,
-                              *matvecs)
-    return SpectrumReport(
-        sigma_min, sigma_max, sigma_max / sigma_min, s, method, residual, *matvecs
-    )
+    if sigma_min <= np.finfo(float).eps * order * sigma_max:
+        sigma_min, kappa = 0.0, float("inf")
+    else:
+        kappa = sigma_max / sigma_min
+    return SpectrumReport(sigma_min, sigma_max, kappa, system.sparsity, method,
+                          residual, *matvecs)
 
 
 def alpha_bound(epsilon: float, tau: float, N: int) -> float:
@@ -230,23 +200,30 @@ def alpha_bound(epsilon: float, tau: float, N: int) -> float:
 
     Three-term expression in eps, tau and sqrt(N); every term carries a
     factor eps^2, so the bound vanishes as eps -> 0 and is exactly 0 at
-    eps = 0.
+    eps = 0.  Where a term leaves the float range (eps above about 1e77
+    at tau ~ 1) it raises ValueError.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    e2 = epsilon**2
-    root_n = np.sqrt(N)
-    term1 = e2 / (tau + e2) * (root_n * tau + root_n + tau + 1.0 / tau)
-    term2 = e2 * (1.0 - e2) / (e2 + tau) ** 2 * (1.0 + tau)
-    term3 = (
-        e2 * (e2 + 2.0 * tau + tau**2) / (tau * (e2 + tau) ** 2)
-        * root_n * (1.0 + 1.0 / tau)
-    )
-    return float(term1 + term2 + term3)
+    try:
+        e2 = epsilon**2
+        root_n = np.sqrt(N)
+        term1 = e2 / (tau + e2) * (root_n * tau + root_n + tau + 1.0 / tau)
+        term2 = e2 * (1.0 - e2) / (e2 + tau) ** 2 * (1.0 + tau)
+        term3 = (
+            e2 * (e2 + 2.0 * tau + tau**2) / (tau * (e2 + tau) ** 2)
+            * root_n * (1.0 + 1.0 / tau)
+        )
+        alpha = float(term1 + term2 + term3)
+    except OverflowError:
+        alpha = math.inf
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha leaves the float range at epsilon = {epsilon}")
+    return alpha
 
 
 @dataclass

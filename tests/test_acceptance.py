@@ -219,7 +219,7 @@ def test_criterion_7a_sigma_max_slope_in_velocity_count():
         system = assemble_ap_system(cfg, rule_cache[N],
                                     initial_parity_field(cfg, rule_cache[N]),
                                     rescaled=True)
-        points.append((N, singular_extremes(system.L).sigma_max))
+        points.append((N, singular_extremes(system).sigma_max))
     fit = scaling_regression(points)
     ok = abs(fit.slope - 0.5) <= 0.15
     detail = (
@@ -242,7 +242,7 @@ def test_criterion_7b_inverse_sigma_min_slope_in_time_steps():
         cfg = GridConfig(epsilon=1e-6, tau=2e-3, h=0.1, N=4, N_x=8, N_t=N_t)
         system = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule),
                                     rescaled=True)
-        points.append((N_t, 1.0 / singular_extremes(system.L).sigma_min))
+        points.append((N_t, 1.0 / singular_extremes(system).sigma_min))
     fit = scaling_regression(points)
     report("7b", abs(fit.slope - 1.0) <= 0.15,
            f"1/sigma_min over Nt=(8,16,32,64): "

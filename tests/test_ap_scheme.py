@@ -10,6 +10,7 @@ from transportlab import (
     alpha_bound,
     ap_evolve,
     cfl_limit,
+    classical_cost,
     density,
     gauss_rule,
     initial_parity_field,
@@ -318,7 +319,7 @@ def test_evolve_zero_steps_returns_initial():
     init = initial_parity_field(cfg, rule)
     traj = ap_evolve(init, cfg, rule)
     assert len(traj) == 1 and traj.fields[0] is init
-    assert traj.cost == 0
+    assert classical_cost(cfg) == 0
 
 
 def test_evolve_constant_equilibrium_all_levels_identical():
@@ -334,7 +335,7 @@ def test_evolve_cost_counter():
     cfg = make_cfg(N_t=5)
     rule = gauss_rule(4, 0.0, 1.0)
     traj = ap_evolve(initial_parity_field(cfg, rule), cfg, rule)
-    assert traj.cost == 4**2 * 8 * 5
+    assert len(traj) == 6 and classical_cost(cfg) == 4**2 * 8 * 5
 
 
 def test_evolve_uniform_stability_probe():

@@ -10,6 +10,7 @@ from scipy.linalg import svdvals
 
 from transportlab import (
     GridConfig,
+    assembly,
     ap_evolve,
     assemble_ap_system,
     assemble_explicit_system,
@@ -23,8 +24,8 @@ from transportlab import (
     perturbation_check,
     resolve_config,
     schemes,
-    singular_extremes,
     sparsity,
+    spectral,
 )
 from transportlab.assembly import (
     frequency_matrix,
@@ -181,12 +182,12 @@ def test_block_structure_of_ap_system():
                 assert np.all(block == 0.0), (row_block, col_block)
 
 
-def test_memory_guard():
+def test_memory_guard(monkeypatch):
     cfg = ap_cfg(N_t=5)
     rule = gauss_rule(3, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule),
-                           order_cap=100)
+    monkeypatch.setattr(assembly, "ORDER_CAP", 100)
+    with pytest.raises(ValueError, match="exceeds the cap ORDER_CAP = 100"):
+        assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule))
 
 
 def test_sparsity_growth_is_linear_in_velocity_count():
@@ -392,7 +393,7 @@ def test_marching_inverse_matches_solves_stepper_and_dense_spectrum(
     stepper = schemes.scheme_for(cfg)
     rule = stepper.rule(cfg)
     initial = stepper.initial(cfg, rule)
-    system = stepper.system(cfg, rule, initial, rescaled, 10**6)
+    system = stepper.system(cfg, rule, initial, rescaled)
     L = system.L
     assert system.shape == L.shape
     assert system.sparsity == sparsity(L)
@@ -424,12 +425,12 @@ def test_marching_inverse_matches_solves_stepper_and_dense_spectrum(
     assert _relative_error(marched, stepped) <= 1e-10
 
     # the iterative spectrum through the system, with no factorization
-    dense = singular_extremes(L, method="dense")
-    if dense.sigma_min > 0.0:
+    values = svdvals(L.toarray())
+    if values[-1] > np.finfo(float).eps * system.order * values[0]:
         with mock.patch.object(spla, "splu", side_effect=AssertionError("splu")):
-            iterative = singular_extremes(system, method="iterative")
-        assert iterative.sigma_max == pytest.approx(dense.sigma_max, rel=1e-8)
-        assert iterative.sigma_min == pytest.approx(dense.sigma_min, rel=1e-8)
+            sigma_min, sigma_max, *_ = spectral._lanczos_extremes(system)
+        assert sigma_max == pytest.approx(values[0], rel=1e-8)
+        assert sigma_min == pytest.approx(values[-1], rel=1e-8)
 
 
 def _kron_bmat_reference(cfg, rule, rescaled):
@@ -464,7 +465,7 @@ def test_stacked_matrix_is_the_kron_bmat_formula_exactly(scheme, rescaled, N_t):
                           "bc_left": 0.3, "bc_right": 0.7})
     stepper = schemes.scheme_for(cfg)
     rule = stepper.rule(cfg)
-    system = stepper.system(cfg, rule, stepper.initial(cfg, rule), rescaled, 10**6)
+    system = stepper.system(cfg, rule, stepper.initial(cfg, rule), rescaled)
     L, reference = system.L, _kron_bmat_reference(cfg, rule, rescaled)
     assert system.L is L  # built once
     for name in ("indptr", "indices", "data"):

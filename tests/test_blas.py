@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,8 +84,11 @@ def _dense_outputs():
     cfg = GridConfig(epsilon=0.3, tau=0.004, h=0.1, N=4, N_x=6, N_t=16)
     rule = gauss_rule(4, 0.0, 1.0)
     report = perturbation_check(cfg, rule, np.linspace(0.0, np.pi, 5) / cfg.h)
+    # order 2 * N * N_x * N_t = 192: singular_extremes' dense path
+    cfg = dataclasses.replace(cfg, N_t=4)
     system = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule))
-    dense = singular_extremes(system, method="dense")
+    dense = singular_extremes(system)
+    assert dense.method == "dense"
     return (report.e_norms, report.sigma_max_eps, report.sigma_min_eps,
             report.sigma_max_zero, report.sigma_min_zero,
             np.array([dense.sigma_min, dense.sigma_max]))
@@ -101,8 +106,8 @@ def test_dense_spectrum_same_bits_with_and_without_the_pin(monkeypatch):
     # order 2 * N * N_x * N_t = 192 <= ONE_THREAD_MAX_ORDER
     cfg = GridConfig(epsilon=0.3, tau=0.004, h=0.1, N=4, N_x=6, N_t=4)
     rule = gauss_rule(4, 0.0, 1.0)
-    L = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule)).L
-    assert L.shape[0] <= ONE_THREAD_MAX_ORDER
+    system = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule))
+    assert system.order <= ONE_THREAD_MAX_ORDER
     counts_seen = []
     svdvals = spectral.svdvals
 
@@ -111,10 +116,11 @@ def test_dense_spectrum_same_bits_with_and_without_the_pin(monkeypatch):
         return svdvals(a)
 
     monkeypatch.setattr(spectral, "svdvals", spy)
-    pinned = singular_extremes(L, method="dense")
+    pinned = singular_extremes(system)
+    assert pinned.method == "dense" and len(counts_seen) == 1
     assert all(set(counts.values()) <= {1} for counts in counts_seen)
     monkeypatch.setattr(_blas, "_libraries", lambda: ())
-    unpinned = singular_extremes(L, method="dense")
+    unpinned = singular_extremes(system)
     assert pinned == unpinned
 
 
@@ -175,8 +181,8 @@ def test_system_spectrum_runs_arpack_at_one_thread(monkeypatch):
     system = _system_above_the_symbol_cap()
     assert system.order <= ITERATIVE_ONE_THREAD_MAX_ORDER
     counts_seen = _spy_arpack(monkeypatch)
-    report = singular_extremes(system, method="iterative")
-    assert report.matvecs_symbol > 0
+    report = singular_extremes(system)
+    assert report.method == "iterative" and report.matvecs_symbol > 0
     assert len(counts_seen) == 3
     assert all(set(counts.values()) <= {1} for counts in counts_seen)
 
@@ -187,12 +193,12 @@ def test_system_spectrum_keeps_the_counts_just_above_the_crossover(fakes, monkey
         lib.sets.clear()  # the assembler's block-norm check pins too
     counts_seen = _spy_arpack(monkeypatch)
     monkeypatch.setattr(spectral, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order)
-    pinned = singular_extremes(system, method="iterative")
+    pinned = singular_extremes(system)
     assert counts_seen == [{"two": 1, "four": 1, "one": 1}] * 3
     assert _blas.thread_counts() == {"two": 2, "four": 4, "one": 1}
     counts_seen.clear()
     monkeypatch.setattr(spectral, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order - 1)
-    unpinned = singular_extremes(system, method="iterative")
+    unpinned = singular_extremes(system)
     assert counts_seen == [{"two": 2, "four": 4, "one": 1}] * 3
     assert [lib.sets for lib in fakes] == [[1, 2], [1, 4], []]
     # the fakes set no real library, so both runs took the same path

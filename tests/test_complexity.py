@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import svdvals
 
-from transportlab import complexity, resolve_config, schemes, singular_extremes, spectral
+from transportlab import assembly, complexity, resolve_config, schemes, spectral
 from transportlab.spectral import DENSE_CAP
 from transportlab import (
     CSV_HEADER,
@@ -50,15 +51,19 @@ def test_classical_cost_examples():
 
 
 def test_classical_cost_matches_instrumented_counters():
+    # a finished run makes N_t steps, each charged N_vel^2 * N_x
     cfg = GridConfig(epsilon=0.5, tau=0.004, h=0.1, N=3, N_x=6, N_t=7)
     rule = gauss_rule(3, 0.0, 1.0)
-    trajectory = ap_evolve(initial_parity_field(cfg, rule), cfg, rule)
-    assert trajectory.cost == classical_cost(cfg)
+    steps = []
+    ap_evolve(initial_parity_field(cfg, rule), cfg, rule, lambda n, level: steps.append(n))
+    assert classical_cost(cfg) == (len(steps) - 1) * 3**2 * 6
     cfg_e = GridConfig(epsilon=0.4, tau=1e-3, h=0.1, N=3, N_x=6, N_t=7,
                        scheme="explicit")
     rule_e = gauss_rule(6, -1.0, 1.0)
-    trajectory_e = explicit_evolve(initial_kinetic_field(cfg_e, rule_e), cfg_e, rule_e)
-    assert trajectory_e.cost == classical_cost(cfg_e)
+    steps = []
+    explicit_evolve(initial_kinetic_field(cfg_e, rule_e), cfg_e, rule_e,
+                    lambda n, level: steps.append(n))
+    assert classical_cost(cfg_e) == (len(steps) - 1) * 6**2 * 6
 
 
 # --- sweeps ---------------------------------------------------------------
@@ -158,7 +163,7 @@ def test_schemes_comparable_when_epsilon_is_order_one():
                     scheme="explicit")
     rule = gauss_rule(3, 0.0, 1.0)
     system = assemble_ap_system(ap, rule, initial_parity_field(ap, rule))
-    kappa_ap = singular_extremes(system.L).kappa
+    kappa_ap = singular_extremes(system).kappa
     row_ex = sweep_epsilon(ex, [1.0], mode="fixed_grid")[0]
     assert kappa_ap / row_ex.kappa <= 10.0
     assert row_ex.kappa / kappa_ap <= 10.0
@@ -215,6 +220,61 @@ def test_cfl_driven_bad_epsilons_fail_their_rows_only():
     assert text.splitlines()[2].startswith("explicit,,1.0,,,3,,,0.1,")
 
 
+def test_cfl_driven_rows_name_what_leaves_the_float_range():
+    base = explicit_base()
+    length = base.x_right - base.x_left
+    rows = sweep_epsilon(base, [0.2, 1e-310, 1e300, 1e200], mode="cfl_driven",
+                         measure_spectrum=False)
+    alone = sweep_epsilon(base, [0.2], mode="cfl_driven", measure_spectrum=False)
+    assert rows_to_csv(rows[:1]) == rows_to_csv(alone)
+    # eps * delta underflows, so length / (eps * delta) is inf: nothing derived
+    tiny = rows[1]
+    assert tiny.status == "error: length/(epsilon*delta) overflows at epsilon = 1e-310"
+    assert (tiny.Nx, tiny.h, tiny.tau, tiny.Nt) == (None,) * 4
+    assert (tiny.alpha, tiny.classical_cost) == (None, None)
+    # eps**2 overflows: N_x and h are derived, tau and N_t are not
+    for row, eps in zip(rows[2:], (1e300, 1e200)):
+        assert row.status == f"error: epsilon**2 overflows at epsilon = {eps}"
+        assert (row.Nx, row.h) == (1, length / 2)
+        assert (row.tau, row.Nt, row.alpha, row.classical_cost) == (None,) * 4
+    assert rows_to_csv(rows).splitlines()[2].startswith("explicit,1e-310,1.0,,,3,,,0.1,")
+
+
+def test_cfl_driven_row_names_an_overflowing_step_count():
+    # tau ~ 8e-102 is positive, but final_time / tau is inf
+    row = sweep_epsilon(explicit_base(), [1e-50], mode="cfl_driven", final_time=1e300,
+                        measure_spectrum=False)[0]
+    assert row.status == "error: final_time/tau overflows at epsilon = 1e-50"
+    assert row.tau > 0 and row.Nt is None and row.classical_cost is None
+
+
+def test_rows_at_large_epsilon_keep_the_sweep_going():
+    # alpha's terms overflow from eps ~ 1e77: the row fails, the sweep goes on
+    rows = sweep_epsilon(ap_base(), [1e100, 1e-3], mode="fixed_grid",
+                         measure_spectrum=False)
+    assert rows[0].status == "error: alpha leaves the float range at epsilon = 1e+100"
+    assert math.isnan(rows[0].alpha)
+    assert rows[1].status == "counts_only"
+
+
+def _factored_extremes(L):
+    """sigma_min, sigma_max of a sparse L by ARPACK on L^T L and, through
+    one sparse LU of L, on (L^T L)^{-1}: a reference independent of the
+    system's marches."""
+    n = L.shape[0]
+    Lt = L.T.tocsr()
+    lu = spla.splu(L.tocsc())
+
+    def top_eigenvalue(matvec):
+        op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+        return spla.eigsh(op, k=1, which="LA", v0=np.ones(n) / math.sqrt(n), tol=1e-13,
+                          return_eigenvectors=False)[0]
+
+    top = top_eigenvalue(lambda x: Lt @ (L @ x))
+    inverse_top = top_eigenvalue(lambda x: lu.solve(lu.solve(x, trans="T")))
+    return 1.0 / math.sqrt(inverse_top), math.sqrt(top)
+
+
 @pytest.mark.parametrize("raw", [
     # the benchmark's smoke spectrum cases, enlarged past DENSE_CAP
     {"scheme": "ap", "epsilon": 1e-6, "tau": 2e-3, "h": 0.1, "N": 4, "Nx": 16, "Nt": 33},
@@ -225,7 +285,7 @@ def test_row_above_dense_cap_needs_no_factorization(monkeypatch, raw):
     cfg = resolve_config(raw)
     L = schemes.scheme_for(cfg).assemble(cfg, True).L
     assert L.shape[0] > DENSE_CAP
-    reference = singular_extremes(L)  # a bare matrix: through one splu
+    sigma_min, sigma_max = _factored_extremes(L)
 
     def refuse(*args, **kwargs):
         raise AssertionError("factorization on the marching path")
@@ -234,8 +294,8 @@ def test_row_above_dense_cap_needs_no_factorization(monkeypatch, raw):
         monkeypatch.setattr(spla, name, refuse)
     row = complexity.row_for(cfg, 0.1)
     assert (row.status, row.method) == ("ok", "iterative")
-    assert row.sigma_min == pytest.approx(reference.sigma_min, rel=1e-10)
-    assert row.sigma_max == pytest.approx(reference.sigma_max, rel=1e-10)
+    assert row.sigma_min == pytest.approx(sigma_min, rel=1e-10)
+    assert row.sigma_max == pytest.approx(sigma_max, rel=1e-10)
     assert 0.0 <= row.residual <= 1e-8
 
 
@@ -246,15 +306,15 @@ def test_criterion_6_grid_takes_the_iterative_path_and_agrees_with_dense():
     for row in rows:
         assert (row.status, row.method) == ("ok", "iterative")
         cfg = dataclasses.replace(base, epsilon=row.epsilon)
-        L = schemes.scheme_for(cfg).assemble(cfg, True).L
-        dense = singular_extremes(L, method="dense")
-        assert row.sigma_min == pytest.approx(dense.sigma_min, rel=1e-12)
-        assert row.sigma_max == pytest.approx(dense.sigma_max, rel=1e-12)
-        assert row.kappa == pytest.approx(dense.kappa, rel=1e-12)
+        values = svdvals(schemes.scheme_for(cfg).assemble(cfg, True).L.toarray())
+        assert row.sigma_min == pytest.approx(values[-1], rel=1e-12)
+        assert row.sigma_max == pytest.approx(values[0], rel=1e-12)
+        assert row.kappa == pytest.approx(values[0] / values[-1], rel=1e-12)
 
 
-def test_sweep_skips_spectrum_above_order_cap():
-    rows = sweep_epsilon(ap_base(), [1e-3], mode="fixed_grid", order_cap=10)
+def test_sweep_skips_spectrum_above_order_cap(monkeypatch):
+    monkeypatch.setattr(assembly, "ORDER_CAP", 10)
+    rows = sweep_epsilon(ap_base(), [1e-3], mode="fixed_grid")
     assert rows[0].status == "counts_only"
     assert rows[0].classical_cost > 0
 

@@ -10,6 +10,7 @@ from transportlab import (
     GridConfig,
     KineticField,
     cfl_limit,
+    classical_cost,
     gauss_rule,
     initial_kinetic_field,
 )
@@ -152,10 +153,10 @@ def test_evolve_zero_steps_and_cost():
     rule = make_rule(cfg)
     init = initial_kinetic_field(cfg, rule)
     traj = explicit_evolve(init, cfg, rule)
-    assert len(traj) == 1 and traj.cost == 0
+    assert len(traj) == 1 and classical_cost(cfg) == 0
     cfg5 = make_cfg(N_t=5)
     traj5 = explicit_evolve(initial_kinetic_field(cfg5, rule), cfg5, rule)
-    assert traj5.cost == (2 * 4) ** 2 * 8 * 5
+    assert len(traj5) == 6 and classical_cost(cfg5) == (2 * 4) ** 2 * 8 * 5
 
 
 def test_step_nonexpansive_for_nonnegative_data_zero_inflow():

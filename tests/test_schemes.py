@@ -47,7 +47,7 @@ def test_split_space_time_solution_is_the_stepper_trajectory(cfg, rescaled):
     rule = scheme.rule(cfg)
     initial = scheme.initial(cfg, rule)
     trajectory = scheme.evolve(initial, cfg, rule)
-    system = scheme.system(cfg, rule, initial, rescaled, 10**6)
+    system = scheme.system(cfg, rule, initial, rescaled)
     pieces = scheme.split(system, spla.spsolve(system.L.tocsc(), system.F))
     assert len(pieces) == cfg.N_t
     for level, piece in zip(trajectory.fields[1:], pieces):
@@ -106,7 +106,6 @@ def test_streamed_levels_are_the_recorded_levels(scheme, log_eps, N, N_x, N_t,
     assert len(streamed) == cfg.N_t + 1
     assert len(kept.fields) == 1
     assert _values(kept.fields[0]).tobytes() == _values(recorded.fields[-1]).tobytes()
-    assert kept.cost == recorded.cost
 
 
 @pytest.mark.parametrize("raw, steps", [

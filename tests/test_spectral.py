@@ -9,6 +9,7 @@ from scipy.linalg import svdvals
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from transportlab import (
+    BlockSystem,
     GridConfig,
     alpha_bound,
     assemble_ap_system,
@@ -19,51 +20,75 @@ from transportlab import (
     scaling_regression,
     schemes,
     singular_extremes,
+    sparsity,
 )
 from transportlab.assembly import assemble_fourier_matrix, frequency_matrix
-from transportlab.spectral import DENSE_CAP, _real_form, _top_eigenvalue
+from transportlab.spectral import DENSE_CAP, _lanczos_extremes, _real_form, _top_eigenvalue
 
 # frozen by evaluating the three displayed terms independently by hand:
 # 0.5*102.03 + 24.75*1.01 + 75.25*202 = 51.015 + 24.9975 + 15200.5
 ALPHA_AT_01_001_4 = 15276.5125
 
 
+def _system_of(M, levels):
+    """The space-time system of ``levels`` steps of a chosen one-step
+    block M, with L = I - P kron M; its config supplies only N_t."""
+    M = sp.csr_matrix(M)
+    cfg = GridConfig(epsilon=1.0, tau=1.0, h=1.0, N=1, N_x=1, N_t=levels,
+                     scheme="explicit", allow_unstable=True)
+    return BlockSystem(M=M, F=np.zeros(levels * M.shape[0]), scheme="explicit",
+                       rescaled=False, cfg=cfg, groups=1)
+
+
+def _dense_extremes(system):
+    """sigma_min, sigma_max of the system's L by a dense SVD: the reference."""
+    values = svdvals(system.L.toarray())
+    return values[-1], values[0]
+
+
 def test_identity_spectrum():
-    report = singular_extremes(sp.eye(10))
+    # M = 0 gives L = I
+    report = singular_extremes(_system_of(sp.csr_matrix((5, 5)), 2))
     assert report.sigma_min == report.sigma_max == 1.0
     assert report.kappa == 1.0
     assert report.sparsity == 1
 
 
 def test_diagonal_spectrum():
-    report = singular_extremes(sp.diags([1.0, 2.0, 3.0]))
-    assert report.sigma_min == pytest.approx(1.0)
-    assert report.sigma_max == pytest.approx(3.0)
-    assert report.kappa == pytest.approx(3.0)
+    # two levels of M = diag(0, 1.5): 2x2 blocks [[1, 0], [-d, 1]], whose
+    # singular values are (sqrt(d^2 + 4) +- d)/2, so 1, 1 and 2, 1/2
+    report = singular_extremes(_system_of(sp.diags([0.0, 1.5]), 2))
+    assert report.sigma_min == pytest.approx(0.5)
+    assert report.sigma_max == pytest.approx(2.0)
+    assert report.kappa == pytest.approx(4.0)
 
 
 def test_iterative_path_matches_dense():
+    # a random one-step block of m = 20 rows over 3 levels: order 60
     rng = np.random.default_rng(42)
-    A = sp.csr_matrix(rng.normal(size=(60, 60)) + 10 * np.eye(60))
-    dense = singular_extremes(A, method="dense")
-    iterative = singular_extremes(A, method="iterative")
-    assert iterative.method == "iterative"
-    assert iterative.sigma_max == pytest.approx(dense.sigma_max, rel=1e-8)
-    assert iterative.sigma_min == pytest.approx(dense.sigma_min, rel=1e-8)
-    assert iterative.residual <= 1e-8
+    system = _system_of(0.3 * rng.normal(size=(20, 20)), 3)
+    sigma_min, sigma_max = _dense_extremes(system)
+    lanczos_min, lanczos_max, residual, *_ = _lanczos_extremes(system)
+    assert lanczos_max == pytest.approx(sigma_max, rel=1e-8)
+    assert lanczos_min == pytest.approx(sigma_min, rel=1e-8)
+    assert residual <= 1e-8
 
 
 def test_auto_method_switches_on_order():
-    small = singular_extremes(sp.eye(5))
-    assert small.method == "dense"
-    at_cap = singular_extremes(sp.eye(DENSE_CAP) * 2.0)
-    assert at_cap.method == "dense"
-    assert at_cap.sigma_max == pytest.approx(2.0)
-    assert at_cap.sigma_min == pytest.approx(2.0)
-    large = singular_extremes(sp.eye(DENSE_CAP + 1) * 2.0)
-    assert large.method == "iterative"
-    assert large.sigma_max == pytest.approx(2.0)
-    assert large.sigma_min == pytest.approx(2.0)
+    # both schemes have orders 2 * N * N_x * N_t, so no system has order 193
+    at_cap = resolve_config({"scheme": "ap", "epsilon": 0.3, "tau": "auto", "h": 0.1,
+                             "N": 2, "Nx": 8, "Nt": 6})
+    above = resolve_config({"scheme": "explicit", "epsilon": 0.3, "tau": "auto",
+                            "h": 0.1, "N": 1, "Nx": 1, "Nt": 97})
+    for cfg, order, method in ((at_cap, DENSE_CAP, "dense"),
+                               (above, DENSE_CAP + 2, "iterative")):
+        system = schemes.scheme_for(cfg).assemble(cfg, True)
+        assert system.order == order
+        report = singular_extremes(system)
+        sigma_min, sigma_max = _dense_extremes(system)
+        assert report.method == method
+        assert report.sigma_max == pytest.approx(sigma_max, rel=1e-12, abs=0.0)
+        assert report.sigma_min == pytest.approx(sigma_min, rel=1e-12, abs=0.0)
 
 
 def test_iterative_path_on_plain_relaxation_system():
@@ -71,12 +96,13 @@ def test_iterative_path_on_plain_relaxation_system():
     cfg = GridConfig(epsilon=1e-3, tau=2e-3, h=0.1, N=2, N_x=8, N_t=16,
                      allow_unstable=True)
     rule = gauss_rule(2, 0.0, 1.0)
-    L = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule)).L
-    assert L.shape == (512, 512)
-    dense = singular_extremes(L, method="dense")
-    iterative = singular_extremes(L, method="iterative")
-    assert iterative.sigma_max == pytest.approx(dense.sigma_max, rel=1e-8)
-    assert iterative.sigma_min == pytest.approx(dense.sigma_min, rel=1e-8)
+    system = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule))
+    assert system.order == 512
+    sigma_min, sigma_max = _dense_extremes(system)
+    iterative = singular_extremes(system)
+    assert iterative.method == "iterative"
+    assert iterative.sigma_max == pytest.approx(sigma_max, rel=1e-8)
+    assert iterative.sigma_min == pytest.approx(sigma_min, rel=1e-8)
     assert isinstance(iterative.sigma_min, float)
     assert isinstance(iterative.kappa, float)
 
@@ -96,26 +122,51 @@ def test_iterative_and_dense_extremes_agree(scheme, rescaled, log_eps, N, Nx, Nt
     assume(2 * N * Nx * Nt <= 512)
     cfg = resolve_config({"scheme": scheme, "epsilon": 10.0**log_eps,
                           "tau": "auto", "h": 0.1, "N": N, "Nx": Nx, "Nt": Nt})
-    L = schemes.scheme_for(cfg).assemble(cfg, rescaled).L
-    dense = singular_extremes(L, method="dense")
-    assume(dense.sigma_min > 0.0)
-    iterative = singular_extremes(L, method="iterative")
-    assert iterative.sigma_max == pytest.approx(dense.sigma_max, rel=1e-8)
-    assert iterative.sigma_min == pytest.approx(dense.sigma_min, rel=1e-8)
+    system = schemes.scheme_for(cfg).assemble(cfg, rescaled)
+    sigma_min, sigma_max = _dense_extremes(system)
+    # not singular to working precision, as singular_extremes flags it
+    assume(sigma_min > np.finfo(float).eps * system.order * sigma_max)
+    lanczos_min, lanczos_max, *_ = _lanczos_extremes(system)
+    assert lanczos_max == pytest.approx(sigma_max, rel=1e-8)
+    assert lanczos_min == pytest.approx(sigma_min, rel=1e-8)
 
 
 def test_singular_matrix_flagged_as_infinite_kappa():
-    A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    report = singular_extremes(A)
+    # two levels of M = 1e20 I: sigma_min ~ 1e-20 is below the
+    # eps * order * sigma_max floor
+    report = singular_extremes(_system_of(1e20 * sp.eye(3), 2))
+    assert report.sigma_max == pytest.approx(1e20)
     assert report.sigma_min == 0.0
     assert report.kappa == float("inf")
 
 
 def test_empty_matrix_rejected():
-    with pytest.raises(ValueError):
-        singular_extremes(sp.csr_matrix((0, 0)))
-    with pytest.raises(ValueError):
-        singular_extremes(sp.eye(1), method="iterative")
+    with pytest.raises(ValueError, match="nonempty"):
+        singular_extremes(_system_of(sp.eye(3), 0))
+
+
+def test_only_a_block_system_is_accepted():
+    with pytest.raises(TypeError, match=type(sp.eye(3)).__name__):
+        singular_extremes(sp.eye(3))
+    with pytest.raises(TypeError, match="ndarray"):
+        singular_extremes(np.eye(3))
+
+
+def test_both_paths_report_their_method_and_the_sparsity_of_m():
+    # M = diag(0.5) with its last column set to 0.25: that column holds
+    # four entries, so sparsity(L) = 1 + 4 on both paths
+    M = sp.lil_matrix((4, 4))
+    M.setdiag(0.5)
+    M[:, 3] = 0.25
+    for levels, method in ((3, "dense"), (60, "iterative")):
+        system = _system_of(M.tocsr(), levels)
+        assert (system.order <= DENSE_CAP) == (method == "dense")
+        report = singular_extremes(system)
+        assert report.method == method
+        assert report.sparsity == 5 == sparsity(system.L)
+        sigma_min, sigma_max = _dense_extremes(system)
+        assert report.sigma_max == pytest.approx(sigma_max, rel=1e-12, abs=0.0)
+        assert report.sigma_min == pytest.approx(sigma_min, rel=1e-12, abs=0.0)
 
 
 @contextlib.contextmanager
@@ -140,18 +191,22 @@ def test_system_path_makes_no_product_with_the_matrix():
     cfg = resolve_config({"scheme": "explicit", "epsilon": 0.2, "tau": "auto",
                           "h": 0.05, "N": 2, "Nx": 16, "Nt": 16})
     system = schemes.scheme_for(cfg).assemble(cfg, False)
-    L = system.L
-    with _spy_products() as shapes:
-        bare = singular_extremes(L, method="iterative")
-    assert L.shape in shapes  # the spy sees the bare path's products
+    assert system.order > DENSE_CAP
     with _spy_products() as shapes, mock.patch.object(
             spla, "splu", side_effect=AssertionError("splu")):
-        report = singular_extremes(system, method="iterative")
-    assert shapes and L.shape not in shapes
+        report = singular_extremes(system)
+    assert "L" not in vars(system)  # the cached L was never built
+    assert shapes and system.shape not in shapes
+    L = system.L
+    with _spy_products() as spied:
+        L @ np.ones(system.order)
+    assert spied == [L.shape]  # the spy does see products with L
+    assert report.method == "iterative"
     assert report.matvecs_max > 0 and report.matvecs_min > 0
-    assert report.sparsity == bare.sparsity
-    assert report.sigma_max == pytest.approx(bare.sigma_max, rel=1e-12)
-    assert report.sigma_min == pytest.approx(bare.sigma_min, rel=1e-12)
+    assert report.sparsity == sparsity(L)
+    sigma_min, sigma_max = _dense_extremes(system)
+    assert report.sigma_max == pytest.approx(sigma_max, rel=1e-12)
+    assert report.sigma_min == pytest.approx(sigma_min, rel=1e-12)
 
 
 # the top two singular values of the rescaled relaxation system below,
@@ -185,12 +240,13 @@ def test_symbol_started_system_path_matches_dense(scheme, rescaled, N, Nx, Nt):
                           "N": N, "Nx": Nx, "Nt": Nt})
     system = schemes.scheme_for(cfg).assemble(cfg, rescaled)
     m = system.M.shape[0]
-    dense = singular_extremes(system, method="dense")
-    iterative = singular_extremes(system, method="iterative")
-    assert (iterative.matvecs_symbol > 0) == (m > DENSE_CAP)
-    assert iterative.sigma_max == pytest.approx(dense.sigma_max, rel=1e-12, abs=0.0)
-    assert iterative.sigma_min == pytest.approx(dense.sigma_min, rel=1e-12, abs=0.0)
-    assert iterative.kappa == pytest.approx(dense.kappa, rel=1e-12, abs=0.0)
+    sigma_min, sigma_max = _dense_extremes(system)
+    lanczos_min, lanczos_max, _, _, _, matvecs_symbol = _lanczos_extremes(system)
+    assert (matvecs_symbol > 0) == (m > DENSE_CAP)
+    assert lanczos_max == pytest.approx(sigma_max, rel=1e-12, abs=0.0)
+    assert lanczos_min == pytest.approx(sigma_min, rel=1e-12, abs=0.0)
+    assert lanczos_max / lanczos_min == pytest.approx(sigma_max / sigma_min,
+                                                      rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("epsilon", [10.0**-k for k in range(7)])
@@ -216,7 +272,7 @@ def test_rescaled_system_extremes_have_order_one_constants():
     rule = gauss_rule(4, 0.0, 1.0)
     system = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule),
                                 rescaled=True)
-    report = singular_extremes(system.L)
+    report = singular_extremes(system)
     lower_const = report.sigma_min * np.sqrt(4) * 16
     upper_const = report.sigma_max / np.sqrt(4)
     assert 0.1 <= lower_const <= 10.0
@@ -246,6 +302,11 @@ def test_alpha_rejects_bad_arguments():
         alpha_bound(0.1, 0.0, 4)
     with pytest.raises(ValueError):
         alpha_bound(-0.1, 0.01, 4)
+    for epsilon in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            alpha_bound(epsilon, 0.01, 4)
+    with pytest.raises(ValueError, match="float range at epsilon = 1e\\+100"):
+        alpha_bound(1e100, 0.01, 4)
 
 
 # --- perturbation sweep ---------------------------------------------------
