@@ -58,15 +58,19 @@ def _check_ap(cfg: GridConfig, rule: QuadratureRule | None = None):
 
 
 class ApWorkspace(Workspace):
-    """Buffers and coefficient rows of one relaxation run, built once.
+    """Buffers and coefficients of one relaxation run, built once.
 
-    Holds the padded ghost buffers, the starred state, one scratch array
-    and the per-run rows gamma*(1-eps^2)*v, 1-lam*v and lam*v/2.
-    The steps compute into it through ufunc ``out=`` with the same
-    operations, operands and order as the plain expressions in their
-    docstrings, so a step gives the same bits with or without one.  The
-    starred state a step returns lives here and is overwritten by the
-    next relaxation step; each new level is a fresh array.
+    Holds the starred state, one scratch array, the density row and the
+    per-run coefficients gamma*(1-eps^2)*v, 1-lam*v and lam*v/2, each
+    repeated along x into a full (N, N_x) array, so that every product
+    is one contiguous pass with no broadcast operand.  No padded copy of
+    a level is kept: the steps read the ghost values where they need
+    them.  The steps compute into it through ufunc ``out=`` with the
+    same operations, operands and order as the plain expressions in
+    their docstrings, so a step gives the same bits with or without
+    one.  The starred state a step returns lives here and is
+    overwritten by the next relaxation step; each new level is a fresh
+    array.
     """
 
     def __init__(self, cfg: GridConfig, rule: QuadratureRule):
@@ -74,25 +78,35 @@ class ApWorkspace(Workspace):
         super().__init__(cfg, rule)
         N, Nx = cfg.N, cfg.N_x
         v = rule.nodes[:, None]
-        self.drift = cfg.gamma * (1.0 - cfg.epsilon**2) * v
         lam_v = cfg.lam * v
-        self.one_minus_lam_v = 1.0 - lam_v
-        self.half_lam_v = 0.5 * lam_v
+        self.drift = np.repeat(cfg.gamma * (1.0 - cfg.epsilon**2) * v, Nx, axis=1)
+        self.one_minus_lam_v = np.repeat(1.0 - lam_v, Nx, axis=1)
+        self.half_lam_v = np.repeat(0.5 * lam_v, Nx, axis=1)
         self.rho = np.empty(Nx)
         self.r_star = np.empty((N, Nx))
         self.j_star = np.empty((N, Nx))
         self.scratch = np.empty((N, Nx))
-        self.r_pad = np.empty((N, Nx + 2))
-        self.j_pad = np.empty((N, Nx + 2))
 
 
-def _pad_into(padded: np.ndarray, values: np.ndarray, left: np.ndarray,
-              right: np.ndarray) -> np.ndarray:
-    """Fill ``padded`` with ``values`` and ghost columns at m = 0 and m = N_x + 1."""
-    padded[:, 0] = left
-    padded[:, 1:-1] = values
-    padded[:, -1] = right
-    return padded
+def _neighbours_into(out: np.ndarray, op, values: np.ndarray, left: np.ndarray,
+                     right: np.ndarray) -> np.ndarray:
+    """``op(values_{m+1}, values_{m-1})`` on each row of the (N, N_x)
+    ``values``, with the ghost columns ``left`` at m = 0 and ``right`` at
+    m = N_x + 1.
+
+    One contiguous pass over the flat rows gets every interior column;
+    its two edge columns pair values across rows, so they are then
+    written again from the ghosts.  ``out`` is a contiguous workspace
+    array, so its flat view writes through.
+    """
+    flat, flat_out = values.reshape(-1), out.reshape(-1)
+    op(flat[2:], flat[:-2], out=flat_out[1:-1])
+    if values.shape[1] == 1:
+        op(right, left, out=out[:, 0])
+    else:
+        op(values[:, 1], left, out=out[:, 0])
+        op(right, values[:, -2], out=out[:, -1])
+    return out
 
 
 def relaxation_step(
@@ -108,8 +122,9 @@ def relaxation_step(
     ghost values at m = 0 and m = N_x + 1.  The velocity average rho is
     preserved exactly, which is what makes the implicit update
     explicitly computable.  With a ``workspace`` the starred state lives
-    in its buffers until the next relaxation step; without one a fresh
-    workspace is built.
+    in its buffers until the next relaxation step, and the scratch array
+    holds the central difference; without one a fresh workspace is
+    built.
     """
     _check_ap(cfg, rule)
     check_field(state, cfg)
@@ -122,8 +137,7 @@ def relaxation_step(
     r_star = np.add(R, rho, out=ws.r_star)
     np.divide(r_star, 1.0 + gamma, out=r_star)
 
-    padded = _pad_into(ws.r_pad, r_star, state.r_left, state.r_right)
-    term = np.subtract(padded[:, 2:], padded[:, :-2], out=ws.scratch)
+    term = _neighbours_into(ws.scratch, np.subtract, r_star, state.r_left, state.r_right)
     np.multiply(ws.drift, term, out=term)
     np.divide(term, 2.0 * cfg.h, out=term)
     j_star = np.subtract(J, term, out=ws.j_star)
@@ -131,15 +145,15 @@ def relaxation_step(
     return state.with_values(r_star, j_star)
 
 
-def _transport_into(out: np.ndarray, own: np.ndarray, other: np.ndarray,
-                    ws: ApWorkspace) -> np.ndarray:
+def _transport_into(out: np.ndarray, own: np.ndarray, own_ghosts, other: np.ndarray,
+                    other_ghosts, ws: ApWorkspace) -> np.ndarray:
     """(1-lam*v)*own + (lam*v/2)*(own_{m+1} + own_{m-1})
-    - (lam*v/2)*(other_{m+1} - other_{m-1}), from padded ``own``/``other``."""
-    np.multiply(ws.one_minus_lam_v, own[:, 1:-1], out=out)
-    term = np.add(own[:, 2:], own[:, :-2], out=ws.scratch)
+    - (lam*v/2)*(other_{m+1} - other_{m-1}), each ghost pair (left, right)."""
+    np.multiply(ws.one_minus_lam_v, own, out=out)
+    term = _neighbours_into(ws.scratch, np.add, own, *own_ghosts)
     np.multiply(ws.half_lam_v, term, out=term)
     np.add(out, term, out=out)
-    np.subtract(other[:, 2:], other[:, :-2], out=term)
+    _neighbours_into(term, np.subtract, other, *other_ghosts)
     np.multiply(ws.half_lam_v, term, out=term)
     return np.subtract(out, term, out=out)
 
@@ -153,19 +167,19 @@ def transport_step(
         r^{n+1} = (1 - lam*v)r* + (lam*v/2)(r*_{m+1} + r*_{m-1})
                                 - (lam*v/2)(j*_{m+1} - j*_{m-1})
 
-    and the same formula with r and j swapped, where lam = tau/h.  The
-    new level is a fresh array; a ``workspace`` only supplies the
-    padded buffers, the scratch array and the coefficient rows.  Without
-    one a fresh workspace is built.
+    and the same formula with r and j swapped, where lam = tau/h.  Each
+    neighbour sum or difference is one pass over the flat rows, with the
+    edge columns taken from the ghost values.  The new level is a fresh
+    array; a ``workspace`` only supplies the scratch array and the
+    coefficients.  Without one a fresh workspace is built.
     """
     _check_ap(cfg, rule)
     check_field(star, cfg)
     ws = ApWorkspace.resolve(workspace, cfg, rule)
     R, J = star.blocks()
-    Rp = _pad_into(ws.r_pad, R, star.r_left, star.r_right)
-    Jp = _pad_into(ws.j_pad, J, star.j_left, star.j_right)
-    r_new = _transport_into(np.empty_like(R), Rp, Jp, ws)
-    j_new = _transport_into(np.empty_like(J), Jp, Rp, ws)
+    r_ghosts, j_ghosts = (star.r_left, star.r_right), (star.j_left, star.j_right)
+    r_new = _transport_into(np.empty_like(R), R, r_ghosts, J, j_ghosts, ws)
+    j_new = _transport_into(np.empty_like(J), J, j_ghosts, R, r_ghosts, ws)
     return star.with_values(r_new, j_new)
 
 
@@ -310,6 +324,6 @@ def ap_evolve(
         initial, cfg,
         lambda state: transport_step(relaxation_step(state, cfg, rule, workspace=ws),
                                      cfg, rule, workspace=ws),
-        lambda state: np.all(np.isfinite(state.r)) and np.all(np.isfinite(state.j)),
+        lambda state: (state.r, state.j),
         on_level,
     )

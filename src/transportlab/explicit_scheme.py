@@ -67,12 +67,15 @@ def _upwind_rows(cfg: GridConfig, rule: QuadratureRule):
 
 
 class ExplicitWorkspace(Workspace):
-    """Buffers and coefficient rows of one upwind run, built once.
+    """Buffers and coefficients of one upwind run, built once.
 
-    Holds the padded ghost buffer, the collision column, one scratch
-    array and the per-run rows c, (lam/eps)v^+ and (lam/eps)v^-.  The
-    step computes into it through ufunc ``out=`` with the same
-    operations, operands and order as the formula in the module
+    Holds one scratch array, the collision column and the per-run
+    coefficients c, (lam/eps)v^+ and (lam/eps)v^-, each of shape
+    (N_x, 2N).  c is a full array, so the largest product is one
+    contiguous pass; the two upwind rows are broadcast views of one row
+    each, since a full copy of every row would raise a run's peak by two
+    levels.  The step computes into it through ufunc ``out=`` with the
+    same operations, operands and order as the formula in the module
     docstring, so it gives the same bits with or without one.  Each new
     level is a fresh array.
     """
@@ -81,13 +84,14 @@ class ExplicitWorkspace(Workspace):
         _check_explicit(cfg, rule)
         super().__init__(cfg, rule)
         eps, lam = cfg.epsilon, cfg.lam
-        v_plus, v_minus, self.c = _upwind_rows(cfg, rule)
-        self.lam_v_plus = (lam / eps) * v_plus
-        self.lam_v_minus = (lam / eps) * v_minus
+        v_plus, v_minus, c = _upwind_rows(cfg, rule)
+        shape = (cfg.N_x, 2 * cfg.N)
+        self.c = np.tile(c, (cfg.N_x, 1))
+        self.lam_v_plus = np.broadcast_to((lam / eps) * v_plus, shape)
+        self.lam_v_minus = np.broadcast_to((lam / eps) * v_minus, shape)
         self.coll_scale = cfg.tau / (2.0 * eps**2)
         self.coll = np.empty(cfg.N_x)
         self.scratch = np.empty((cfg.N_x, 2 * cfg.N))
-        self.padded = np.empty((cfg.N_x + 2, 2 * cfg.N))
 
 
 def explicit_step(
@@ -96,26 +100,28 @@ def explicit_step(
 ) -> KineticField:
     """Apply one upwind step with Dirichlet ghost blocks at both ends.
 
-    The new level is a fresh array; a ``workspace`` only supplies the
-    padded buffer, the scratch arrays and the coefficient rows.  Without
-    one a fresh workspace is built.
+    The upstream and downstream neighbours of a row are the rows just
+    before and after it in the level itself, so each upwind product is
+    one pass over N_x - 1 rows plus one over the ghost block at the edge
+    row; no padded copy is made.  The new level is a fresh array; a
+    ``workspace`` only supplies the scratch arrays and the coefficients.
+    Without one a fresh workspace is built.
     """
     _check_explicit(cfg, rule)
     check_field(field, cfg)
     ws = ExplicitWorkspace.resolve(workspace, cfg, rule)
 
     F = field.blocks()  # (N_x, 2N)
-    Fp = ws.padded
-    Fp[0] = field.f_left
-    Fp[1:-1] = F
-    Fp[-1] = field.f_right
     coll = np.matmul(F, rule.weights, out=ws.coll)
     np.multiply(ws.coll_scale, coll, out=coll)
 
     F_new = np.multiply(ws.c, F, out=np.empty_like(F))
-    term = np.multiply(ws.lam_v_plus, Fp[:-2], out=ws.scratch)
+    term = ws.scratch
+    np.multiply(ws.lam_v_plus[0], field.f_left, out=term[0])
+    np.multiply(ws.lam_v_plus[1:], F[:-1], out=term[1:])
     np.add(F_new, term, out=F_new)
-    np.multiply(ws.lam_v_minus, Fp[2:], out=term)
+    np.multiply(ws.lam_v_minus[:-1], F[1:], out=term[:-1])
+    np.multiply(ws.lam_v_minus[-1], field.f_right, out=term[-1])
     np.subtract(F_new, term, out=F_new)
     np.add(F_new, coll[:, None], out=F_new)
     return field.with_values(F_new)
@@ -223,6 +229,6 @@ def explicit_evolve(
     return march(
         initial, cfg,
         lambda state: explicit_step(state, cfg, rule, workspace=ws),
-        lambda state: np.all(np.isfinite(state.f)),
+        lambda state: (state.f,),
         on_level,
     )

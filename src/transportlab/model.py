@@ -376,11 +376,23 @@ class Workspace:
         return workspace
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every entry of ``values`` is finite, from one sum.
+
+    A nan or infinite entry makes the sum nan or infinite, so a finite
+    sum proves every entry finite.  Only a sum that overflowed needs the
+    entrywise test, which then tells large finite entries from
+    divergence.
+    """
+    return (math.isfinite(np.add.reduce(values, axis=None))
+            or bool(np.isfinite(values).all()))
+
+
 def march(
     initial,
     cfg: GridConfig,
     step: Callable,
-    finite: Callable,
+    values: Callable,
     on_level: Callable | None = None,
 ) -> Trajectory:
     """Advance ``initial`` by ``cfg.N_t`` applications of ``step``.
@@ -388,10 +400,12 @@ def march(
     Each level n = 0..N_t goes to ``on_level(n, level)`` as soon as it
     exists; the returned trajectory then keeps only the final level, so
     the run holds one level at a time.  Without a callback it keeps
-    every level.  A level that fails ``finite`` raises
-    :class:`DivergenceError` with its step index, before it is handed on.  A level, once handed on, is never written
-    again: a scheme's ``step`` may reuse the buffers of its run's
-    :class:`Workspace`, but must return each level in a fresh array.
+    every level.  A level with a nan or infinite entry in any of the
+    arrays ``values(level)`` raises :class:`DivergenceError` with its
+    step index, before it is handed on.  A level, once handed on, is
+    never written again: a scheme's ``step`` may reuse the buffers of
+    its run's :class:`Workspace`, but must return each level in a fresh
+    array.
     """
     kept = []
     sink = on_level if on_level is not None else lambda n, level: kept.append(level)
@@ -401,7 +415,7 @@ def march(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, cfg.N_t + 1):
             state = step(state)
-            if not finite(state):
+            if not all(_all_finite(array) for array in values(state)):
                 raise DivergenceError(n)
             sink(n, state)
     return Trajectory(fields=kept if on_level is None else [state])

@@ -54,7 +54,7 @@ class _Relaxation(Scheme):
 
     def trajectory_rows(self, step, level, cfg):
         R, J = level.blocks()
-        return ([step, k + 1, m + 1, repr(R[k, m]), repr(J[k, m])]
+        return ([step, k + 1, m + 1, repr(float(R[k, m])), repr(float(J[k, m]))]
                 for k in range(cfg.N) for m in range(cfg.N_x))
 
     def system(self, cfg, rule, initial, rescaled):
@@ -80,7 +80,7 @@ class _Upwind(Scheme):
     def trajectory_rows(self, step, level, cfg):
         F = level.blocks()
         labels = [*range(-cfg.N, 0), *range(1, cfg.N + 1)]  # velocity labels skip 0
-        return ([step, labels[idx], m + 1, repr(F[m, idx])]
+        return ([step, labels[idx], m + 1, repr(float(F[m, idx]))]
                 for m in range(cfg.N_x) for idx in range(2 * cfg.N))
 
     def system(self, cfg, rule, initial, rescaled):

@@ -14,6 +14,7 @@ from transportlab import (
     density,
     gauss_rule,
     initial_parity_field,
+    resolve_config,
 )
 from transportlab.ap_scheme import (
     ApWorkspace,
@@ -266,6 +267,28 @@ def test_steps_are_bitwise_the_reference_expressions(N, N_x, log_eps, tau_factor
         assert not (np.all(np.isfinite(expected[exc.step].r))
                     and np.all(np.isfinite(expected[exc.step].j)))
     assert len(levels) == handed_out
+    for got, want in zip(levels, expected):
+        assert_same_bits(got, want)
+
+
+def test_steps_are_bitwise_the_reference_expressions_at_the_solve_workload_shape():
+    # the relaxation grid of the benchmark's solve workload: many rows of many
+    # columns, where the flat neighbour passes cross row ends N - 1 times
+    cfg = resolve_config(dict(scheme="ap", epsilon=1.1e-3, x_left=0.0, x_right=1.0,
+                              tau="auto", N=32, Nx=1024, Nt=3))
+    rule = gauss_rule(cfg.N, 0.0, 1.0)
+    initial = random_field(np.random.default_rng(RANDOM_SEED), cfg.N, cfg.N_x,
+                           ghosts=True)
+    expected = [initial]
+    for _ in range(cfg.N_t):
+        star = reference_relaxation(expected[-1], cfg, rule)
+        expected.append(reference_transport(star, cfg, rule))
+        got_star = relaxation_step(expected[-2], cfg, rule)
+        assert_same_bits(got_star, star)
+        assert_same_bits(transport_step(got_star, cfg, rule), expected[-1])
+    levels = []
+    ap_evolve(initial, cfg, rule, lambda n, level: levels.append(level))
+    assert len(levels) == len(expected)
     for got, want in zip(levels, expected):
         assert_same_bits(got, want)
 

@@ -92,8 +92,9 @@ def _systems(inv):
         for eps in inv.epsilons)]
 
 
-@pytest.mark.parametrize("name", ["spectrum", "sweep"])
-def test_traced_smoke_pass_counts_each_systems_matrix(name, monkeypatch, tmp_path):
+def _traced_smoke_pass(name, monkeypatch, tmp_path):
+    """The invocations of workload ``name`` at smoke size, and the tracer
+    that recorded one pass of them through ``cli.main``."""
     spans = load_perfbench(monkeypatch, "spans")
     workloads = load_perfbench(monkeypatch, "workloads")
     invocations = workloads.build(name, 1, smoke=True)
@@ -107,6 +108,12 @@ def test_traced_smoke_pass_counts_each_systems_matrix(name, monkeypatch, tmp_pat
                              str(tmp_path / str(index)), *inv.args]) == 0
     finally:
         tracer.uninstall()
+    return invocations, tracer
+
+
+@pytest.mark.parametrize("name", ["spectrum", "sweep"])
+def test_traced_smoke_pass_counts_each_systems_matrix(name, monkeypatch, tmp_path):
+    invocations, tracer = _traced_smoke_pass(name, monkeypatch, tmp_path)
     assert tracer.missing_spans(name) == []
     matrices = [system.L for inv in invocations for system in _systems(inv)]
     assert matrices
@@ -116,3 +123,16 @@ def test_traced_smoke_pass_counts_each_systems_matrix(name, monkeypatch, tmp_pat
     assert counters["assembly.nnz_total"] == sum(L.nnz for L in matrices)
     assert counters["assembly.csr_bytes"] == sum(
         L.data.nbytes + L.indices.nbytes + L.indptr.nbytes for L in matrices)
+
+
+def test_traced_solve_fires_each_step_span_once_per_step(monkeypatch, tmp_path):
+    # the per-layer step times need one span per step: a fused or
+    # renamed step would leave these counts, or the spans, at zero
+    invocations, tracer = _traced_smoke_pass("solve", monkeypatch, tmp_path)
+    steps = {inv.config["scheme"]: inv.config["Nt"] for inv in invocations}
+    fired = {name: tracer.counters[f"{name}.calls"] for name in (
+        "ap_scheme.relaxation_step", "ap_scheme.transport_step",
+        "explicit_scheme.explicit_step")}
+    assert fired == {"ap_scheme.relaxation_step": steps["ap"],
+                     "ap_scheme.transport_step": steps["ap"],
+                     "explicit_scheme.explicit_step": steps["explicit"]}

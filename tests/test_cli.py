@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import platform
@@ -119,6 +120,35 @@ def test_streamed_export_is_the_recorded_export(raw, tmp_path):
     write_trajectory_csv(scheme.evolve(scheme.initial(cfg, rule), cfg, rule), cfg,
                          reference)
     assert (out / "trajectory.csv").read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("raw", [AP_RAW, EXPLICIT_RAW], ids=["ap", "explicit"])
+def test_exported_trajectory_cells_are_plain_floats_of_the_levels(raw, tmp_path):
+    raw = dict(raw, bc_left=0.3, bc_right=0.7)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--output-dir", str(out),
+                 "--export-trajectory"]) == 0
+    with open(out / "trajectory.csv", newline="", encoding="utf-8") as handle:
+        _, *rows = list(csv.reader(handle))
+    cfg = resolve_config(raw)
+    scheme = scheme_for(cfg)
+    rule = scheme.rule(cfg)
+    levels = scheme.evolve(scheme.initial(cfg, rule), cfg, rule).fields
+    labels = [*range(-cfg.N, 0), *range(1, cfg.N + 1)]
+    got, want = [], []
+    for row in rows:
+        step, k, m = map(int, row[:3])
+        level = levels[step]
+        if cfg.scheme == "ap":
+            R, J = level.blocks()
+            want += [R[k - 1, m - 1], J[k - 1, m - 1]]
+        else:
+            want.append(level.blocks()[m - 1, labels.index(k)])
+        got += [float(cell) for cell in row[3:]]
+    assert {int(row[0]) for row in rows} == set(range(len(levels)))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_diverged_export_leaves_no_tables(ap_config, tmp_path, capsys):

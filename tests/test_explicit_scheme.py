@@ -13,6 +13,7 @@ from transportlab import (
     classical_cost,
     gauss_rule,
     initial_kinetic_field,
+    resolve_config,
 )
 from transportlab.explicit_scheme import (
     ExplicitWorkspace,
@@ -231,6 +232,26 @@ def test_step_is_bitwise_the_reference_expression(N, N_x, log_eps, tau_factor, s
         handed_out = exc.step
         assert not np.all(np.isfinite(expected[exc.step].f))
     assert len(levels) == handed_out
+    for got, want in zip(levels, expected):
+        assert_same_bits(got, want)
+
+
+def test_step_is_bitwise_the_reference_expression_at_the_solve_workload_shape():
+    # the upwind grid of the benchmark's solve workload
+    cfg = resolve_config(dict(scheme="explicit", epsilon=0.05, x_left=0.0, x_right=1.0,
+                              tau="auto", N=8, Nx=399, Nt=3))
+    rule = make_rule(cfg)
+    rng = np.random.default_rng(29)
+    two_N = 2 * cfg.N
+    initial = KineticField(rng.uniform(-1.0, 1.0, two_N * cfg.N_x),
+                           rng.uniform(-1.0, 1.0, two_N), rng.uniform(-1.0, 1.0, two_N))
+    expected = [initial]
+    for _ in range(cfg.N_t):
+        expected.append(reference_step(expected[-1], cfg, rule))
+        assert_same_bits(explicit_step(expected[-2], cfg, rule), expected[-1])
+    levels = []
+    explicit_evolve(initial, cfg, rule, lambda n, level: levels.append(level))
+    assert len(levels) == len(expected)
     for got, want in zip(levels, expected):
         assert_same_bits(got, want)
 

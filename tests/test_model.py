@@ -5,6 +5,7 @@ import pytest
 
 from transportlab import (
     CflViolationError,
+    DivergenceError,
     GridConfig,
     ParityField,
     cfl_limit,
@@ -17,6 +18,7 @@ from transportlab import (
     resolve_config,
     validate_config,
 )
+from transportlab.model import march
 
 
 def ap_cfg(**kw):
@@ -277,3 +279,41 @@ def test_load_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config_dict()), encoding="utf-8")
     assert load_config(path) == ap_cfg()
+
+
+# --- the march's finiteness check ---------------------------------------
+
+
+def _march(levels, n_t, handed_on):
+    """March through the (r, j) pairs ``levels``, noting each step handed on."""
+    march((np.zeros(8), np.zeros(8)), ap_cfg(N_t=n_t), lambda state: next(levels),
+          lambda state: state, lambda n, state: handed_on.append(n))
+
+
+@pytest.mark.parametrize("values", [
+    np.full(8, 1e308),
+    np.array([1e308] * 4 + [-1e308] * 4),  # partial sums reach inf and -inf
+    np.array([1.7e308, 1.7e308, 5e-324, -0.0, 0.0, -1.7e308, 1.0, 2.0]),
+], ids=["all_1e308", "both_signs", "mixed"])
+def test_march_takes_a_level_whose_sum_overflows_for_finite(values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(values.sum())
+    handed_on = []
+    _march(iter([(np.zeros(8), values), (values, values.copy())]), 2, handed_on)
+    assert handed_on == [0, 1, 2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("array", [0, 1], ids=["r", "j"])
+@pytest.mark.parametrize("position", [0, 5, 7])
+def test_march_reports_one_non_finite_entry_at_the_step_that_made_it(bad, array,
+                                                                      position):
+    spoilt = [np.full(8, 1e308), np.ones(8)]
+    spoilt[array][position] = bad
+    levels = iter([(np.ones(8), np.ones(8)), (np.full(8, -1e308), np.ones(8)),
+                   tuple(spoilt), (np.ones(8), np.ones(8))])
+    handed_on = []
+    with pytest.raises(DivergenceError) as err:
+        _march(levels, 4, handed_on)
+    assert err.value.step == 3
+    assert handed_on == [0, 1, 2]
