@@ -303,7 +303,8 @@ def split_explicit_solution(system: BlockSystem, U: np.ndarray) -> list[np.ndarr
 
 @dataclass(frozen=True)
 class FourierSymbols:
-    """Per-frequency scalars of the one-step map at one velocity node.
+    """Per-frequency scalars of the one-step map, one per velocity node
+    and frequency.
 
     c1, c2 enter the r-equation and d1, d2 the j-equation of the
     frequency-domain recursion
@@ -313,38 +314,56 @@ class FourierSymbols:
 
     gamma_c1 and gamma_d2 are gamma*c1 and gamma*d2, and gamma0_c1 and
     gamma0_d2 their finite eps -> 0 limits (the symbols themselves
-    vanish in that limit).
+    vanish in that limit).  Every field is an array of the broadcast
+    shape of the nodes and frequencies it was evaluated at; d1 is real,
+    the others complex.
     """
 
-    c1: complex
-    c2: complex
-    d1: complex
-    d2: complex
-    gamma_c1: complex
-    gamma_d2: complex
-    gamma0_c1: complex
-    gamma0_d2: complex
+    c1: np.ndarray
+    c2: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    gamma_c1: np.ndarray
+    gamma_d2: np.ndarray
+    gamma0_c1: np.ndarray
+    gamma0_d2: np.ndarray
 
 
-# a node's symbols as a tuple in field order; unlike ``astuple``, which
+# the symbol fields as a tuple in field order; unlike ``astuple``, which
 # deep-copies every field, a plain read
 _symbol_fields = attrgetter(*(f.name for f in fields(FourierSymbols)))
 
 
-def fourier_symbols(cfg: GridConfig, v_k: float, xi: float) -> FourierSymbols:
-    """Evaluate the four symbols, their gamma products and those
-    products' eps -> 0 limits.
+def _divide_parts(z: np.ndarray, d: float) -> np.ndarray:
+    """z / d for a real d > 0 as CPython divides a complex by a float:
+    each part on its own, correctly rounded.  numpy's complex division
+    multiplies by 1/d instead, which can differ in the last bit."""
+    quotient = np.empty_like(z)
+    # CPython's quotient by d + 0j, whose ratio 0/d is 0.0
+    quotient.real = (z.real + z.imag * 0.0) / d
+    quotient.imag = (z.imag - z.real * 0.0) / d
+    return quotient
 
-    All eps-dependent prefactors are formed as ratios of eps^2 or tau
-    and eps^2 + tau, so the evaluation stays finite down to eps ~ 1e-8.
+
+def fourier_symbols(cfg: GridConfig, v_k, xi) -> FourierSymbols:
+    """Evaluate the four symbols, their gamma products and those
+    products' eps -> 0 limits at nodes ``v_k`` and frequencies ``xi``.
+
+    Both may be scalars or arrays; they broadcast against each other,
+    and each (node, frequency) pair is evaluated once.  Every entry has
+    the bits a scalar evaluation of the same pair gets.  All
+    eps-dependent prefactors are formed as ratios of eps^2 or tau and
+    eps^2 + tau, so the evaluation stays finite down to eps ~ 1e-8.
     """
     if cfg.epsilon <= 0:
         raise ValueError("epsilon must be positive")
     tau, lam, h = cfg.tau, cfg.lam, cfg.h
     eps2 = cfg.epsilon**2
+    v = np.asarray(v_k, dtype=float)
+    xi = np.asarray(xi, dtype=float)
 
-    g = (1.0 - lam * v_k) + lam * v_k * np.cos(xi * h)
-    s = 1j * lam * v_k * np.sin(xi * h)
+    g = (1.0 - lam * v) + lam * v * np.cos(xi * h)
+    s = 1j * lam * v * np.sin(xi * h)
     s2 = s * s
 
     beta = eps2 / (eps2 + tau)                      # 1/(1+gamma)
@@ -362,7 +381,7 @@ def fourier_symbols(cfg: GridConfig, v_k: float, xi: float) -> FourierSymbols:
         # grouped (gbeta2_mu*s)*s on purpose: gbeta2_mu*s2 rounds differently
         gamma_c1=-gbeta * g - gbeta2_mu * s * s,
         gamma_d2=gbeta2_mu * g * s + gbeta * s,
-        gamma0_c1=-g - s2 / tau,
+        gamma0_c1=-g - _divide_parts(s2, tau),
         gamma0_d2=g * s / tau + s,
     )
 
@@ -374,22 +393,36 @@ class FourierMatrix:
     Node-major and time-minor, the order-2N*N_t matrix at frequency xi
     is L~_eps = I + X_eps kron P and its eps = 0 limit is
     L~_0 = I + X_zero kron P (``frequency_matrix``), with P the order-N_t
-    time shift.  ``symbols`` holds the N per-node symbols, in node order.
+    time shift.  For a 1-D array of n frequencies ``X_eps`` and
+    ``X_zero`` are stacks of shape (n, 2N, 2N), one block per xi, and
+    every field of ``symbols`` has shape (n, N), one row per xi in node
+    order; for a scalar xi the blocks are 2N x 2N, the fields have
+    shape (N,) and ``xi`` is a float.
     """
 
-    xi: float
-    symbols: tuple[FourierSymbols, ...]
+    xi: float | np.ndarray
+    symbols: FourierSymbols
     X_eps: np.ndarray
     X_zero: np.ndarray
+
+
+def _diag(values: np.ndarray) -> np.ndarray:
+    """``np.diag`` over the last axis of a stack: complex, zero off the
+    diagonal."""
+    out = np.zeros(values.shape + values.shape[-1:], dtype=complex)
+    k = np.arange(values.shape[-1])
+    out[..., k, k] = values
+    return out
 
 
 def assemble_fourier_matrix(
     cfg: GridConfig,
     rule: QuadratureRule,
-    xi: float,
+    xi,
 ) -> FourierMatrix:
-    """Evaluate the symbols at xi, once per node, and build the dense
-    2N x 2N blocks; with W the identical-row weight matrix,
+    """Evaluate the symbols at every xi, once per node and frequency, and
+    build the dense 2N x 2N blocks; with W the identical-row weight
+    matrix,
 
         X_eps  = [[diag(c1) + diag(gamma c1) W, diag(c2)/tau],
                   [tau (diag(d2) + diag(gamma d2) W), diag(d1)]]
@@ -397,7 +430,8 @@ def assemble_fourier_matrix(
 
     So E = L~_eps - L~_0 = (X_eps - X_zero) kron P, whose 2-norm is
     ||X_eps - X_zero||_2 ||P||_2 (Horn-Johnson, Topics in Matrix
-    Analysis, 4.2).
+    Analysis, 4.2).  ``xi`` is a scalar or a 1-D array; an array gives
+    stacked blocks, each with the bits of a scalar call at its xi.
     """
     if cfg.scheme != AP:
         raise ValueError(f"config scheme must be {AP!r}, got {cfg.scheme!r}")
@@ -405,25 +439,40 @@ def assemble_fourier_matrix(
         raise ValueError(
             f"rule has {rule.n_points} points, config expects N = {cfg.N}"
         )
-    N, tau = cfg.N, cfg.tau
-    syms = tuple(fourier_symbols(cfg, v_k, xi) for v_k in rule.nodes)
-    # one complex array per symbol field, in FourierSymbols field order
-    c1, c2, d1, d2, gc1, gd2, g0c1, g0d2 = np.array(
-        [_symbol_fields(s) for s in syms], dtype=complex).T
-    W = np.tile(rule.weights, (N, 1))
-    zero = np.zeros((N, N))
-    # v[:, None] * W is diag(v) @ W with one product per entry
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim > 1:
+        raise ValueError(f"xi must be a scalar or a 1-D array, got shape {xi.shape}")
+    tau = cfg.tau
+    syms = fourier_symbols(cfg, rule.nodes, xi[..., None])
+    c1, c2, d1, d2, gc1, gd2, g0c1, g0d2 = _symbol_fields(syms)
+    W = rule.weights  # broadcast as the rows of W
+    zero = np.zeros(c1.shape + c1.shape[-1:])
+    # v[..., :, None] * W is diag(v) @ W with one product per entry
     X_eps = np.block([
-        [np.diag(c1) + gc1[:, None] * W, np.diag(c2) / tau],
-        [tau * (np.diag(d2) + gd2[:, None] * W), np.diag(d1)],
+        [_diag(c1) + gc1[..., :, None] * W, _diag(c2) / tau],
+        [tau * (_diag(d2) + gd2[..., :, None] * W), _diag(d1)],
     ])
-    X_zero = np.block([[g0c1[:, None] * W, zero], [tau * (g0d2[:, None] * W), zero]])
-    return FourierMatrix(xi=float(xi), symbols=syms, X_eps=X_eps, X_zero=X_zero)
+    X_zero = np.block([[g0c1[..., :, None] * W, zero],
+                       [tau * (g0d2[..., :, None] * W), zero]])
+    return FourierMatrix(xi=float(xi) if xi.ndim == 0 else xi, symbols=syms,
+                         X_eps=X_eps, X_zero=X_zero)
 
 
 def frequency_matrix(X: np.ndarray, N_t: int) -> np.ndarray:
-    """The dense order-N_t expansion ``I + X kron P`` of a per-node block."""
-    return np.eye(X.shape[0] * N_t) + np.kron(X, np.eye(N_t, k=-1))
+    """The dense order-N_t expansion ``I + X kron P`` of a per-node block,
+    P the order-N_t time shift.
+
+    Built entry by entry: 1 on the diagonal, X_ab + 0.0 at row
+    a*N_t + t + 1 and column b*N_t + t, and +0.0 elsewhere.  For finite
+    X these are the bits of ``np.eye + np.kron``, with neither
+    temporary.
+    """
+    n = X.shape[0]
+    out = np.zeros((n * N_t, n * N_t), dtype=np.result_type(X, float))
+    np.fill_diagonal(out, 1.0)
+    t = np.arange(N_t - 1)
+    out.reshape(n, N_t, n, N_t)[:, t + 1, :, t] = X + 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -221,15 +221,14 @@ def _cmd_fourier(args, cfg, outdir: Path, record: dict) -> list[Path]:
                          "weyl_slack": report.weyl_slack}
 
     sym_lines = ["xi,k,v,c1_re,c1_im,c2_re,c2_im,d1_re,d1_im,d2_re,d2_im"]
-    for xi, row in zip(report.xi, report.symbols):
-        for k, (v, s) in enumerate(zip(rule.nodes, row)):
-            sym_lines.append(",".join([
-                repr(float(xi)), str(k + 1), repr(float(v)),
-                repr(float(s.c1.real)), repr(float(s.c1.imag)),
-                repr(float(s.c2.real)), repr(float(s.c2.imag)),
-                repr(float(s.d1.real)), repr(float(s.d1.imag)),
-                repr(float(s.d2.real)), repr(float(s.d2.imag)),
-            ]))
+    s = report.symbols
+    # (n_xi, N, 8) parts; tolist gives the Python floats repr writes
+    parts = np.stack([part for field in (s.c1, s.c2, s.d1, s.d2)
+                      for part in (field.real, field.imag)], axis=-1).tolist()
+    nodes = [repr(v) for v in rule.nodes.tolist()]
+    for xi, row in zip(report.xi.tolist(), parts):
+        for k, (v, cells) in enumerate(zip(nodes, row)):
+            sym_lines.append(",".join([repr(xi), str(k + 1), v, *map(repr, cells)]))
     spath = outdir / "symbols.csv"
     _atomic_write(spath, "\n".join(sym_lines) + "\n")
 

@@ -230,9 +230,10 @@ def alpha_bound(epsilon: float, tau: float, N: int) -> float:
 class PerturbationReport:
     """Frequency sweep of the perturbation between L~_eps and its limit.
 
-    Per sampled frequency: the N per-node symbols (``symbols[i]``, in
-    node order), the 2-norm of E = L~_eps - L~_0 and the extreme
-    singular values of both matrices.  ``max_ratio`` is the largest
+    Per sampled frequency: the 2-norm of E = L~_eps - L~_0 and the
+    extreme singular values of both matrices.  ``symbols`` holds the
+    per-node symbols of every frequency, each field of shape (n_xi, N):
+    row i is xi[i], in node order.  ``max_ratio`` is the largest
     ||E|| / alpha(eps); ``weyl_slack`` the largest violation of the
     singular-value sandwich (nonpositive when it holds exactly).
     """
@@ -240,7 +241,7 @@ class PerturbationReport:
     epsilon: float
     alpha: float
     xi: np.ndarray
-    symbols: list[tuple[FourierSymbols, ...]]
+    symbols: FourierSymbols
     e_norms: np.ndarray
     sigma_max_eps: np.ndarray
     sigma_min_eps: np.ndarray
@@ -252,21 +253,40 @@ class PerturbationReport:
 
 def _real_form(X: np.ndarray) -> np.ndarray:
     """The real block D^H X D, with D = diag(I_N, i I_N), of a 2N x 2N
-    block X whose diagonal blocks are real and whose off-diagonal blocks
-    are purely imaginary:
+    block X (or a stack of them) whose diagonal blocks are real and
+    whose off-diagonal blocks are purely imaginary:
 
         D^H X D = [[Re X11, -Im X12], [Im X21, Re X22]].
 
     D kron I is unitary, so I + (D^H X D) kron P has the singular values
     of I + X kron P.  Raises ValueError if a dropped part is nonzero.
     """
-    n = X.shape[0] // 2
-    X11, X12, X21, X22 = X[:n, :n], X[:n, n:], X[n:, :n], X[n:, n:]
+    n = X.shape[-1] // 2
+    X11, X12 = X[..., :n, :n], X[..., :n, n:]
+    X21, X22 = X[..., n:, :n], X[..., n:, n:]
     if (X11.imag.any() or X22.imag.any()
             or X12.real.any() or X21.real.any()):
         raise ValueError("block is not real on its diagonal blocks and "
                          "imaginary off them")
     return np.block([[X11.real, -X12.imag], [X21.imag, X22.real]])
+
+
+def _stacked_blocks(cfg: GridConfig, rule: QuadratureRule, xi_values: np.ndarray):
+    """The per-xi work of ``perturbation_check`` below order 2N*N_t, on
+    the stack of all xi at once: the symbols, the real forms of the
+    X_eps blocks, the ||E|| values and the order-2 reduced limit blocks
+    Q^T X_zero Q.  The complex blocks are dropped on return, so the
+    per-xi loop holds only what it decomposes."""
+    fm = assemble_fourier_matrix(cfg, rule, xi_values)
+    X_eps, X_zero = _real_form(fm.X_eps), _real_form(fm.X_zero)
+    shift_norm = 1.0 if cfg.N_t > 1 else 0.0
+    e_norms = svdvals(X_eps - X_zero)[:, 0] * shift_norm
+    # column 0 of X_zero is u scaled by the weight w_1 > 0
+    basis = np.empty(X_zero.shape[:-1] + (2,))
+    basis[..., 0] = X_zero[..., 0]
+    basis[..., 1] = np.concatenate([rule.weights, np.zeros(cfg.N)])
+    Q = np.linalg.qr(basis)[0]
+    return fm.symbols, X_eps, e_norms, np.swapaxes(Q, -1, -2) @ X_zero @ Q
 
 
 def perturbation_check(
@@ -283,44 +303,49 @@ def perturbation_check(
         sigma_min(L~_eps) >= sigma_min(L~_0) - ||E||
 
     must hold up to ``weyl_tolerance``; a violation beyond that is a
-    solver bug and raises.  One xi at a time, both blocks are taken to
-    real form by the unitary similarity diag(I, iI) (``_real_form``), so
-    every SVD runs in real arithmetic: L~_eps densely at order 2N*N_t,
-    and ||E|| = ||X_eps - X_zero||_2 ||P||_2 from the 2N x 2N
-    difference, with ||P||_2 = 1 for N_t >= 2 and 0 for N_t = 1.  The
+    solver bug and raises RuntimeError.  ``xi_values`` must be a
+    nonempty 1-D array of finite values and ``weyl_tolerance`` finite
+    and nonnegative, else ValueError, before any decomposition.
+
+    One ``assemble_fourier_matrix`` call gives the blocks of every xi,
+    and the per-block work runs on the whole stack at once.  Both
+    blocks are taken to real form by the unitary similarity diag(I, iI)
+    (``_real_form``), so every SVD runs in real arithmetic, and
+    ||E|| = ||X_eps - X_zero||_2 ||P||_2 comes from the stacked 2N x 2N
+    differences, with ||P||_2 = 1 for N_t >= 2 and 0 for N_t = 1.  The
     limit block is rank one, X_zero = u z^T with z = [w; 0]; with Q an
     orthonormal basis of span(u, z), L~_0 maps range(Q kron I) into
     itself and is the identity on its complement, so its singular
     values are those of the order-2*N_t matrix I + (Q^T X_zero Q) kron P,
-    plus the value 1 when N >= 2.  The sweep runs at one OpenBLAS thread
-    when 2N*N_t is at most 512 (``_blas.one_thread``).
+    plus the value 1 when N >= 2.  Only the frequency matrices, of
+    order 2N*N_t and 2*N_t, are built and decomposed one xi at a time:
+    a stack of them would grow with the xi count by a whole matrix per
+    xi, where the stacked blocks and symbols grow by a few 2N x 2N
+    blocks.  The sweep runs at one OpenBLAS thread when 2N*N_t is at
+    most 512 (``_blas.one_thread``).
     """
     xi_values = np.asarray(xi_values, dtype=float)
-    n = xi_values.size
-    if n == 0:
+    if xi_values.ndim != 1:
+        raise ValueError(
+            f"xi_values must be a 1-D array, got shape {xi_values.shape}")
+    if xi_values.size == 0:
         raise ValueError("xi_values must be nonempty")
-    symbols = []
-    e_norms = np.empty(n)
-    smax_e = np.empty(n)
-    smin_e = np.empty(n)
-    smax_0 = np.empty(n)
-    smin_0 = np.empty(n)
-    shift_norm = 1.0 if cfg.N_t > 1 else 0.0
-    z = np.concatenate([rule.weights, np.zeros(cfg.N)])
+    if not np.isfinite(xi_values).all():
+        raise ValueError("xi_values must be finite")
+    if not (math.isfinite(weyl_tolerance) and weyl_tolerance >= 0):
+        raise ValueError(
+            f"weyl_tolerance must be finite and nonnegative, got {weyl_tolerance}")
 
-    # L~_eps, of order 2N*N_t, is the largest matrix decomposed per xi
+    def extremes(blocks):
+        # sigma_max and sigma_min of I + X kron P, one block X at a time
+        return np.array([svdvals(frequency_matrix(X, cfg.N_t))[[0, -1]]
+                         for X in blocks]).T
+
+    # L~_eps, of order 2N*N_t, is the largest matrix decomposed
     with one_thread(2 * cfg.N * cfg.N_t):
-        for i, xi in enumerate(xi_values):
-            fm = assemble_fourier_matrix(cfg, rule, xi)
-            symbols.append(fm.symbols)
-            X_eps, X_zero = _real_form(fm.X_eps), _real_form(fm.X_zero)
-            vals_eps = svdvals(frequency_matrix(X_eps, cfg.N_t))
-            e_norms[i] = svdvals(X_eps - X_zero)[0] * shift_norm
-            # column 0 of X_zero is u scaled by the weight w_1 > 0
-            Q = np.linalg.qr(np.column_stack([X_zero[:, 0], z]))[0]
-            vals_zero = svdvals(frequency_matrix(Q.T @ X_zero @ Q, cfg.N_t))
-            smax_e[i], smin_e[i] = vals_eps[0], vals_eps[-1]
-            smax_0[i], smin_0[i] = vals_zero[0], vals_zero[-1]
+        symbols, X_eps, e_norms, reduced = _stacked_blocks(cfg, rule, xi_values)
+        smax_e, smin_e = extremes(X_eps)
+        smax_0, smin_0 = extremes(reduced)
     if cfg.N > 1:
         # the 1s of the complement; unit triangular up to a permutation,
         # the reduced matrix has singular values multiplying to 1, so
@@ -331,7 +356,8 @@ def perturbation_check(
     upper_violation = smax_e - (smax_0 + e_norms)
     lower_violation = (smin_0 - e_norms) - smin_e
     weyl_slack = float(max(upper_violation.max(), lower_violation.max()))
-    if weyl_slack > weyl_tolerance:
+    # a NaN slack fails too
+    if not weyl_slack <= weyl_tolerance:
         raise RuntimeError(
             f"singular-value sandwich violated by {weyl_slack:.3e} "
             f"(tolerance {weyl_tolerance:.1e})"

@@ -293,6 +293,42 @@ def test_fourier_matrix_reduces_to_limit():
     assert np.abs(fm.X_eps - fm.X_zero).max() == gap
 
 
+def test_fourier_matrix_stacks_the_scalar_calls():
+    cfg = fourier_cfg()
+    rule = gauss_rule(4, 0.0, 1.0)
+    xi_values = np.linspace(0.0, np.pi, 9) / cfg.h
+    stacked = assemble_fourier_matrix(cfg, rule, xi_values)
+    assert stacked.X_eps.shape == stacked.X_zero.shape == (9, 8, 8)
+    assert stacked.symbols.c1.shape == (9, 4)
+    assert np.array_equal(stacked.xi, xi_values)
+    for i, xi in enumerate(xi_values):
+        one = assemble_fourier_matrix(cfg, rule, xi)
+        assert isinstance(one.xi, float) and one.symbols.c1.shape == (4,)
+        assert stacked.X_eps[i].tobytes() == one.X_eps.tobytes()
+        assert stacked.X_zero[i].tobytes() == one.X_zero.tobytes()
+        for name in ("c1", "c2", "d1", "d2", "gamma_c1", "gamma_d2",
+                     "gamma0_c1", "gamma0_d2"):
+            row = getattr(stacked.symbols, name)[i]
+            assert row.tobytes() == getattr(one.symbols, name).tobytes()
+    with pytest.raises(ValueError, match=r"scalar or a 1-D array, got shape \(3, 3\)"):
+        assemble_fourier_matrix(cfg, rule, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("N_t", [1, 2, 5])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_frequency_matrix_is_eye_plus_kron_bit_for_bit(N_t, dtype):
+    # signed zeros included: X_ab + 0.0 turns -0.0 into +0.0, as 0 + X_ab does
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(6, 6)).astype(dtype)
+    if dtype is complex:
+        X += 1j * rng.normal(size=(6, 6))
+    X[0, 1] = X[2, 2] = -0.0
+    X[3, 4] = 0.0
+    want = np.eye(6 * N_t) + np.kron(X, np.eye(N_t, k=-1))
+    got = frequency_matrix(X, N_t)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("N_t", [1, 2, 16])
 def test_perturbation_norm_matches_full_kronecker_product(N_t):
     rule = gauss_rule(4, 0.0, 1.0)

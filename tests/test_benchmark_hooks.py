@@ -136,3 +136,13 @@ def test_traced_solve_fires_each_step_span_once_per_step(monkeypatch, tmp_path):
     assert fired == {"ap_scheme.relaxation_step": steps["ap"],
                      "ap_scheme.transport_step": steps["ap"],
                      "explicit_scheme.explicit_step": steps["explicit"]}
+
+
+def test_traced_fourier_assembles_once_per_invocation(monkeypatch, tmp_path):
+    # perturbation_check assembles every xi's blocks in one call through
+    # its own binding of assemble_fourier_matrix; a traced run fails when
+    # that span never fires
+    invocations, tracer = _traced_smoke_pass("fourier", monkeypatch, tmp_path)
+    assert tracer.missing_spans("fourier") == []
+    assert tracer.counters["assembly.assemble_fourier_matrix.calls"] == len(invocations)
+    assert tracer.counters["spectral.perturbation_check.calls"] == len(invocations)

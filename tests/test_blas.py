@@ -152,7 +152,8 @@ def test_perturbation_sweep_runs_at_one_thread(monkeypatch):
     # 2 * N * N_t = 128 <= ONE_THREAD_MAX_ORDER
     cfg = GridConfig(epsilon=0.3, tau=0.004, h=0.1, N=4, N_x=6, N_t=16)
     perturbation_check(cfg, gauss_rule(4, 0.0, 1.0), [0.0, 1.0])
-    assert len(counts_seen) == 6
+    # one stacked call for the ||E|| blocks, then two per xi
+    assert len(counts_seen) == 1 + 2 * 2
     assert all(set(counts.values()) <= {1} for counts in counts_seen)
 
 

@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -334,18 +335,24 @@ def test_fourier_tables(ap_config, tmp_path):
 
 
 def test_fourier_evaluates_each_symbol_once(ap_config, tmp_path, monkeypatch):
-    calls = []
+    # fourier_symbols broadcasts nodes against frequencies; every
+    # (xi, node) pair it is handed, over all its calls, is one evaluation
+    pairs = Counter()
     original = assembly.fourier_symbols
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(cfg, v_k, xi):
+        nodes, freqs = np.broadcast_arrays(v_k, xi)
+        pairs.update(zip(freqs.ravel().tolist(), nodes.ravel().tolist()))
+        return original(cfg, v_k, xi)
 
     monkeypatch.setattr(assembly, "fourier_symbols", counted)
     assert main(["fourier", "--config", str(ap_config),
                  "--output-dir", str(tmp_path / "out"), "--xi-samples", "6"]) == 0
-    # one scalar call per (xi, node): 6 samples * 3 velocity nodes
-    assert len(calls) == 6 * 3
+    cfg = resolve_config(AP_RAW)
+    xi_values = np.linspace(0.0, np.pi, 6) / cfg.h
+    nodes = gauss_rule(3, 0.0, 1.0).nodes
+    # each of the 6 samples * 3 velocity nodes exactly once
+    assert pairs == Counter((xi, v) for xi in xi_values.tolist() for v in nodes.tolist())
 
 
 def test_fourier_rejects_explicit_config(explicit_config, tmp_path, capsys):

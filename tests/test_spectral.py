@@ -1,4 +1,6 @@
 import contextlib
+import tracemalloc
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -22,7 +24,13 @@ from transportlab import (
     singular_extremes,
     sparsity,
 )
-from transportlab.assembly import assemble_fourier_matrix, frequency_matrix
+from transportlab import spectral
+from transportlab.assembly import (
+    FourierSymbols,
+    assemble_fourier_matrix,
+    fourier_symbols,
+    frequency_matrix,
+)
 from transportlab.spectral import DENSE_CAP, _lanczos_extremes, _real_form, _top_eigenvalue
 
 # frozen by evaluating the three displayed terms independently by hand:
@@ -344,6 +352,168 @@ def test_limit_matrix_norm_bound():
 def test_perturbation_check_rejects_no_frequencies():
     with pytest.raises(ValueError, match="xi_values must be nonempty"):
         perturbation_check(fourier_cfg(1e-2), gauss_rule(4, 0.0, 1.0), [])
+
+
+@pytest.mark.parametrize("xi_values, message", [
+    ([0.0, float("nan")], "xi_values must be finite"),
+    ([1.0, float("inf")], "xi_values must be finite"),
+    ([-float("inf")], "xi_values must be finite"),
+    (1.0, r"xi_values must be a 1-D array, got shape \(\)"),
+    ([[0.0, 1.0], [2.0, 3.0]], r"xi_values must be a 1-D array, got shape \(2, 2\)"),
+], ids=["nan", "inf", "-inf", "scalar", "2-D"])
+def test_perturbation_check_rejects_bad_frequencies_before_any_work(
+        xi_values, message, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("decomposed before the frequencies were checked")
+
+    monkeypatch.setattr(spectral, "svdvals", never)
+    monkeypatch.setattr(spectral, "assemble_fourier_matrix", never)
+    with pytest.raises(ValueError, match=message):
+        perturbation_check(fourier_cfg(1e-2), gauss_rule(4, 0.0, 1.0), xi_values)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-3])
+def test_perturbation_check_rejects_a_tolerance_that_is_not_finite_and_nonnegative(
+        tolerance):
+    with pytest.raises(ValueError, match="weyl_tolerance must be finite and nonnegative"):
+        perturbation_check(fourier_cfg(1e-2), gauss_rule(4, 0.0, 1.0), XI[:4],
+                           weyl_tolerance=tolerance)
+
+
+def test_a_nan_weyl_slack_fails_the_sandwich(monkeypatch):
+    # NaN compares False both ways: the sandwich must read it as violated
+    cfg = fourier_cfg(1e-2)
+    order = 2 * cfg.N * cfg.N_t
+    original = spectral.svdvals
+
+    def nan_for_the_frequency_matrix(a):
+        values = original(a)
+        return np.full_like(values, np.nan) if np.shape(a) == (order, order) else values
+
+    monkeypatch.setattr(spectral, "svdvals", nan_for_the_frequency_matrix)
+    with pytest.raises(RuntimeError, match="sandwich violated by nan"):
+        perturbation_check(cfg, gauss_rule(4, 0.0, 1.0), XI[:4])
+
+
+def _scalar_symbols(cfg, v_k, xi):
+    """One node's symbols at one frequency in Python scalar arithmetic
+    (a Python complex divided by a float divides each part exactly): the
+    reference whose bits every broadcast evaluation must reproduce."""
+    tau, lam, h = cfg.tau, cfg.lam, cfg.h
+    eps2 = cfg.epsilon**2
+    g = (1.0 - lam * v_k) + lam * v_k * np.cos(xi * h)
+    s = 1j * lam * v_k * np.sin(xi * h)
+    s2 = s * s
+    beta = eps2 / (eps2 + tau)
+    beta2_mu = eps2 * (1.0 - eps2) / (eps2 + tau) ** 2
+    gbeta = tau / (eps2 + tau)
+    gbeta2_mu = tau * (1.0 - eps2) / (eps2 + tau) ** 2
+    return FourierSymbols(
+        c1=-beta * g - beta2_mu * s2, c2=beta * s, d1=-beta * g,
+        d2=beta2_mu * g * s + beta * s,
+        gamma_c1=-gbeta * g - gbeta2_mu * s * s,
+        gamma_d2=gbeta2_mu * g * s + gbeta * s,
+        gamma0_c1=-g - s2 / tau, gamma0_d2=g * s / tau + s)
+
+
+def _bits(values, dtype):
+    return np.asarray(values, dtype=dtype).tobytes()
+
+
+def _reference_check(cfg, rule, xi_values):
+    """perturbation_check's symbols and five arrays, one xi at a time:
+    scalar symbols, np.block blocks, np.eye + np.kron frequency matrices
+    and one svdvals or qr per matrix."""
+    N, N_t, tau = cfg.N, cfg.N_t, cfg.tau
+    W = np.tile(rule.weights, (N, 1))
+    zero = np.zeros((N, N))
+    z = np.concatenate([rule.weights, np.zeros(N)])
+    P = np.eye(N_t, k=-1)
+    symbols, rows = [], []
+
+    def real_form(X):
+        return np.block([[X[:N, :N].real, -X[:N, N:].imag],
+                         [X[N:, :N].imag, X[N:, N:].real]])
+
+    for xi in xi_values:
+        syms = [_scalar_symbols(cfg, v, xi) for v in rule.nodes]
+        symbols.append(syms)
+        c1, c2, d1, d2, gc1, gd2, g0c1, g0d2 = np.array(
+            [[getattr(s, f.name) for f in fields(FourierSymbols)] for s in syms],
+            dtype=complex).T
+        X_eps = real_form(np.block([
+            [np.diag(c1) + gc1[:, None] * W, np.diag(c2) / tau],
+            [tau * (np.diag(d2) + gd2[:, None] * W), np.diag(d1)]]))
+        X_zero = real_form(np.block([[g0c1[:, None] * W, zero],
+                                     [tau * (g0d2[:, None] * W), zero]]))
+        vals_eps = svdvals(np.eye(2 * N * N_t) + np.kron(X_eps, P))
+        e_norm = svdvals(X_eps - X_zero)[0] * (1.0 if N_t > 1 else 0.0)
+        Q = np.linalg.qr(np.column_stack([X_zero[:, 0], z]))[0]
+        vals_zero = svdvals(np.eye(2 * N_t) + np.kron(Q.T @ X_zero @ Q, P))
+        rows.append((e_norm, vals_eps[0], vals_eps[-1], vals_zero[0], vals_zero[-1]))
+    e_norms, smax_e, smin_e, smax_0, smin_0 = np.array(rows).T
+    if N > 1:
+        smax_0, smin_0 = np.maximum(smax_0, 1.0), np.minimum(smin_0, 1.0)
+    return symbols, (e_norms, smax_e, smin_e, smax_0, smin_0)
+
+
+@pytest.mark.parametrize("N, N_t, epsilons", [
+    (4, 16, (1e-2, 1e-3, 1e-4)),  # the benchmark's fourier workload
+    (1, 16, (0.3, 1e-3)),         # no complement to pad with 1s
+    (4, 1, (0.3, 1e-3)),          # P = 0
+])
+def test_perturbation_check_is_the_per_xi_reference_bit_for_bit(N, N_t, epsilons):
+    rule = gauss_rule(N, 0.0, 1.0)
+    for eps in epsilons:
+        cfg = GridConfig(epsilon=eps, tau=1e-2, h=0.11, N=N, N_x=8, N_t=N_t)
+        report = perturbation_check(cfg, rule, XI)
+        symbols, arrays = _reference_check(cfg, rule, XI)
+        got = (report.e_norms, report.sigma_max_eps, report.sigma_min_eps,
+               report.sigma_max_zero, report.sigma_min_zero)
+        for name, a, b in zip(("e_norms", "sigma_max_eps", "sigma_min_eps",
+                               "sigma_max_zero", "sigma_min_zero"), got, arrays):
+            assert _bits(a, float) == _bits(b, float), (eps, name)
+        for f in fields(FourierSymbols):
+            want = [[getattr(s, f.name) for s in row] for row in symbols]
+            assert _bits(getattr(report.symbols, f.name), complex) == _bits(want, complex), \
+                (eps, f.name)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0)])
+def test_broadcast_symbols_are_the_scalar_bits(a, b):
+    # the nodes on (-1, 1) have both signs, so signed zeros show too
+    rule = gauss_rule(6, a, b)
+    xi_values = np.linspace(-np.pi, np.pi, 257) / 0.11
+    for eps in (0.5, 1e-2, 1e-3, 1e-4, 1e-8):
+        cfg = GridConfig(epsilon=eps, tau=1e-2, h=0.11, N=6, N_x=8, N_t=4)
+        broadcast = fourier_symbols(cfg, rule.nodes, xi_values[:, None])
+        for f in fields(FourierSymbols):
+            got = getattr(broadcast, f.name)
+            assert got.shape == (xi_values.size, rule.n_points)
+            for one_call in (_scalar_symbols, fourier_symbols):
+                want = [[getattr(one_call(cfg, v, xi), f.name) for v in rule.nodes]
+                        for xi in xi_values]
+                assert _bits(got, complex) == _bits(want, complex), (eps, f.name)
+
+
+def test_perturbation_check_holds_no_matrix_per_frequency():
+    # a stack of the order-2N*N_t frequency matrices would add one such
+    # matrix per xi; the stacked 2N x 2N blocks add a few kB
+    cfg = fourier_cfg(1e-3)
+    rule = gauss_rule(4, 0.0, 1.0)
+    one_matrix = (2 * cfg.N * cfg.N_t) ** 2 * np.dtype(float).itemsize
+
+    def peak(count):
+        xi_values = np.linspace(0.0, np.pi, count) / cfg.h
+        tracemalloc.start()
+        try:
+            perturbation_check(cfg, rule, xi_values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # first-call allocations of numpy and scipy
+    assert peak(64) - peak(8) <= one_matrix
 
 
 @pytest.mark.parametrize("N_t", [1, 2, 3, 16])
