@@ -14,7 +14,12 @@ The iterative path of ``spectral.singular_extremes``, above its dense
 cap, has its own crossover, ``ITERATIVE_ONE_THREAD_MAX_ORDER``: there
 the BLAS work is ARPACK's reorthogonalization against its Lanczos
 basis, whose cost grows with the order, and the products with the
-one-step block run at one thread either way.
+one-step block run at one thread either way.  The Chebyshev filter on
+the sigma_max start (above ``spectral.FILTER_CAP``) runs inside the
+same ``one_thread`` block: its norms and its one inner product are
+BLAS calls too, so its output, and with it sigma_max and the
+``sigma_max`` matvec count, does not depend on the thread count up to
+that order.
 
 The libraries are found on first use, not at import: every mapped
 object of the process whose path names ``openblas`` and that exports a

@@ -406,15 +406,6 @@ class FourierMatrix:
     X_zero: np.ndarray
 
 
-def _diag(values: np.ndarray) -> np.ndarray:
-    """``np.diag`` over the last axis of a stack: complex, zero off the
-    diagonal."""
-    out = np.zeros(values.shape + values.shape[-1:], dtype=complex)
-    k = np.arange(values.shape[-1])
-    out[..., k, k] = values
-    return out
-
-
 def assemble_fourier_matrix(
     cfg: GridConfig,
     rule: QuadratureRule,
@@ -446,14 +437,24 @@ def assemble_fourier_matrix(
     syms = fourier_symbols(cfg, rule.nodes, xi[..., None])
     c1, c2, d1, d2, gc1, gd2, g0c1, g0d2 = _symbol_fields(syms)
     W = rule.weights  # broadcast as the rows of W
-    zero = np.zeros(c1.shape + c1.shape[-1:])
-    # v[..., :, None] * W is diag(v) @ W with one product per entry
-    X_eps = np.block([
-        [_diag(c1) + gc1[..., :, None] * W, _diag(c2) / tau],
-        [tau * (_diag(d2) + gd2[..., :, None] * W), _diag(d1)],
-    ])
-    X_zero = np.block([[g0c1[..., :, None] * W, zero],
-                       [tau * (g0d2[..., :, None] * W), zero]])
+    n = cfg.N
+    k = np.arange(n)
+    # each block is written into its place in a zeroed stack, entry by
+    # entry as np.block of the formulas above gives it: diag(v) @ W as
+    # v[..., :, None] * W, one product per entry, +0 off a diagonal
+    # block's diagonal, and diag(c) + diag(v) W as 0 + p and c + p
+    X_eps = np.zeros(c1.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    top, bottom = X_eps[..., :n, :], X_eps[..., n:, :]
+    top[..., k, k] = c1
+    top[..., :n] += gc1[..., :, None] * W
+    top[..., k, n + k] = c2 / tau
+    bottom[..., k, k] = d2
+    bottom[..., :n] += gd2[..., :, None] * W
+    bottom[..., :n] *= tau
+    bottom[..., k, n + k] = d1
+    X_zero = np.zeros_like(X_eps)
+    X_zero[..., :n, :n] = g0c1[..., :, None] * W
+    X_zero[..., n:, :n] = tau * (g0d2[..., :, None] * W)
     return FourierMatrix(xi=float(xi) if xi.ndim == 0 else xi, symbols=syms,
                          X_eps=X_eps, X_zero=X_zero)
 

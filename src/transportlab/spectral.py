@@ -43,12 +43,13 @@ class SpectrumReport:
     computation: zero-order machine precision for the dense path, the
     worse relative eigen-residual of the two ARPACK Ritz pairs for the
     iterative path.  ``kappa`` is +inf when the matrix is singular to
-    working precision (sigma_min reported as 0).  ``matvecs_max`` and
-    ``matvecs_min`` count the operator applications ARPACK made for
-    sigma_max (L^H L) and sigma_min ((L^H L)^{-1}), and
-    ``matvecs_symbol`` those of the order-m solve for the start of the
-    sigma_max run (0 when that solve is dense); all three are 0 on the
-    dense path.
+    working precision (sigma_min reported as 0).  ``matvecs_max``
+    counts the applications of L^H L for sigma_max: ARPACK's, plus,
+    above order ``FILTER_CAP``, those of the Chebyshev filter on its
+    start.  ``matvecs_min`` counts ARPACK's applications of
+    (L^H L)^{-1} for sigma_min, and ``matvecs_symbol`` those of the
+    order-m solve for the start of the sigma_max run (0 when that solve
+    is dense).  All three are 0 on the dense path.
     """
 
     sigma_min: float
@@ -71,6 +72,29 @@ ARPACK_TOL = 1e-12
 # Lanczos runs with a marching L^{-1}, on relaxation (plain and rescaled)
 # and upwind systems; from order 256 up the Lanczos path is faster everywhere
 DENSE_CAP = 192
+
+# the largest order whose sigma_max run starts from the symbol's mode as
+# it is; above it that start is Chebyshev-filtered first
+# (``_chebyshev_filtered``).  The measured crossover, on 2-core OpenBLAS,
+# of the sigma_max stage with and without the filter (best of 5 or 7), on
+# relaxation (plain and rescaled) and upwind systems: the filtered stage
+# takes 0.87 to 1.38 of the plain one's time from order 1,024 to 2,560,
+# 0.77 to 1.00 at 2,816 and 0.60 to 0.97 from 3,072 to 12,152
+FILTER_CAP = 2816
+
+# the filter's degree per time level and its margin below the start's
+# Rayleigh quotient rho_0: it damps [0, (1 - FILTER_MARGIN) rho_0].  The
+# top of the spectrum clusters at spacing O(1/N_t^2), and a Chebyshev
+# polynomial's growth just outside its interval is exponential in its
+# degree times the square root of the distance, so a degree proportional
+# to N_t separates the top eigenvalue by about the same factor at every
+# N_t.  Of the degrees 0.5, 1, 1.5, 2 and 3 N_t and margins 0.01, 0.03
+# and 0.1, tried on five systems of order 3,072 to 29,040: at 1.5 N_t
+# the margin 0.03 took the fewest or tied-fewest ARPACK steps on all
+# five; 0.5 N_t left ARPACK 30 to 50 more steps, and 2 N_t traded 12 to
+# 32 more filter products for 10 to 20 fewer steps
+FILTER_DEGREE_PER_LEVEL = 1.5
+FILTER_MARGIN = 0.03
 
 # the tolerance of the order-m ARPACK solve for the symbol's top singular
 # vector, which only seeds the sigma_max run: a loose start serves as well
@@ -122,6 +146,37 @@ def _symbol_top_vector(M: sp.csr_matrix) -> tuple[np.ndarray, int]:
     return u, matvecs
 
 
+def _chebyshev_filtered(apply_op, v0: np.ndarray, degree: int) -> np.ndarray:
+    """The start v0 of a top-eigenvalue run on a Hermitian positive
+    operator A, filtered: T_degree(B) v0, with T the Chebyshev polynomial
+    and B = A / e - I, e = (1 - FILTER_MARGIN) rho_0 / 2, which maps
+    [0, (1 - FILTER_MARGIN) rho_0] onto [-1, 1], rho_0 the Rayleigh
+    quotient of v0.  It applies A ``degree`` times: the first
+    application gives both rho_0 and B v0.
+
+    rho_0 is at most the top eigenvalue, so the filter keeps every
+    eigencomponent below (1 - FILTER_MARGIN) rho_0 at most its size and
+    amplifies those above it the more the higher they lie, the top one
+    most (Zhou-Saad, Chebyshev-Davidson).  The three-term recurrence is
+    rescaled by the norm of its newest term at every step.  A rho_0 or a
+    filtered vector that is not finite raises RuntimeError.
+    """
+    x = v0 / np.linalg.norm(v0)
+    ax = apply_op(x)
+    rho0 = float(np.vdot(x, ax).real)
+    if not math.isfinite(rho0):
+        raise RuntimeError(f"the Rayleigh quotient of the sigma_max start is {rho0}")
+    e = (1.0 - FILTER_MARGIN) * rho0 / 2.0
+    previous, current = x, ax / e - x
+    for _ in range(degree - 1):
+        following = 2.0 * (apply_op(current) / e - current) - previous
+        scale = np.linalg.norm(following)
+        previous, current = current / scale, following / scale
+    if not np.isfinite(current).all():
+        raise RuntimeError("the Chebyshev-filtered sigma_max start is not finite")
+    return current
+
+
 def _lanczos_extremes(system: BlockSystem) -> tuple[float, float, float, int, int, int]:
     """sigma_min, sigma_max, the worse residual and the matvec counts of
     the sigma_max, sigma_min and symbol stages, from the top eigenvalues
@@ -134,21 +189,34 @@ def _lanczos_extremes(system: BlockSystem) -> tuple[float, float, float, int, in
     from the time-major vector
     ((-1)^t sin(pi (t+1) / (N_t+1)))_t kron u, u the top right singular
     vector of I + M (``_symbol_top_vector``, whose applications are the
-    symbol count).  The sigma_min run starts from the all-ones vector.
-    The whole path runs at one OpenBLAS thread up to order
-    ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (``_blas.one_thread``).
+    symbol count).  Above order ``FILTER_CAP`` (2,816, the measured
+    crossover) that start is first Chebyshev-filtered on L^H L at degree
+    ceil(FILTER_DEGREE_PER_LEVEL N_t) (``_chebyshev_filtered``): the
+    filter's plain products separate the top eigenvalue from its
+    cluster, so ARPACK, at the same tolerance, needs fewer of its dearer
+    Lanczos steps to confirm it.  The sigma_max count is the filter's
+    applications plus ARPACK's.  The sigma_min run starts from the
+    all-ones vector.  The whole path runs at one OpenBLAS thread up to
+    order ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (``_blas.one_thread``).
     """
     with one_thread(system.order, ITERATIVE_ONE_THREAD_MAX_ORDER):
         u, mv_symbol = _symbol_top_vector(system.M)
         t = np.arange(system.levels)
         wave = (-1.0) ** t * np.sin(np.pi * (t + 1) / (system.levels + 1))
-        lam, res_max, mv_max = _top_eigenvalue(
-            lambda x: system.apply_h(system.apply(x)), np.kron(wave, u))
+
+        def gram(x):
+            return system.apply_h(system.apply(x))
+
+        start, mv_filter = np.kron(wave, u), 0
+        if system.order > FILTER_CAP:
+            mv_filter = math.ceil(FILTER_DEGREE_PER_LEVEL * system.levels)
+            start = _chebyshev_filtered(gram, start, mv_filter)
+        lam, res_max, mv_max = _top_eigenvalue(gram, start)
         mu, res_min, mv_min = _top_eigenvalue(
             lambda x: system.solve(system.solve_h(x)),
             np.ones(system.order, system.dtype))
     return (1.0 / math.sqrt(mu), math.sqrt(lam), max(res_max, res_min),
-            mv_max, mv_min, mv_symbol)
+            mv_filter + mv_max, mv_min, mv_symbol)
 
 
 def singular_extremes(system: BlockSystem) -> SpectrumReport:
@@ -159,14 +227,16 @@ def singular_extremes(system: BlockSystem) -> SpectrumReport:
     crossover of the two paths) are decomposed densely, by ``svdvals``
     of the system's ``L`` at one OpenBLAS thread (``_blas.one_thread``).
     Above the cap, ARPACK Lanczos on L^H L gives sigma_max, started from
-    the symbol's top mode, and on (L^H L)^{-1} = L^{-1} L^{-H} gives
-    sigma_min (``_lanczos_extremes``): L, L^H, L^{-1} and L^{-H} are
+    the symbol's top mode, Chebyshev-filtered above order ``FILTER_CAP``
+    (2,816), and on (L^H L)^{-1} = L^{-1} L^{-H} gives sigma_min
+    (``_lanczos_extremes``): L, L^H, L^{-1} and L^{-H} are
     applied from the one-step block M, so this path builds no ``L`` and
     factors nothing, and it runs at one OpenBLAS thread up to order
     ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (40,000).  The sparsity comes
     from M on both paths.  An argument that is not a ``BlockSystem``
     raises TypeError, a system of order 0 ValueError, and an ARPACK
-    convergence failure RuntimeError.
+    convergence failure or a filtered start that is not finite
+    RuntimeError.
     """
     if not isinstance(system, BlockSystem):
         raise TypeError(
@@ -268,17 +338,27 @@ def _real_form(X: np.ndarray) -> np.ndarray:
             or X12.real.any() or X21.real.any()):
         raise ValueError("block is not real on its diagonal blocks and "
                          "imaginary off them")
-    return np.block([[X11.real, -X12.imag], [X21.imag, X22.real]])
+    out = np.empty(X.shape, dtype=float)
+    out[..., :n, :n] = X11.real
+    # not np.negative(..., out=...): numpy 2.4.6 writes -0.0 for all but
+    # the first block of a stack of 1 x 1 blocks that way
+    out[..., :n, n:] = -X12.imag
+    out[..., n:, :n] = X21.imag
+    out[..., n:, n:] = X22.real
+    return out
 
 
 def _stacked_blocks(cfg: GridConfig, rule: QuadratureRule, xi_values: np.ndarray):
     """The per-xi work of ``perturbation_check`` below order 2N*N_t, on
     the stack of all xi at once: the symbols, the real forms of the
     X_eps blocks, the ||E|| values and the order-2 reduced limit blocks
-    Q^T X_zero Q.  The complex blocks are dropped on return, so the
-    per-xi loop holds only what it decomposes."""
+    Q^T X_zero Q.  Each complex stack is dropped as soon as its real
+    form is made, so no later step holds both."""
     fm = assemble_fourier_matrix(cfg, rule, xi_values)
-    X_eps, X_zero = _real_form(fm.X_eps), _real_form(fm.X_zero)
+    symbols, X_eps, X_zero = fm.symbols, fm.X_eps, fm.X_zero
+    del fm
+    X_eps = _real_form(X_eps)
+    X_zero = _real_form(X_zero)
     shift_norm = 1.0 if cfg.N_t > 1 else 0.0
     e_norms = svdvals(X_eps - X_zero)[:, 0] * shift_norm
     # column 0 of X_zero is u scaled by the weight w_1 > 0
@@ -286,7 +366,7 @@ def _stacked_blocks(cfg: GridConfig, rule: QuadratureRule, xi_values: np.ndarray
     basis[..., 0] = X_zero[..., 0]
     basis[..., 1] = np.concatenate([rule.weights, np.zeros(cfg.N)])
     Q = np.linalg.qr(basis)[0]
-    return fm.symbols, X_eps, e_norms, np.swapaxes(Q, -1, -2) @ X_zero @ Q
+    return symbols, X_eps, e_norms, np.swapaxes(Q, -1, -2) @ X_zero @ Q
 
 
 def perturbation_check(

@@ -643,6 +643,31 @@ def test_iterative_spectrum_is_the_same_at_either_thread_count(raw, tmp_path):
     assert outputs["1"] == outputs["2"]
 
 
+def test_filtered_spectrum_reruns_are_byte_identical(tmp_path):
+    # the benchmark's spectrum case (a): rescaled relaxation, order 8192,
+    # above FILTER_CAP, so the sigma_max start is Chebyshev-filtered; two
+    # fresh runs at either OpenBLAS thread count write the same CSV
+    raw = {"scheme": "ap", "epsilon": 1e-6, "tau": 2e-3, "h": 0.1,
+           "N": 4, "Nx": 16, "Nt": 64}
+    assert spectral.FILTER_CAP < 2 * raw["N"] * raw["Nx"] * raw["Nt"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    for threads in ("1", "2"):
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{threads}{run}"
+            _run_module("transportlab.cli", ["spectrum", "--rescaled", "--config",
+                                             str(config), "--output-dir", str(out)],
+                        threads)
+            outputs.append((out / "spectrum.csv").read_bytes())
+            spectrum = json.loads((out / "manifest.json").read_text())["spectrum"]
+            assert spectrum["method"] == "iterative"
+            # the filter alone makes ceil(1.5 * 64) = 96 products
+            assert spectrum["matvecs"]["sigma_max"] > 96
+        assert b",ok\n" in outputs[0]
+        assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("argv, usage", [
     (["--version"], None),
     (["--help"], "usage: transportlab "),

@@ -287,6 +287,102 @@ def test_rescaled_system_extremes_have_order_one_constants():
     assert 0.1 <= upper_const <= 10.0
 
 
+def _symbol_start(system):
+    """The unfiltered sigma_max start of ``_lanczos_extremes`` and L^H L."""
+    u, _ = spectral._symbol_top_vector(system.M)
+    t = np.arange(system.levels)
+    wave = (-1.0) ** t * np.sin(np.pi * (t + 1) / (system.levels + 1))
+    return np.kron(wave, u), lambda x: system.apply_h(system.apply(x))
+
+
+@pytest.mark.parametrize("Nt, filtered", [(32, False), (33, True)],
+                         ids=["at-cap", "one-step-above"])
+def test_sigma_max_start_is_filtered_only_above_the_filter_cap(Nt, filtered):
+    # rescaled relaxation with 2*N*N_x = 88 rows per level: order 2816 is
+    # FILTER_CAP itself, and one level more is the next order above it
+    cfg = resolve_config({"scheme": "ap", "epsilon": 1e-2, "tau": 2e-3, "h": 0.1,
+                          "N": 4, "Nx": 11, "Nt": Nt})
+    system = schemes.scheme_for(cfg).assemble(cfg, True)
+    assert (system.order > spectral.FILTER_CAP) == filtered
+    assert system.order - system.M.shape[0] <= spectral.FILTER_CAP
+    _, sigma_max, _, matvecs_max, _, _ = _lanczos_extremes(system)
+    start, gram = _symbol_start(system)
+    filter_matvecs = 0
+    if filtered:
+        filter_matvecs = int(np.ceil(spectral.FILTER_DEGREE_PER_LEVEL * Nt))
+        assert filter_matvecs == 50
+        start = spectral._chebyshev_filtered(gram, start, filter_matvecs)
+    lam, _, arpack_matvecs = _top_eigenvalue(gram, start)
+    assert _bits(sigma_max, float) == _bits(np.sqrt(lam), float)
+    assert matvecs_max == filter_matvecs + arpack_matvecs
+
+
+@pytest.mark.parametrize("scheme, rescaled, raw", [
+    # order 3072 and the spectrum workload's case (a), order 8192
+    ("ap", True, {"epsilon": 1.0, "tau": 2e-3, "h": 0.1, "N": 4, "Nx": 16, "Nt": 24}),
+    ("ap", True, {"epsilon": 1e-6, "tau": 2e-3, "h": 0.1, "N": 4, "Nx": 16, "Nt": 64}),
+    # orders 4096 and 12,152, the latter the workload's case (b)
+    ("explicit", False, {"epsilon": 0.5, "tau": "auto", "h": 0.02,
+                         "N": 4, "Nx": 32, "Nt": 16}),
+    ("explicit", False, {"epsilon": 0.2, "tau": "auto", "h": 0.02,
+                         "N": 4, "Nx": 49, "Nt": 31}),
+], ids=["ap-rescaled-3072", "ap-rescaled-8192", "explicit-4096", "explicit-12152"])
+def test_filtered_sigma_max_is_the_unfiltered_one(scheme, rescaled, raw, monkeypatch):
+    # the largest gap measured, in 79 runs on systems of both schemes of
+    # order 1,024 to 12,152, was 3.2e-15 relative; sigma_min is the same run
+    cfg = resolve_config({"scheme": scheme, **raw})
+    system = schemes.scheme_for(cfg).assemble(cfg, rescaled)
+    assert system.order > spectral.FILTER_CAP
+    filtered = _lanczos_extremes(system)
+    monkeypatch.setattr(spectral, "FILTER_CAP", system.order)
+    plain = _lanczos_extremes(system)
+    assert filtered[1] == pytest.approx(plain[1], rel=1e-14, abs=0.0)
+    assert _bits(filtered[0], float) == _bits(plain[0], float)
+    assert filtered[2] <= spectral.ARPACK_TOL and plain[2] <= spectral.ARPACK_TOL
+    assert filtered[4:] == plain[4:]  # the sigma_min and symbol counts
+
+
+def _overflowing_system():
+    """A rescaled relaxation system of order 3072, above FILTER_CAP, with
+    one entry of M set to 1e300: L^H L overflows on the symbol start."""
+    cfg = resolve_config({"scheme": "ap", "epsilon": 1.0, "tau": 2e-3, "h": 0.1,
+                          "N": 4, "Nx": 16, "Nt": 24})
+    system = schemes.scheme_for(cfg).assemble(cfg, True)
+    assert system.order > spectral.FILTER_CAP and system.M.shape[0] <= DENSE_CAP
+    system.M.data[0] = 1e300
+    return system
+
+
+def test_a_start_that_is_not_finite_fails_before_arpack(monkeypatch):
+    # unfiltered, ARPACK gets the inf products and raises ArpackError
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK called")
+
+    system = _overflowing_system()
+    monkeypatch.setattr(spla, "eigsh", refuse)
+    with pytest.raises(RuntimeError, match="sigma_max start") as info:
+        singular_extremes(system)
+    assert not isinstance(info.value, spla.ArpackError)
+
+
+def test_the_cli_reports_a_start_that_is_not_finite_as_a_numerical_failure(
+        tmp_path, monkeypatch, capsys):
+    from transportlab import cli
+    from transportlab.schemes import Scheme
+
+    system = _overflowing_system()
+    monkeypatch.setattr(Scheme, "assemble", lambda self, cfg, rescaled: system)
+    config = tmp_path / "config.json"
+    config.write_text('{"scheme": "ap", "epsilon": 1.0, "tau": 0.002, "h": 0.1, '
+                      '"N": 4, "Nx": 16, "Nt": 24}', encoding="utf-8")
+    code = cli.main(["spectrum", "--rescaled", "--config", str(config),
+                     "--output-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert "numerical failure: the Rayleigh quotient of the sigma_max start is" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out" / "spectrum.csv").exists()
+
+
 # --- alpha --------------------------------------------------------------
 
 
@@ -514,6 +610,28 @@ def test_perturbation_check_holds_no_matrix_per_frequency():
 
     peak(8)  # first-call allocations of numpy and scipy
     assert peak(64) - peak(8) <= one_matrix
+
+
+def test_perturbation_check_peak_grows_by_a_few_blocks_per_frequency():
+    # at N = 4 a frequency's symbols and complex X_eps, X_zero hold
+    # 2.5 kB, its real forms 1 kB.  Measured growth of the tracemalloc
+    # peak from 64 to 256 xi: 2.24 kB per xi with the complex stacks
+    # dropped as their real forms are made and the blocks written in
+    # place, 3.83 kB with both complex stacks held through the ||E|| SVDs
+    cfg = fourier_cfg(1e-3)
+    rule = gauss_rule(4, 0.0, 1.0)
+
+    def peak(count):
+        xi_values = np.linspace(0.0, np.pi, count) / cfg.h
+        tracemalloc.start()
+        try:
+            perturbation_check(cfg, rule, xi_values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # first-call allocations of numpy and scipy
+    assert (peak(256) - peak(64)) / 192 <= 2600
 
 
 @pytest.mark.parametrize("N_t", [1, 2, 3, 16])
