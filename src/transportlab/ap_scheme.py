@@ -249,17 +249,16 @@ def boundary_forcing(
     cfg: GridConfig,
     rule: QuadratureRule,
     field: ParityField,
-    mats: ApStepMatrices | None = None,
+    mats: ApStepMatrices,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forcing vectors (f~, g~) carrying the ghost data of one step.
 
     Built from the Dirichlet ghost values on ``field`` (constant in
     time), so the same pair applies at every level of the all-at-once
-    system.  Both vanish identically for zero ghost data.
+    system.  Both vanish identically for zero ghost data.  ``mats`` are
+    the one-step matrices ``ap_step_matrices(cfg, rule)``.
     """
     _check_ap(cfg, rule)
-    if mats is None:
-        mats = ap_step_matrices(cfg, rule)
     N, Nx = cfg.N, cfg.N_x
     lam, tau = cfg.lam, cfg.tau
     eps2 = cfg.epsilon**2

@@ -9,10 +9,12 @@ M_ab the (a, b) block of M over the groups,
 
     L = I - [[P kron M_ab]]_{a,b}.
 
-For the relaxation scheme M = [[B1, -A1], [-B2, A2]].  The rescaled
-variant substitutes r~ = r/tau, which gives M = [[B1, -A1/tau],
-[-tau*B2, A2]] and keeps the system nondegenerate as eps -> 0.  For the
-upwind scheme M = B.
+For the relaxation scheme M = [[B1, -A1], [-B2, A2]], for the upwind
+scheme M = B.  S may hold group a divided by scale[a]; then block (a, b)
+of M is M_ab * scale[b] / scale[a] and group a of F is F_a / scale[a].
+The tau-rescaled relaxation system, scale (tau, 1), substitutes
+r~ = r/tau: M = [[B1, -A1/tau], [-tau*B2, A2]], which stays
+nondegenerate as eps -> 0.
 
 A ``BlockSystem`` holds M, not L, and is itself the operator: it applies
 L and L^H as one sparse x dense product with M and M^H over all time
@@ -57,6 +59,7 @@ __all__ = [
     "sparsity",
     "split_ap_solution",
     "split_explicit_solution",
+    "system_order",
 ]
 
 # the largest system order assembled; read at call time
@@ -78,7 +81,14 @@ def sparsity(A) -> int:
     return max(row_max, col_max)
 
 
-def _check_order(order: int):
+def system_order(cfg: GridConfig) -> int:
+    """Order of either scheme's system: N_t levels of N_x cells of two
+    groups of N nodes (relaxation) or one of 2N (upwind)."""
+    return 2 * cfg.N * cfg.N_x * cfg.N_t
+
+
+def _check_order(cfg: GridConfig):
+    order = system_order(cfg)
     if order > ORDER_CAP:
         raise ValueError(f"system order {order} exceeds the cap ORDER_CAP = {ORDER_CAP}")
 
@@ -119,10 +129,11 @@ class BlockSystem:
     """The space-time system L S = F of one scheme, with its provenance,
     held as its one-step block M.
 
-    S stacks ``groups`` unknown groups one after the other ([r; j] for
-    the relaxation scheme, f for the upwind one), each holding its N_t
-    time levels in order.  M is in canonical CSR form and has one row
-    and column per unknown of a time level.
+    S stacks ``groups`` = len(scale) unknown groups one after the other
+    ([r; j] for the relaxation scheme, f for the upwind one), each
+    holding its N_t time levels in order, group a divided by
+    ``scale[a]`` ((tau, 1) when tau-rescaled, else ones).  M is in canonical CSR form and has
+    one row and column per unknown of a time level.
 
     The system is the operator L.  Time-major, a vector is an
     (N_t, k*m) array whose row t holds time level t of all k groups, and
@@ -141,9 +152,12 @@ class BlockSystem:
     M: sp.csr_matrix
     F: np.ndarray
     scheme: str
-    rescaled: bool
+    scale: tuple[float, ...]
     cfg: GridConfig
-    groups: int
+
+    @property
+    def groups(self) -> int:
+        return len(self.scale)
 
     @property
     def levels(self) -> int:
@@ -216,6 +230,28 @@ class BlockSystem:
         """Reorder a time-major vector into the layout of S."""
         return np.moveaxis(np.reshape(x, (self.levels, self.groups, -1)), 0, 1).ravel()
 
+    def split(self, S) -> list[tuple[np.ndarray, ...]]:
+        """Per time level 1..N_t, the tuple of the groups' physical
+        values: group a's part of S times scale[a]."""
+        parts = np.reshape(S, (self.groups, self.levels, -1))
+        return list(zip(*(part * s for part, s in zip(parts, self.scale))))
+
+
+def _stack(cfg: GridConfig, blocks, forcing, first, scale) -> BlockSystem:
+    """The system of N_t steps of the one-step ``blocks`` with each
+    group's per-level ``forcing`` and first-level part ``first`` = M x^0,
+    all in physical variables, stored under ``scale``: block (a, b) times
+    scale[b] / scale[a] where the two differ, group a of F / scale[a]."""
+    M = sp.bmat([[blk if sa == sb else blk * sb / sa for sb, blk in zip(scale, row)]
+                 for sa, row in zip(scale, blocks)])
+    F = []
+    for f, x0, s in zip(forcing, first, scale):
+        F_a = np.tile(f, cfg.N_t)
+        F_a[:f.size] += x0
+        F.append(F_a / s)
+    return BlockSystem(M=_canonical(M), F=np.concatenate(F), scheme=cfg.scheme,
+                       scale=scale, cfg=cfg)
+
 
 def assemble_ap_system(
     cfg: GridConfig,
@@ -227,47 +263,23 @@ def assemble_ap_system(
 
     F's first block row carries the initial data (f~ + B1 r^0 - A1 j^0
     and g~ - B2 r^0 + A2 j^0); later rows repeat the boundary forcing.
-    With ``rescaled`` the solution layout is [S1/tau; S2].
+    With ``rescaled`` the system has scale (tau, 1), and S is [r/tau; j].
     """
     if cfg.scheme != AP:
         raise ValueError(f"config scheme must be {AP!r}, got {cfg.scheme!r}")
-    n = cfg.N * cfg.N_x
-    _check_order(2 * n * cfg.N_t)
+    _check_order(cfg)
 
     mats = ap_scheme.ap_step_matrices(cfg, rule)
-    f_tilde, g_tilde = ap_scheme.boundary_forcing(cfg, rule, initial, mats)
-
-    F1 = np.tile(f_tilde, cfg.N_t)
-    F2 = np.tile(g_tilde, cfg.N_t)
-    F1[:n] += mats.B1 @ initial.r - mats.A1 @ initial.j
-    F2[:n] += -(mats.B2 @ initial.r) + mats.A2 @ initial.j
-
-    if rescaled:
-        M = sp.bmat([[mats.B1, -(mats.A1 / cfg.tau)],
-                     [-(cfg.tau * mats.B2), mats.A2]])
-        F = np.concatenate([F1 / cfg.tau, F2])
-    else:
-        M = sp.bmat([[mats.B1, -mats.A1], [-mats.B2, mats.A2]])
-        F = np.concatenate([F1, F2])
-    return BlockSystem(M=_canonical(M), F=F, scheme=AP, rescaled=rescaled, cfg=cfg,
-                       groups=2)
+    forcing = ap_scheme.boundary_forcing(cfg, rule, initial, mats)
+    first = (mats.B1 @ initial.r - mats.A1 @ initial.j,
+             -(mats.B2 @ initial.r) + mats.A2 @ initial.j)
+    blocks = [[mats.B1, -mats.A1], [-mats.B2, mats.A2]]
+    return _stack(cfg, blocks, forcing, first, (cfg.tau, 1.0) if rescaled else (1.0, 1.0))
 
 
 def split_ap_solution(system: BlockSystem, S: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a solution vector into per-level (r^n, j^n) pairs, n = 1..N_t.
-
-    For a rescaled system the first half of S is r~/tau and is mapped
-    back to physical r.
-    """
-    cfg = system.cfg
-    n = cfg.N * cfg.N_x
-    half = n * cfg.N_t
-    S1, S2 = S[:half].copy(), S[half:].copy()
-    if system.rescaled:
-        S1 *= cfg.tau
-    return [
-        (S1[i * n:(i + 1) * n], S2[i * n:(i + 1) * n]) for i in range(cfg.N_t)
-    ]
+    """Split a solution vector into per-level (r^n, j^n) pairs, n = 1..N_t."""
+    return system.split(S)
 
 
 def assemble_explicit_system(
@@ -278,23 +290,16 @@ def assemble_explicit_system(
     """Stack the upwind scheme into the block bidiagonal system L U = F."""
     if cfg.scheme != EXPLICIT:
         raise ValueError(f"config scheme must be {EXPLICIT!r}, got {cfg.scheme!r}")
-    n = 2 * cfg.N * cfg.N_x
-    _check_order(n * cfg.N_t)
+    _check_order(cfg)
 
     mats = explicit_scheme.explicit_matrix(cfg, rule)
     b = explicit_scheme.boundary_vector(cfg, rule, initial)
-
-    F = np.tile(b, cfg.N_t)
-    F[:n] += mats.B @ initial.f
-    return BlockSystem(M=_canonical(mats.B), F=F, scheme=EXPLICIT, rescaled=False,
-                       cfg=cfg, groups=1)
+    return _stack(cfg, [[mats.B]], (b,), (mats.B @ initial.f,), (1.0,))
 
 
 def split_explicit_solution(system: BlockSystem, U: np.ndarray) -> list[np.ndarray]:
     """Split a solution vector into per-level f^n, n = 1..N_t."""
-    cfg = system.cfg
-    n = 2 * cfg.N * cfg.N_x
-    return [U[i * n:(i + 1) * n] for i in range(cfg.N_t)]
+    return [f for (f,) in system.split(U)]
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +523,6 @@ def system_metadata(system: BlockSystem) -> dict:
     """Sidecar metadata for an assembled system."""
     return {
         "scheme": system.scheme,
-        "rescaled": system.rescaled,
+        "rescaled": any(s != 1.0 for s in system.scale),
         "config": config_as_dict(system.cfg),
     }

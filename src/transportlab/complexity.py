@@ -64,15 +64,12 @@ def classical_cost(cfg: GridConfig) -> int:
 class ComplexityRow:
     """One sweep entry: grid, measured spectrum, and both cost figures.
 
-    ``closed_form_classical``/``closed_form_quantum`` carry the
-    resolution-rule cost expressions N^2 eps^-3 delta^-1 and
-    N^2 eps^-2 log2(1/(eps*delta)) for explicit-scheme rows (None for
-    relaxation rows); they are reported alongside but are not part of
-    the CSV schema.  Nor are ``method``, ``residual`` and ``matvecs``,
-    the spectral path ("dense" or "iterative"), its residual and its
-    ARPACK matvec counts per stage (``{"sigma_max": .., "sigma_min": ..,
-    "symbol": ..}``, the last the order-m solve that seeds sigma_max's
-    start; zeros on the dense path) of a measured row.  An error row
+    Three fields are not part of the CSV schema: ``method``,
+    ``residual`` and ``matvecs``, the spectral path ("dense" or
+    "iterative"), its residual and its ARPACK matvec counts per stage
+    (``{"sigma_max": .., "sigma_min": .., "symbol": ..}``, the last the
+    order-m solve that seeds sigma_max's start; zeros on the dense path)
+    of a measured row.  An error row
     holds None in each grid field the sweep failed before deriving, and
     in ``alpha`` and ``classical_cost`` when they need such a field.
     """
@@ -94,8 +91,6 @@ class ComplexityRow:
     classical_cost: int | None
     quantum_queries: float | None
     status: str
-    closed_form_classical: float | None = None
-    closed_form_quantum: float | None = None
     method: str | None = None
     residual: float | None = None
     matvecs: dict | None = None
@@ -268,11 +263,9 @@ def sweep_epsilon(
                     raise ValueError(f"final_time/tau overflows at epsilon = {eps}")
                 grid["N_t"] = max(1, math.ceil(steps))
             cfg = dc_replace(base_cfg, allow_unstable=mode == "fixed_grid", **grid)
-            closed_form = schemes.scheme_for(cfg).closed_form(cfg, delta)
-            # both schemes yield order 2N*N_x*N_t (parity pair vs 2N nodes)
-            order = 2 * cfg.N * cfg.N_x * cfg.N_t
-            row = row_for(cfg, delta, measure_spectrum and order <= assembly.ORDER_CAP)
-            row.closed_form_classical, row.closed_form_quantum = closed_form
+            measure = (measure_spectrum
+                       and assembly.system_order(cfg) <= assembly.ORDER_CAP)
+            row = row_for(cfg, delta, measure)
         except Exception as exc:  # per-epsilon failure: record and continue
             row = _error_row(base_cfg, grid, delta, exc)
         rows.append(row)

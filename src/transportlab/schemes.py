@@ -7,7 +7,6 @@ call time, so a wrapper installed on a module attribute sees every call.
 from __future__ import annotations
 
 import csv
-import math
 from contextlib import contextmanager
 
 from . import ap_scheme, assembly, explicit_scheme, model, quadrature
@@ -18,8 +17,7 @@ __all__ = ["SCHEMES", "Scheme", "scheme_for", "trajectory_csv", "write_trajector
 
 class Scheme:
     """What one scheme supplies: its velocity rule, initial field,
-    stepper, density, trajectory rows, space-time system and the
-    closed-form cost pair of its resolution rule."""
+    stepper, density, trajectory rows and space-time system."""
 
     name: str
     trajectory_header: tuple[str, ...]
@@ -34,9 +32,10 @@ class Scheme:
         rule = self.rule(cfg)
         return self.system(cfg, rule, self.initial(cfg, rule), rescaled)
 
-    def closed_form(self, cfg, delta: float):
-        """(classical, quantum) cost expressions, or (None, None)."""
-        return None, None
+    def split(self, system, S):
+        """Per time level, the tuple of a space-time solution's groups in
+        physical variables."""
+        return system.split(S)
 
 
 class _Relaxation(Scheme):
@@ -59,9 +58,6 @@ class _Relaxation(Scheme):
 
     def system(self, cfg, rule, initial, rescaled):
         return assembly.assemble_ap_system(cfg, rule, initial, rescaled=rescaled)
-
-    def split(self, system, S):
-        return assembly.split_ap_solution(system, S)
 
 
 class _Upwind(Scheme):
@@ -86,14 +82,6 @@ class _Upwind(Scheme):
     def system(self, cfg, rule, initial, rescaled):
         # the tau-rescaling is the relaxation system's; this one has no variant
         return assembly.assemble_explicit_system(cfg, rule, initial)
-
-    def split(self, system, S):
-        return assembly.split_explicit_solution(system, S)
-
-    def closed_form(self, cfg, delta):
-        """N^2 eps^-3 delta^-1 and N^2 eps^-2 log2(1/(eps*delta))."""
-        return (cfg.N**2 * cfg.epsilon**-3 / delta,
-                cfg.N**2 * cfg.epsilon**-2 * math.log2(1.0 / (cfg.epsilon * delta)))
 
 
 SCHEMES = {scheme.name: scheme for scheme in (_Relaxation(), _Upwind())}

@@ -125,9 +125,12 @@ def test_rescaled_solution_is_scaled_copy():
     half = plain.order // 2
     np.testing.assert_allclose(S_tilde[:half] * cfg.tau, S[:half], rtol=1e-10)
     np.testing.assert_allclose(S_tilde[half:], S[half:], rtol=1e-10)
-    # split_ap_solution undoes the scaling
+    # split_ap_solution undoes the scaling, with the bits of S1 * tau
     lv_plain = split_ap_solution(plain, S)
     lv_rescaled = split_ap_solution(rescaled, S_tilde)
+    assert np.array_equal(np.concatenate([r for r, _ in lv_rescaled]),
+                          S_tilde[:half] * cfg.tau)
+    assert np.array_equal(np.concatenate([j for _, j in lv_rescaled]), S_tilde[half:])
     for (r1, j1), (r2, j2) in zip(lv_plain, lv_rescaled):
         np.testing.assert_allclose(r1, r2, rtol=1e-10)
         np.testing.assert_allclose(j1, j2, rtol=1e-10)
@@ -362,9 +365,32 @@ def test_square_system_shapes_and_rhs_scaling():
     plain = assemble_ap_system(cfg, rule, init)
     rescaled = assemble_ap_system(cfg, rule, init, rescaled=True)
     half = plain.order // 2
-    np.testing.assert_allclose(rescaled.F[:half], plain.F[:half] / cfg.tau,
-                               rtol=1e-15)
-    np.testing.assert_allclose(rescaled.F[half:], plain.F[half:], rtol=0)
+    assert np.array_equal(rescaled.F[:half], plain.F[:half] / cfg.tau)
+    assert np.array_equal(rescaled.F[half:], plain.F[half:])
+
+
+def test_rescaled_mass_matrix_is_the_fourier_block_at_an_interior_cell():
+    # -sum_o M_o e^{i o xi h} over the stencil of interior cell m, with M_o
+    # the 2N x 2N block of M coupling m to m + o, is the symbol block X_eps
+    # of the tau-rescaled system, not of the plain one
+    cfg = fourier_cfg()
+    rule = gauss_rule(4, 0.0, 1.0)
+    init = initial_parity_field(cfg, rule)
+    n, m = cfg.N * cfg.N_x, 4
+    cells = [a * n + k * cfg.N_x for a in range(2) for k in range(cfg.N)]
+
+    def gaps(rescaled):
+        M = assemble_ap_system(cfg, rule, init, rescaled=rescaled).M.toarray()
+        rows = M[[c + m for c in cells]]
+        stencil = [c + m + o for c in cells for o in range(-2, 3)]
+        assert not np.delete(rows, stencil, axis=1).any()
+        return [np.abs(-sum(rows[:, [c + m + o for c in cells]]
+                            * np.exp(1j * o * xi * cfg.h) for o in range(-2, 3))
+                       - assemble_fourier_matrix(cfg, rule, xi).X_eps).max()
+                for xi in (0.3, 1.7, 25.7)]
+
+    assert max(gaps(rescaled=True)) <= 1e-15  # measured 1.1e-16
+    assert min(gaps(rescaled=False)) >= 0.05  # measured 0.089
 
 
 # --- matrix market export -----------------------------------------------

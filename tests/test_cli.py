@@ -307,6 +307,21 @@ def test_assemble_single_step_identity(ap_config, tmp_path):
     assert sidecar["config"]["Nt"] == 1
 
 
+@pytest.mark.parametrize("raw, args, rescaled", [
+    (AP_RAW, [], False), (AP_RAW, ["--rescaled"], True),
+    # the tau-rescaling is the relaxation system's alone
+    (EXPLICIT_RAW, ["--rescaled"], False),
+], ids=["ap", "ap-rescaled", "explicit-rescaled"])
+def test_assemble_sidecar_records_the_rescaling(raw, args, rescaled, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["assemble", "--config", str(config), "--output-dir", str(out),
+                 *args]) == 0
+    for name in ("L.mtx.json", "F.mtx.json"):
+        assert json.loads((out / name).read_text())["rescaled"] is rescaled
+
+
 def test_spectrum_matches_offline_computation(explicit_config, tmp_path):
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(explicit_config),

@@ -89,7 +89,6 @@ def test_fixed_grid_sweep_rows():
             row.sparsity * row.kappa * math.log2(1.0 / row.delta)
         )
         assert row.classical_cost == 9 * 4 * 6
-        assert row.closed_form_classical is None
     # deep in the diffusive regime both kappa and the query estimate are
     # epsilon-independent (the regime the conditioning theory covers)
     kappas = [r.kappa for r in rows]
@@ -108,9 +107,6 @@ def test_cfl_driven_sweep_growth():
         assert row.h == pytest.approx(row.epsilon * 0.1)
         limit = row.h * row.epsilon**2 / (row.epsilon + row.h)
         assert row.tau <= limit
-        assert row.closed_form_classical == pytest.approx(
-            9 * row.epsilon**-3 / 0.1
-        )
     # each halving of epsilon inflates the step count fourfold: exact in
     # tau (proportional to eps^2), up to rounding in the integer count
     for a, b in zip(rows, rows[1:]):

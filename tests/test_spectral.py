@@ -45,7 +45,7 @@ def _system_of(M, levels):
     cfg = GridConfig(epsilon=1.0, tau=1.0, h=1.0, N=1, N_x=1, N_t=levels,
                      scheme="explicit", allow_unstable=True)
     return BlockSystem(M=M, F=np.zeros(levels * M.shape[0]), scheme="explicit",
-                       rescaled=False, cfg=cfg, groups=1)
+                       scale=(1.0,), cfg=cfg)
 
 
 def _dense_extremes(system):
