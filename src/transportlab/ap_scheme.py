@@ -14,6 +14,7 @@ which is the form the all-at-once space-time system is built from.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -211,14 +212,12 @@ class ApStepMatrices:
     A2: sp.csr_matrix
 
 
-def ap_step_matrices(cfg: GridConfig, rule: QuadratureRule) -> ApStepMatrices:
-    """Assemble the one-step matrices for the configured grid."""
-    _check_ap(cfg, rule)
-    N, Nx = cfg.N, cfg.N_x
-    lam, gamma, tau = cfg.lam, cfg.gamma, cfg.tau
-    eps2 = cfg.epsilon**2
-    v, w = rule.nodes, rule.weights
-
+@functools.lru_cache(maxsize=8)
+def _stencils(N: int, Nx: int, lam: float, nodes: bytes, weights: bytes):
+    """The eps-free operators of one grid: G, A, B, A@A and B@A, for N
+    velocity nodes and weights given by their float64 bytes.  Built once
+    per grid; every caller only reads them."""
+    v, w = np.frombuffer(nodes), np.frombuffer(weights)
     ones = np.ones(Nx - 1)
     Mh = sp.diags([ones, -ones], [1, -1], shape=(Nx, Nx), format="csr")
     Lh = sp.diags([ones, -2.0 * np.ones(Nx), ones], [1, 0, -1],
@@ -231,6 +230,24 @@ def ap_step_matrices(cfg: GridConfig, rule: QuadratureRule) -> ApStepMatrices:
 
     A = (0.5 * lam) * Mv
     B = (sp.eye(N * Nx) + (0.5 * lam) * Lv).tocsr()
+    return G, A, B, A @ A, B @ A
+
+
+def ap_step_matrices(cfg: GridConfig, rule: QuadratureRule) -> ApStepMatrices:
+    """Assemble the one-step matrices for the configured grid.
+
+    G, A, B and the products A@A and B@A do not depend on eps: they are
+    built once per grid (N, N_x, lam and the rule's nodes and weights)
+    and kept, so a sweep over eps builds them once.  The eps-dependent
+    matrices are formed afresh on each call, and G, A and B are returned
+    as copies, so a caller may change any matrix it gets.
+    """
+    _check_ap(cfg, rule)
+    N, Nx = cfg.N, cfg.N_x
+    lam, gamma, tau = cfg.lam, cfg.gamma, cfg.tau
+    eps2 = cfg.epsilon**2
+    G, A, B, AA, BA = _stencils(N, Nx, lam, np.asarray(rule.nodes, float).tobytes(),
+                                np.asarray(rule.weights, float).tobytes())
 
     # (I + gamma*G)/(1 + gamma) assembled directly: both coefficients are
     # bounded by 1, so no large intermediates appear even for gamma ~ 1/eps^2
@@ -238,11 +255,12 @@ def ap_step_matrices(cfg: GridConfig, rule: QuadratureRule) -> ApStepMatrices:
     relax = relax.tocsr()
     c = (1.0 - eps2) / (tau + eps2)
 
-    B1 = ((B + c * (A @ A)) @ relax).tocsr()
+    B1 = ((B + c * AA) @ relax).tocsr()
     A1 = ((1.0 / (1.0 + gamma)) * A).tocsr()
-    B2 = ((A + c * (B @ A)) @ relax).tocsr()
+    B2 = ((A + c * BA) @ relax).tocsr()
     A2 = ((1.0 / (1.0 + gamma)) * B).tocsr()
-    return ApStepMatrices(G=G, A=A, B=B, B1=B1, A1=A1, B2=B2, A2=A2)
+    return ApStepMatrices(G=G.copy(), A=A.copy(), B=B.copy(),
+                          B1=B1, A1=A1, B2=B2, A2=A2)
 
 
 def boundary_forcing(

@@ -17,10 +17,11 @@ r~ = r/tau: M = [[B1, -A1/tau], [-tau*B2, A2]], which stays
 nondegenerate as eps -> 0.
 
 A ``BlockSystem`` holds M, not L, and is itself the operator: it applies
-L and L^H as one sparse x dense product with M and M^H over all time
-levels, and L^{-1} and L^{-H} as a forward and a backward time march,
-with no factorization.  ``space_time_matrix`` is the one place L is
-built, and ``BlockSystem.L`` builds it only when asked for.
+L and L^H as one product with M and M^H over all time levels, and
+L^{-1} and L^{-H} as a forward and a backward time march, with no
+factorization.  A block of at most ``DENSE_BLOCK_CAP`` rows is applied
+as a dense array, a larger one as CSR.  ``space_time_matrix`` is the one
+place L is built, and ``BlockSystem.L`` builds it only when asked for.
 
 A spatial Fourier transform reduces the rescaled relaxation system to
 an order-2N*N_t matrix I + X kron P per frequency xi, with P the time
@@ -65,6 +66,19 @@ __all__ = [
 # the largest system order assembled; read at call time
 ORDER_CAP = 1_000_000
 
+# the most rows m of a one-step block that ``BlockSystem`` applies as a
+# dense array; a larger block is applied as CSR.  Read when a system
+# first applies its block.  The measured crossover, on 2-core OpenBLAS at
+# one thread (best of 5 or 7, alternating), of the iterative spectrum
+# (``spectral.singular_extremes``) with the block dense and with it CSR,
+# on rescaled relaxation and upwind systems of N = 2 to 8 and N_t = 16
+# to 48: dense takes 0.70 to 0.94 of the CSR time at m = 96, 0.80 to
+# 1.15 at 128 (the upwind blocks, at 5 to 9 nonzeros a row, near 1),
+# 0.95 to 1.10 at 144, 1.01 to 1.19 at 160 and 1.05 to 1.47 from 176 up.
+# A sparse product's cost is mostly fixed per call; a dense one's grows
+# like m^2
+DENSE_BLOCK_CAP = 128
+
 
 def sparsity(A) -> int:
     """Max nonzero count over all rows and all columns of a sparse matrix.
@@ -91,6 +105,12 @@ def _check_order(cfg: GridConfig):
     order = system_order(cfg)
     if order > ORDER_CAP:
         raise ValueError(f"system order {order} exceeds the cap ORDER_CAP = {ORDER_CAP}")
+
+
+def _quiet() -> np.errstate:
+    """No floating-point warning from a dense product or its update: a
+    sparse one raises none, so an overflow shows in the result alone."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _time_shift(N_t: int) -> sp.csr_matrix:
@@ -140,12 +160,22 @@ class BlockSystem:
 
         (L X)[t] = X[t] - M X[t-1],      (L^H Y)[t] = Y[t] - M^H Y[t+1].
 
-    So ``apply`` and ``apply_h`` are one sparse x dense product over all
-    levels at once, and ``solve`` and ``solve_h`` (L^{-1}, L^{-H}) are
-    the forward march X[t] += M X[t-1] and the backward march
-    Y[t] += M^H Y[t+1], with no factorization.  The four take and return
-    flat time-major vectors; ``to_time_major`` and ``from_time_major``
-    convert from and to the layout of S.  The CSR matrix ``L`` is built
+    So ``apply`` and ``apply_h`` are one product over all levels at
+    once, and ``solve`` and ``solve_h`` (L^{-1}, L^{-H}) are the forward
+    march X[t] += M X[t-1] and the backward march Y[t] += M^H Y[t+1],
+    with no factorization.  The four take and return flat time-major
+    vectors; ``to_time_major`` and ``from_time_major`` convert from and
+    to the layout of S.
+
+    The four apply M, and M^H, in the storage that the first product
+    picks from M as it is then: a dense copy when M has at most
+    ``DENSE_BLOCK_CAP`` rows, where the fixed cost of a sparse product
+    outweighs its arithmetic, else CSR.  So M must not be changed after
+    the first product: a dense copy would not see the change.  Dense
+    products round in another order than sparse ones, so results agree
+    with the CSR path's to a few ulp, not bit for bit.  Either way an
+    overflow or an invalid operation shows as inf or nan in the result
+    and raises no floating-point warning.  The CSR matrix ``L`` is built
     from M on first access only.
     """
 
@@ -188,8 +218,17 @@ class BlockSystem:
         return space_time_matrix(self.M, self.levels, self.groups)
 
     @cached_property
-    def _M_h(self) -> sp.csr_matrix:
-        return self.M.conj(copy=False).T.tocsr()
+    def _block(self):
+        """M as the products apply it: dense up to ``DENSE_BLOCK_CAP``
+        rows, else the CSR matrix itself."""
+        return self.M.toarray() if self.M.shape[0] <= DENSE_BLOCK_CAP else self.M
+
+    @cached_property
+    def _block_h(self):
+        """M^H in the storage of ``_block``, C-ordered when dense."""
+        if sp.issparse(self._block):
+            return self._block.conj(copy=False).T.tocsr()
+        return self._block.conj().T.copy()
 
     def _rows(self, x) -> np.ndarray:
         """A writable (N_t, k*m) copy of a flat time-major vector."""
@@ -199,27 +238,31 @@ class BlockSystem:
     def apply(self, x) -> np.ndarray:
         """L x."""
         X = self._rows(x)
-        X[1:] -= (self.M @ X[:-1].T).T  # the product is formed before the update
+        with _quiet():
+            X[1:] -= (self._block @ X[:-1].T).T  # the product is formed before the update
         return X.ravel()
 
     def apply_h(self, y) -> np.ndarray:
         """L^H y."""
         Y = self._rows(y)
-        Y[:-1] -= (self._M_h @ Y[1:].T).T
+        with _quiet():
+            Y[:-1] -= (self._block_h @ Y[1:].T).T
         return Y.ravel()
 
     def solve(self, y) -> np.ndarray:
         """L^{-1} y, marching forward in time."""
         X = self._rows(y)
-        for t in range(1, self.levels):
-            X[t] += self.M @ X[t - 1]
+        with _quiet():
+            for t in range(1, self.levels):
+                X[t] += self._block @ X[t - 1]
         return X.ravel()
 
     def solve_h(self, x) -> np.ndarray:
         """L^{-H} x, marching backward in time."""
         Y = self._rows(x)
-        for t in range(self.levels - 2, -1, -1):
-            Y[t] += self._M_h @ Y[t + 1]
+        with _quiet():
+            for t in range(self.levels - 2, -1, -1):
+                Y[t] += self._block_h @ Y[t + 1]
         return Y.ravel()
 
     def to_time_major(self, s) -> np.ndarray:

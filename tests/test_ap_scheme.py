@@ -16,6 +16,7 @@ from transportlab import (
     initial_parity_field,
     resolve_config,
 )
+from transportlab import ap_scheme
 from transportlab.ap_scheme import (
     ApWorkspace,
     ap_step_matrices,
@@ -111,6 +112,32 @@ def test_limit_b2_is_the_stated_product():
     expected = (A + (B @ A) / cfg.tau) @ G
     limit_b2 = (mats.A + (mats.B @ mats.A) / cfg.tau) @ mats.G
     np.testing.assert_allclose(limit_b2.toarray(), expected, atol=1e-12)
+
+
+def _csr_bits(matrix):
+    return tuple(getattr(matrix, name).tobytes() for name in ("indptr", "indices", "data"))
+
+
+def test_eps_free_stencils_are_built_once_per_grid():
+    rule = gauss_rule(4, 0.0, 1.0)
+    stencils = ap_scheme._stencils
+    stencils.cache_clear()
+    first = ap_step_matrices(make_cfg(epsilon=0.5), rule)
+    second = ap_step_matrices(make_cfg(epsilon=1e-4), rule)
+    assert (stencils.cache_info().misses, stencils.cache_info().hits) == (1, 1)
+    # each call hands out its own G, A and B; a write into one stays there
+    assert first.A is not second.A
+    second.A.data[:] = 0.0
+    cached = ap_step_matrices(make_cfg(epsilon=1e-4), rule)
+    stencils.cache_clear()
+    uncached = ap_step_matrices(make_cfg(epsilon=1e-4), rule)
+    for name in ("G", "A", "B", "B1", "A1", "B2", "A2"):
+        assert _csr_bits(getattr(uncached, name)) == _csr_bits(getattr(cached, name)), name
+    # another h (so another lam) or another N builds its own
+    other_h = ap_step_matrices(make_cfg(epsilon=1e-4, h=0.2), rule)
+    ap_step_matrices(make_cfg(epsilon=1e-4, N=3), gauss_rule(3, 0.0, 1.0))
+    assert stencils.cache_info().misses == 3
+    assert not np.array_equal(other_h.A.toarray(), uncached.A.toarray())
 
 
 # --- relaxation step ----------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import tracemalloc
+import warnings
 from dataclasses import fields
 from unittest import mock
 
@@ -26,6 +27,7 @@ from transportlab import (
 )
 from transportlab import spectral
 from transportlab.assembly import (
+    DENSE_BLOCK_CAP,
     FourierSymbols,
     assemble_fourier_matrix,
     fourier_symbols,
@@ -196,10 +198,12 @@ def _spy_products():
 
 
 def test_system_path_makes_no_product_with_the_matrix():
+    # a one-step block of 160 rows, above DENSE_BLOCK_CAP, so its products
+    # are sparse ones that the spy sees
     cfg = resolve_config({"scheme": "explicit", "epsilon": 0.2, "tau": "auto",
-                          "h": 0.05, "N": 2, "Nx": 16, "Nt": 16})
+                          "h": 0.02, "N": 2, "Nx": 40, "Nt": 8})
     system = schemes.scheme_for(cfg).assemble(cfg, False)
-    assert system.order > DENSE_CAP
+    assert system.order > DENSE_CAP and system.M.shape[0] > DENSE_BLOCK_CAP
     with _spy_products() as shapes, mock.patch.object(
             spla, "splu", side_effect=AssertionError("splu")):
         report = singular_extremes(system)
@@ -216,6 +220,23 @@ def test_system_path_makes_no_product_with_the_matrix():
     assert report.sigma_max == pytest.approx(sigma_max, rel=1e-12)
     assert report.sigma_min == pytest.approx(sigma_min, rel=1e-12)
 
+
+def test_dense_block_system_path_builds_no_matrix():
+    # a one-step block of 64 rows, at most DENSE_BLOCK_CAP: every product
+    # is dense, and neither L nor a factorization is made
+    cfg = resolve_config({"scheme": "explicit", "epsilon": 0.2, "tau": "auto",
+                          "h": 0.05, "N": 2, "Nx": 16, "Nt": 16})
+    system = schemes.scheme_for(cfg).assemble(cfg, False)
+    assert system.order > DENSE_CAP and system.M.shape[0] <= DENSE_BLOCK_CAP
+    with _spy_products() as shapes, mock.patch.object(
+            spla, "splu", side_effect=AssertionError("splu")):
+        report = singular_extremes(system)
+    assert "L" not in vars(system)  # the cached L was never built
+    assert shapes == []
+    assert report.method == "iterative"
+    sigma_min, sigma_max = _dense_extremes(system)
+    assert report.sigma_max == pytest.approx(sigma_max, rel=1e-12)
+    assert report.sigma_min == pytest.approx(sigma_min, rel=1e-12)
 
 # the top two singular values of the rescaled relaxation system below,
 # from eigsh with k = 6, ncv = 80, tol = 1e-15: a near-double pair
@@ -375,11 +396,17 @@ def test_the_cli_reports_a_start_that_is_not_finite_as_a_numerical_failure(
     config = tmp_path / "config.json"
     config.write_text('{"scheme": "ap", "epsilon": 1.0, "tau": 0.002, "h": 0.1, '
                       '"N": 4, "Nx": 16, "Nt": 24}', encoding="utf-8")
-    code = cli.main(["spectrum", "--rescaled", "--config", str(config),
-                     "--output-dir", str(tmp_path / "out")])
+    # the block has at most DENSE_BLOCK_CAP rows, so its products are dense
+    # and overflow in numpy's matmul; a warning printed ahead of the
+    # message would hide it from a reader of stderr's first line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["spectrum", "--rescaled", "--config", str(config),
+                         "--output-dir", str(tmp_path / "out")])
     assert code == 3
-    assert "numerical failure: the Rayleigh quotient of the sigma_max start is" \
-        in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: the Rayleigh quotient of the sigma_max start is")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out" / "spectrum.csv").exists()
 
 
