@@ -32,15 +32,12 @@ _HOMES = {
         "KineticField",
         "ParityField",
         "UnsupportedConfigurationError",
-        "ValidationReport",
         "cfl_limit",
         "density",
         "initial_kinetic_field",
         "initial_parity_field",
-        "load_config",
         "parity_transform",
         "resolve_config",
-        "validate_config",
     ),
     "ap_scheme": (
         "ApStepMatrices",

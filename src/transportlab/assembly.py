@@ -58,8 +58,6 @@ __all__ = [
     "frequency_matrix",
     "space_time_matrix",
     "sparsity",
-    "split_ap_solution",
-    "split_explicit_solution",
     "system_order",
 ]
 
@@ -101,7 +99,15 @@ def system_order(cfg: GridConfig) -> int:
     return 2 * cfg.N * cfg.N_x * cfg.N_t
 
 
+def _check_levels(cfg: GridConfig, kind: str):
+    """``GridConfig`` admits N_t = 0, a run that takes no step; a system
+    of no time level has no unknown, so building one is refused."""
+    if cfg.N_t < 1:
+        raise ValueError(f"a {kind} system needs N_t >= 1, got N_t = {cfg.N_t}")
+
+
 def _check_order(cfg: GridConfig):
+    _check_levels(cfg, "space-time")
     order = system_order(cfg)
     if order > ORDER_CAP:
         raise ValueError(f"system order {order} exceeds the cap ORDER_CAP = {ORDER_CAP}")
@@ -181,7 +187,6 @@ class BlockSystem:
 
     M: sp.csr_matrix
     F: np.ndarray
-    scheme: str
     scale: tuple[float, ...]
     cfg: GridConfig
 
@@ -292,8 +297,7 @@ def _stack(cfg: GridConfig, blocks, forcing, first, scale) -> BlockSystem:
         F_a = np.tile(f, cfg.N_t)
         F_a[:f.size] += x0
         F.append(F_a / s)
-    return BlockSystem(M=_canonical(M), F=np.concatenate(F), scheme=cfg.scheme,
-                       scale=scale, cfg=cfg)
+    return BlockSystem(M=_canonical(M), F=np.concatenate(F), scale=scale, cfg=cfg)
 
 
 def assemble_ap_system(
@@ -320,11 +324,6 @@ def assemble_ap_system(
     return _stack(cfg, blocks, forcing, first, (cfg.tau, 1.0) if rescaled else (1.0, 1.0))
 
 
-def split_ap_solution(system: BlockSystem, S: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a solution vector into per-level (r^n, j^n) pairs, n = 1..N_t."""
-    return system.split(S)
-
-
 def assemble_explicit_system(
     cfg: GridConfig,
     rule: QuadratureRule,
@@ -338,11 +337,6 @@ def assemble_explicit_system(
     mats = explicit_scheme.explicit_matrix(cfg, rule)
     b = explicit_scheme.boundary_vector(cfg, rule, initial)
     return _stack(cfg, [[mats.B]], (b,), (mats.B @ initial.f,), (1.0,))
-
-
-def split_explicit_solution(system: BlockSystem, U: np.ndarray) -> list[np.ndarray]:
-    """Split a solution vector into per-level f^n, n = 1..N_t."""
-    return [f for (f,) in system.split(U)]
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +472,7 @@ def assemble_fourier_matrix(
         raise ValueError(
             f"rule has {rule.n_points} points, config expects N = {cfg.N}"
         )
+    _check_levels(cfg, "per-frequency")
     xi = np.asarray(xi, dtype=float)
     if xi.ndim > 1:
         raise ValueError(f"xi must be a scalar or a 1-D array, got shape {xi.shape}")
@@ -565,7 +560,7 @@ def export_matrix_market(matrix, path, metadata: dict | None = None) -> Path:
 def system_metadata(system: BlockSystem) -> dict:
     """Sidecar metadata for an assembled system."""
     return {
-        "scheme": system.scheme,
+        "scheme": system.cfg.scheme,
         "rescaled": any(s != 1.0 for s in system.scale),
         "config": config_as_dict(system.cfg),
     }

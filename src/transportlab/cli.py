@@ -312,10 +312,7 @@ def main(argv=None) -> int:
     except (ValueError, UnsupportedConfigurationError, json.JSONDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         code = EXIT_VALIDATION
-    except DivergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        code = EXIT_NUMERICAL
-    except RuntimeError as exc:
+    except (DivergenceError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         code = EXIT_NUMERICAL
     except OSError as exc:

@@ -60,14 +60,6 @@ class UnsupportedConfigurationError(Exception):
     """Configuration is valid but outside what the solvers implement."""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the stability/parameter checks for one configuration."""
-
-    ok: bool
-    violations: tuple[str, ...]
-
-
 def _parabolic_violation(epsilon, tau, h) -> str | None:
     lhs = tau / h**2
     rhs = 1.0 / (1.0 + h)
@@ -204,16 +196,6 @@ def cfl_limit(scheme: str, epsilon: float, h: float) -> float:
     return SCHEME_GRIDS[scheme].cfl_limit(epsilon, h)
 
 
-def validate_config(cfg: GridConfig) -> ValidationReport:
-    """Check the scheme-appropriate step restriction and the phi bound.
-
-    Returns a report whose violations quote the failed inequality with
-    both sides evaluated.
-    """
-    violations = _stability_violations(cfg.scheme, cfg.epsilon, cfg.phi, cfg.tau, cfg.h)
-    return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
 # ---------------------------------------------------------------------------
 # fields
 
@@ -316,10 +298,6 @@ class KineticField:
     @property
     def n_x(self) -> int:
         return self.f.size // self.n_velocities
-
-    @classmethod
-    def zeros(cls, two_N: int, N_x: int) -> "KineticField":
-        return cls(np.zeros(two_N * N_x), np.zeros(two_N), np.zeros(two_N))
 
     def blocks(self) -> np.ndarray:
         """(N_x, 2N) view of f; row m-1 holds the values at x_m."""
@@ -649,25 +627,11 @@ def atomic_open(path):
         raise
 
 
-def load_config(path, allow_unstable: bool = False) -> GridConfig:
-    """Read and resolve a JSON config file."""
-    return resolve_config(read_config(path), allow_unstable=allow_unstable)
+# config keys whose GridConfig field is spelled differently
+_CONFIG_FIELDS = {"Nx": "N_x", "Nt": "N_t"}
 
 
 def config_as_dict(cfg: GridConfig) -> dict:
-    """Flat mapping of a fully resolved configuration (for manifests)."""
-    return {
-        "scheme": cfg.scheme,
-        "epsilon": cfg.epsilon,
-        "phi": cfg.phi,
-        "tau": cfg.tau,
-        "h": cfg.h,
-        "N": cfg.N,
-        "Nx": cfg.N_x,
-        "Nt": cfg.N_t,
-        "x_left": cfg.x_left,
-        "x_right": cfg.x_right,
-        "bc_left": cfg.bc_left,
-        "bc_right": cfg.bc_right,
-        "init": cfg.init,
-    }
+    """Flat mapping of a fully resolved configuration (for manifests),
+    keyed by ``CONFIG_KEYS`` in their order."""
+    return {key: getattr(cfg, _CONFIG_FIELDS.get(key, key)) for key in CONFIG_KEYS}

@@ -8,7 +8,7 @@ with a symmetric 2N-point rule.  Both come out of :func:`gauss_rule`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    interval: tuple[float, float] = field(default=(-1.0, 1.0))
 
     @property
     def n_points(self) -> int:
@@ -114,4 +113,4 @@ def gauss_rule(n_points: int, a: float, b: float) -> QuadratureRule:
     weights = scale * ref_weights
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(nodes=nodes, weights=weights, interval=(float(a), float(b)))
+    return QuadratureRule(nodes=nodes, weights=weights)

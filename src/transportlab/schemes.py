@@ -32,11 +32,6 @@ class Scheme:
         rule = self.rule(cfg)
         return self.system(cfg, rule, self.initial(cfg, rule), rescaled)
 
-    def split(self, system, S):
-        """Per time level, the tuple of a space-time solution's groups in
-        physical variables."""
-        return system.split(S)
-
 
 class _Relaxation(Scheme):
     name = AP

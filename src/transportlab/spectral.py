@@ -469,9 +469,6 @@ class RegressionResult:
     stderr: float
     r_squared: float
 
-    def __iter__(self):
-        return iter((self.slope, self.stderr))
-
 
 def scaling_regression(points) -> RegressionResult:
     """Fit value ~ C * size^slope from (size, value) pairs.

@@ -31,7 +31,6 @@ from transportlab import (
     sweep_epsilon,
 )
 from transportlab.ap_scheme import relaxation_step
-from transportlab.assembly import split_ap_solution, split_explicit_solution
 from transportlab.complexity import rows_to_csv
 from transportlab.explicit_scheme import explicit_matrix
 
@@ -58,7 +57,7 @@ def test_criterion_1_ap_stepper_matches_dense_solve():
         trajectory = ap_evolve(init, cfg, rule)
         system = assemble_ap_system(cfg, rule, init)
         solution = sla.solve(system.L.toarray(), system.F)
-        for n, (r, j) in enumerate(split_ap_solution(system, solution), start=1):
+        for n, (r, j) in enumerate(system.split(solution), start=1):
             ref = np.concatenate([trajectory.fields[n].r, trajectory.fields[n].j])
             got = np.concatenate([r, j])
             worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
@@ -84,7 +83,7 @@ def test_criterion_2_explicit_stepper_matches_dense_solve():
     system = assemble_explicit_system(cfg, rule, init)
     solution = sla.solve(system.L.toarray(), system.F)
     worst = 0.0
-    for n, level in enumerate(split_explicit_solution(system, solution), start=1):
+    for n, (level,) in enumerate(system.split(solution), start=1):
         ref = trajectory.fields[n].f
         worst = max(worst, np.linalg.norm(level - ref) / np.linalg.norm(ref))
     elapsed = time.perf_counter() - started

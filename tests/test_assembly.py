@@ -29,8 +29,6 @@ from transportlab import (
 )
 from transportlab.assembly import (
     frequency_matrix,
-    split_ap_solution,
-    split_explicit_solution,
     system_metadata,
     _time_shift,
 )
@@ -106,7 +104,7 @@ def test_ap_solve_reproduces_time_stepper(eps):
     init = initial_parity_field(cfg, rule)
     trajectory = ap_evolve(init, cfg, rule)
     system = assemble_ap_system(cfg, rule, init)
-    levels = split_ap_solution(system, spla.spsolve(system.L.tocsc(), system.F))
+    levels = system.split(spla.spsolve(system.L.tocsc(), system.F))
     for n in range(1, cfg.N_t + 1):
         r, j = levels[n - 1]
         ref = np.concatenate([trajectory.fields[n].r, trajectory.fields[n].j])
@@ -125,9 +123,9 @@ def test_rescaled_solution_is_scaled_copy():
     half = plain.order // 2
     np.testing.assert_allclose(S_tilde[:half] * cfg.tau, S[:half], rtol=1e-10)
     np.testing.assert_allclose(S_tilde[half:], S[half:], rtol=1e-10)
-    # split_ap_solution undoes the scaling, with the bits of S1 * tau
-    lv_plain = split_ap_solution(plain, S)
-    lv_rescaled = split_ap_solution(rescaled, S_tilde)
+    # split undoes the scaling, with the bits of S1 * tau
+    lv_plain = plain.split(S)
+    lv_rescaled = rescaled.split(S_tilde)
     assert np.array_equal(np.concatenate([r for r, _ in lv_rescaled]),
                           S_tilde[:half] * cfg.tau)
     assert np.array_equal(np.concatenate([j for _, j in lv_rescaled]), S_tilde[half:])
@@ -142,9 +140,7 @@ def test_explicit_solve_reproduces_time_stepper():
     init = initial_kinetic_field(cfg, rule)
     trajectory = explicit_evolve(init, cfg, rule)
     system = assemble_explicit_system(cfg, rule, init)
-    levels = split_explicit_solution(
-        system, spla.spsolve(system.L.tocsc(), system.F)
-    )
+    levels = [f for (f,) in system.split(spla.spsolve(system.L.tocsc(), system.F))]
     for n in range(1, cfg.N_t + 1):
         ref = trajectory.fields[n].f
         assert np.linalg.norm(levels[n - 1] - ref) <= 1e-10 * max(
@@ -478,7 +474,7 @@ def test_marching_inverse_matches_solves_stepper_and_dense_spectrum(
                            spla.spsolve(L.conj().T.tocsc(), x)) <= 1e-10
 
     # L^{-1}F split into levels is the stepper's trajectory
-    pieces = stepper.split(system, through(system.solve, system.F))
+    pieces = system.split(through(system.solve, system.F))
     levels = stepper.evolve(initial, cfg, rule).fields[1:]
     marched = np.hstack([np.hstack(piece) for piece in pieces])
     stepped = np.hstack([np.hstack([getattr(level, name) for name in ("r", "j", "f")
@@ -544,7 +540,7 @@ def _block_system(M, levels=3):
     cfg = GridConfig(epsilon=1.0, tau=1.0, h=1.0, N=1, N_x=1, N_t=levels,
                      scheme="explicit", allow_unstable=True)
     return assembly.BlockSystem(M=M, F=np.zeros(levels * M.shape[0]),
-                                scheme="explicit", scale=(1.0,), cfg=cfg)
+                                scale=(1.0,), cfg=cfg)
 
 
 def test_block_storage_switches_on_rows():

@@ -415,6 +415,50 @@ def test_failed_run_manifest_records_its_exit_status(explicit_config, tmp_path):
     assert manifest["exit_status"] == 2
 
 
+@pytest.mark.parametrize("subcommand, raw, kind", [
+    ("spectrum", AP_RAW, "space-time"), ("spectrum", EXPLICIT_RAW, "space-time"),
+    ("assemble", AP_RAW, "space-time"), ("assemble", EXPLICIT_RAW, "space-time"),
+    ("fourier", AP_RAW, "per-frequency"),
+], ids=["spectrum-ap", "spectrum-explicit", "assemble-ap", "assemble-explicit",
+        "fourier"])
+def test_a_system_of_no_time_level_exits_2_naming_N_t(subcommand, raw, kind,
+                                                      tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [subcommand, "--config", str(config), "--output-dir", str(out)]
+    assert main(argv) == 0  # an earlier run's outputs, to be removed
+    capsys.readouterr()
+    assert main(argv + ["--Nt", "0"]) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: a {kind} system needs N_t >= 1, got N_t = 0\n")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2 and manifest["resolved_config"]["Nt"] == 0
+
+
+def test_sweep_rows_of_no_time_level_name_N_t(ap_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(ap_config), "--output-dir", str(out),
+                 "--Nt", "0", "--epsilons", "1e-2,1e-4"]) == 0
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
+        statuses = [row["status"] for row in csv.DictReader(handle)]
+    assert statuses == ["error: a space-time system needs N_t >= 1, got N_t = 0"] * 2
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 0
+
+
+@pytest.mark.parametrize("raw", [AP_RAW, EXPLICIT_RAW], ids=["ap", "explicit"])
+def test_solve_of_no_step_is_the_initial_density(raw, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--output-dir", str(out),
+                 "--Nt", "0"]) == 0
+    got = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)[:, 1]
+    np.testing.assert_allclose(got, _direct_density(dict(raw, Nt=0)), rtol=1e-14)
+    assert json.loads((out / "manifest.json").read_text())["solve"]["steps"] == 0
+
+
 def test_manifest_records_runtime_and_solve_cost(ap_config, explicit_config,
                                                 tmp_path):
     runtime = {"python": platform.python_version(), "numpy": np.__version__,

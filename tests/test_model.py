@@ -13,12 +13,10 @@ from transportlab import (
     gauss_rule,
     initial_kinetic_field,
     initial_parity_field,
-    load_config,
     parity_transform,
     resolve_config,
-    validate_config,
 )
-from transportlab.model import march
+from transportlab.model import CONFIG_KEYS, config_as_dict, march, read_config
 
 
 def ap_cfg(**kw):
@@ -31,37 +29,40 @@ def ap_cfg(**kw):
 
 
 def test_ap_cfl_pass():
-    report = validate_config(ap_cfg(tau=0.005, h=0.1))
-    assert report.ok and report.violations == ()
+    # within the step restriction: constructs without the override
+    assert ap_cfg(tau=0.005, h=0.1).tau == 0.005
 
 
 def test_explicit_cfl_boundary():
     # limit h*eps^2/(eps+h) = 9.0909e-4 at eps=0.1, h=0.01
-    ok = GridConfig(epsilon=0.1, tau=9e-4, h=0.01, N=2, N_x=4, N_t=2,
-                    scheme="explicit")
-    assert validate_config(ok).ok
-    bad = GridConfig(epsilon=0.1, tau=1e-3, h=0.01, N=2, N_x=4, N_t=2,
-                     scheme="explicit", allow_unstable=True)
-    report = validate_config(bad)
-    assert not report.ok
-    assert "0.000909091" in report.violations[0]  # both sides evaluated
-    assert "0.001" in report.violations[0]
+    grid = dict(epsilon=0.1, h=0.01, N=2, N_x=4, N_t=2, scheme="explicit")
+    assert GridConfig(tau=9e-4, **grid).tau == 9e-4
+    # both sides evaluated
+    with pytest.raises(CflViolationError,
+                       match=r"tau = 0\.001 > h\*eps\^2/\(eps\+h\) = 0\.000909091$"):
+        GridConfig(tau=1e-3, **grid)
 
 
 def test_phi_out_of_range_fails():
-    cfg = ap_cfg(epsilon=1.0, phi=2.0, allow_unstable=True)
-    report = validate_config(cfg)
-    assert not report.ok
-    assert any("phi" in v for v in report.violations)
+    with pytest.raises(CflViolationError,
+                       match=r"^relaxation parameter out of range: phi = 2 not in "
+                             r"\[0, 1/eps\^2\] = \[0, 1\]$"):
+        ap_cfg(epsilon=1.0, phi=2.0)
+
+
+def test_step_and_phi_violations_share_one_message():
+    with pytest.raises(CflViolationError,
+                       match=r"^parabolic step restriction violated: tau/h\^2 = 2 > "
+                             r"1/\(1\+h\) = 0\.909091; relaxation parameter out of "
+                             r"range: phi = 2 not in \[0, 1/eps\^2\] = \[0, 1\]$"):
+        ap_cfg(epsilon=1.0, phi=2.0, tau=0.02, h=0.1)
 
 
 def test_construction_rejects_cfl_violation_without_override():
-    with pytest.raises(CflViolationError) as err:
+    with pytest.raises(CflViolationError, match=r"tau/h\^2"):
         ap_cfg(tau=0.02, h=0.1)
-    assert "tau/h^2" in str(err.value)
     # override admits it
-    cfg = ap_cfg(tau=0.02, h=0.1, allow_unstable=True)
-    assert not validate_config(cfg).ok
+    assert ap_cfg(tau=0.02, h=0.1, allow_unstable=True).allow_unstable
 
 
 @pytest.mark.parametrize("field,value", [
@@ -230,7 +231,7 @@ def test_resolve_config_rejects_counts_that_are_not_whole(key, value, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config_dict(**{key: value})), encoding="utf-8")
     with pytest.raises(ValueError, match=f"{key} must be a whole number"):
-        load_config(path)
+        resolve_config(read_config(path))
 
 
 @pytest.mark.parametrize("value", [True, False, "fast"], ids=repr)
@@ -245,7 +246,7 @@ def test_resolve_config_rejects_float_keys_that_are_not_numbers(key, value, tmp_
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(ValueError, match=f"{key} must be a number"):
-        load_config(path)
+        resolve_config(read_config(path))
 
 
 def test_resolve_config_accepts_integral_counts():
@@ -275,10 +276,21 @@ def test_resolve_config_grid_consistency():
     assert resolve_config(raw).h == pytest.approx(0.1)
 
 
-def test_load_config_file(tmp_path):
+def test_read_config_file_resolves(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config_dict()), encoding="utf-8")
-    assert load_config(path) == ap_cfg()
+    assert resolve_config(read_config(path)) == ap_cfg()
+
+
+@pytest.mark.parametrize("cfg", [
+    ap_cfg(),
+    GridConfig(epsilon=0.1, tau=9e-4, h=0.01, N=2, N_x=4, N_t=2, scheme="explicit",
+               phi=3.0, x_left=-0.5, bc_left=0.25, bc_right=0.75, init="step"),
+], ids=["ap", "explicit"])
+def test_config_as_dict_speaks_the_config_keys(cfg):
+    raw = config_as_dict(cfg)
+    assert tuple(raw) == CONFIG_KEYS
+    assert resolve_config(raw) == cfg
 
 
 # --- the march's finiteness check ---------------------------------------

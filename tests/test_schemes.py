@@ -48,7 +48,7 @@ def test_split_space_time_solution_is_the_stepper_trajectory(cfg, rescaled):
     initial = scheme.initial(cfg, rule)
     trajectory = scheme.evolve(initial, cfg, rule)
     system = scheme.system(cfg, rule, initial, rescaled)
-    pieces = scheme.split(system, spla.spsolve(system.L.tocsc(), system.F))
+    pieces = system.split(spla.spsolve(system.L.tocsc(), system.F))
     assert len(pieces) == cfg.N_t
     for level, piece in zip(trajectory.fields[1:], pieces):
         np.testing.assert_allclose(np.hstack(piece), _values(level),

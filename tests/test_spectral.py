@@ -46,8 +46,7 @@ def _system_of(M, levels):
     M = sp.csr_matrix(M)
     cfg = GridConfig(epsilon=1.0, tau=1.0, h=1.0, N=1, N_x=1, N_t=levels,
                      scheme="explicit", allow_unstable=True)
-    return BlockSystem(M=M, F=np.zeros(levels * M.shape[0]), scheme="explicit",
-                       scale=(1.0,), cfg=cfg)
+    return BlockSystem(M=M, F=np.zeros(levels * M.shape[0]), scale=(1.0,), cfg=cfg)
 
 
 def _dense_extremes(system):
