@@ -11,22 +11,26 @@ one thread when ``order <= ONE_THREAD_MAX_ORDER`` and restores its
 previous count afterwards.
 
 The iterative path of ``spectral.singular_extremes``, above its dense
-cap, has its own crossover, ``ITERATIVE_ONE_THREAD_MAX_ORDER``: there
-the BLAS work is ARPACK's reorthogonalization against its Lanczos
-basis, whose cost grows with the order, and the products with the
-one-step block run at one thread either way.  The Chebyshev filter on
+cap, runs numpy's own OpenBLAS, which does the products with a dense
+one-step block, at one thread at every order: on 2 vCPUs, a fixed-h
+upwind row of order 67,564 (m = 76, N_t = 889) took 40 to 47 s at two
+threads and 9 s at one.  Every other pool, such as scipy's, which runs ARPACK's
+reorthogonalization, whose cost grows with the order, keeps the
+crossover ``ITERATIVE_ONE_THREAD_MAX_ORDER``.  The Chebyshev filter on
 the sigma_max start (above ``spectral.FILTER_CAP``) runs inside the
-same ``one_thread`` block: its norms and its one inner product are
+same ``one_thread`` blocks: its norms and its one inner product are
 BLAS calls too, so its output, and with it sigma_max and the
 ``sigma_max`` matvec count, does not depend on the thread count up to
 that order.
 
 The libraries are found on first use, not at import: every mapped
 object of the process whose path names ``openblas`` and that exports a
-``{scipy_,}openblas_{get,set}_num_threads{64_,}`` pair.  Where none is
-found (another BLAS, or no ``/proc``) nothing is changed.  The thread
-count is a per-process setting, so ``one_thread`` is not meant for
-concurrent use from several Python threads.
+``{scipy_,}openblas_{get,set}_num_threads{64_,}`` pair.  numpy's own is
+the one its wheel ships, in ``numpy.libs`` or inside the package; a
+BLAS that numpy shares with scipy is not.  Where none is found (another
+BLAS, or no ``/proc``) nothing is changed.  The thread count is a
+per-process setting, so ``one_thread`` is not meant for concurrent use
+from several Python threads.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ import ctypes
 import functools
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 # the largest order run at one thread: the measured crossover above, the
 # last order at which one thread is faster and gives the same bits
@@ -59,6 +65,7 @@ class _OpenBLAS(NamedTuple):
     name: str
     get: Callable[[], int]
     set: Callable[[int], None]
+    numpy: bool = False  # shipped with numpy, which runs its products on it
 
 
 @functools.cache
@@ -70,6 +77,7 @@ def _libraries() -> tuple[_OpenBLAS, ...]:
                             if "openblas" in line.lower()})
     except OSError:
         return ()
+    numpy_dir = Path(np.__file__).parent
     found = []
     for path in paths:
         try:
@@ -81,7 +89,10 @@ def _libraries() -> tuple[_OpenBLAS, ...]:
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append(_OpenBLAS(Path(path).name, get, set_))
+                home = Path(path).parent
+                found.append(_OpenBLAS(Path(path).name, get, set_,
+                                       home == numpy_dir.with_name("numpy.libs")
+                                       or home.is_relative_to(numpy_dir)))
                 break
     return tuple(found)
 
@@ -91,17 +102,23 @@ def thread_counts() -> dict[str, int]:
     return {lib.name: lib.get() for lib in _libraries()}
 
 
+def numpy_pool() -> tuple[_OpenBLAS, ...]:
+    """The loaded OpenBLAS shipped with numpy, if any."""
+    return tuple(lib for lib in _libraries() if lib.numpy)
+
+
 @contextlib.contextmanager
-def one_thread(order: int, max_order: int = ONE_THREAD_MAX_ORDER):
-    """Run the body at one OpenBLAS thread if ``order`` is at most
-    ``max_order``, else at the libraries' current counts.
+def one_thread(order: int, max_order: float = ONE_THREAD_MAX_ORDER, libraries=None):
+    """Run the body with ``libraries`` (by default every loaded OpenBLAS)
+    at one thread if ``order`` is at most ``max_order``, else at their
+    current counts.
 
     A library already at one thread is left alone; every other one gets
     its previous count back when the body ends, also when it raises.
     """
     saved = []
     if order <= max_order:
-        for lib in _libraries():
+        for lib in _libraries() if libraries is None else libraries:
             count = lib.get()
             if count > 1:
                 lib.set(1)

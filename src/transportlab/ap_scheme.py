@@ -29,6 +29,7 @@ from .model import (
     UnsupportedConfigurationError,
     Workspace,
     check_field,
+    check_rule,
     march,
 )
 from .quadrature import QuadratureRule
@@ -45,17 +46,14 @@ __all__ = [
 ]
 
 
-def _check_ap(cfg: GridConfig, rule: QuadratureRule | None = None):
+def _check_ap(cfg: GridConfig, rule: QuadratureRule):
     if cfg.scheme != AP:
         raise ValueError(f"config scheme must be {AP!r}, got {cfg.scheme!r}")
     if cfg.phi != 1.0:
         raise UnsupportedConfigurationError(
             f"relaxation solver implements phi = 1 only, got phi = {cfg.phi}"
         )
-    if rule is not None and rule.n_points != cfg.N:
-        raise ValueError(
-            f"rule has {rule.n_points} points, config expects N = {cfg.N}"
-        )
+    check_rule(rule, cfg)
 
 
 class ApWorkspace(Workspace):
@@ -213,11 +211,12 @@ class ApStepMatrices:
 
 
 @functools.lru_cache(maxsize=8)
-def _stencils(N: int, Nx: int, lam: float, nodes: bytes, weights: bytes):
-    """The eps-free operators of one grid: G, A, B, A@A and B@A, for N
-    velocity nodes and weights given by their float64 bytes.  Built once
-    per grid; every caller only reads them."""
-    v, w = np.frombuffer(nodes), np.frombuffer(weights)
+def _stencils(Nx: int, lam: float, rule: QuadratureRule):
+    """The eps-free operators of one grid: G, A, B, A@A and B@A, for
+    the velocity nodes and weights of ``rule``.  Built once per grid;
+    every caller only reads them."""
+    N = rule.n_points
+    v, w = np.asarray(rule.nodes, float), np.asarray(rule.weights, float)
     ones = np.ones(Nx - 1)
     Mh = sp.diags([ones, -ones], [1, -1], shape=(Nx, Nx), format="csr")
     Lh = sp.diags([ones, -2.0 * np.ones(Nx), ones], [1, 0, -1],
@@ -246,8 +245,7 @@ def ap_step_matrices(cfg: GridConfig, rule: QuadratureRule) -> ApStepMatrices:
     N, Nx = cfg.N, cfg.N_x
     lam, gamma, tau = cfg.lam, cfg.gamma, cfg.tau
     eps2 = cfg.epsilon**2
-    G, A, B, AA, BA = _stencils(N, Nx, lam, np.asarray(rule.nodes, float).tobytes(),
-                                np.asarray(rule.weights, float).tobytes())
+    G, A, B, AA, BA = _stencils(Nx, lam, rule)
 
     # (I + gamma*G)/(1 + gamma) assembled directly: both coefficients are
     # bounded by 1, so no large intermediates appear even for gamma ~ 1/eps^2

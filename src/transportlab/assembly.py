@@ -43,7 +43,8 @@ import scipy.sparse as sp
 from scipy.io import mmwrite
 
 from . import ap_scheme, explicit_scheme
-from .model import AP, EXPLICIT, GridConfig, KineticField, ParityField, config_as_dict
+from .model import (AP, EXPLICIT, GridConfig, KineticField, ParityField, check_rule,
+                    config_as_dict)
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -468,10 +469,7 @@ def assemble_fourier_matrix(
     """
     if cfg.scheme != AP:
         raise ValueError(f"config scheme must be {AP!r}, got {cfg.scheme!r}")
-    if rule.n_points != cfg.N:
-        raise ValueError(
-            f"rule has {rule.n_points} points, config expects N = {cfg.N}"
-        )
+    check_rule(rule, cfg)
     _check_levels(cfg, "per-frequency")
     xi = np.asarray(xi, dtype=float)
     if xi.ndim > 1:

@@ -108,8 +108,8 @@ def _build_parser() -> _Parser:
     add_common(p_sweep)
     p_sweep.add_argument("--epsilons", required=True,
                          help="comma-separated epsilon values")
-    p_sweep.add_argument("--mode", choices=("fixed_grid", "cfl_driven"),
-                         default="fixed_grid")
+    p_sweep.add_argument("--mode", choices=tuple(complexity.SWEEP_MODES),
+                         default=next(iter(complexity.SWEEP_MODES)))
     p_sweep.add_argument("--delta", type=float, default=0.1)
     p_sweep.add_argument("--T", type=float, default=0.1,
                          help="final time for cfl_driven grids")

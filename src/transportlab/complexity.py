@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
+from typing import Callable
 
 from . import assembly, schemes, spectral
-from .model import EXPLICIT, TAU_SAFETY, GridConfig
+from .model import EXPLICIT, SCHEMES, TAU_SAFETY, GridConfig
 
 __all__ = [
     "CSV_HEADER",
     "ComplexityRow",
+    "SWEEP_MODES",
+    "SweepMode",
     "classical_cost",
     "qlsa_queries",
     "row_for",
@@ -64,7 +67,8 @@ def classical_cost(cfg: GridConfig) -> int:
 class ComplexityRow:
     """One sweep entry: grid, measured spectrum, and both cost figures.
 
-    Three fields are not part of the CSV schema: ``method``,
+    The first 17 fields are the CSV columns, named as in ``CSV_HEADER``.
+    The last three are not part of the CSV schema: ``method``,
     ``residual`` and ``matvecs``, the spectral path ("dense" or
     "iterative"), its residual and its ARPACK matvec counts per stage
     (``{"sigma_max": .., "sigma_min": .., "symbol": ..}``, the last the
@@ -112,16 +116,13 @@ def _csv_cell(value) -> str:
 
 
 def rows_to_csv(rows) -> str:
-    """Render sweep rows with the fixed header; floats use repr so the
-    output is byte-identical across reruns on the same platform."""
+    """Render sweep rows with the fixed header, each cell the row field
+    of its column's name; floats use repr so the output is
+    byte-identical across reruns on the same platform."""
+    names = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in (
-            row.scheme, row.epsilon, row.phi, row.tau, row.h,
-            row.N, row.Nx, row.Nt, row.delta,
-            row.sigma_min, row.sigma_max, row.kappa, row.sparsity,
-            row.alpha, row.classical_cost, row.quantum_queries, row.status,
-        )))
+        lines.append(",".join(_csv_cell(getattr(row, name)) for name in names))
     return "\n".join(lines) + "\n"
 
 
@@ -195,74 +196,104 @@ def _error_row(base_cfg: GridConfig, grid: dict, delta: float, exc) -> Complexit
     )
 
 
+@dataclass(frozen=True)
+class SweepMode:
+    """One grid rule of ``sweep_epsilon``: ``fill(grid, base_cfg, delta,
+    final_time)`` sets one epsilon's grid in ``grid`` key by key, so an
+    error row reports what was derived (an unset key keeps ``base_cfg``'s
+    value); whether its rows skip the step restriction; the schemes it
+    serves; and whether it reads ``final_time``, checked before any row."""
+
+    fill: Callable[[dict, GridConfig, float, float], None]
+    allow_unstable: bool
+    schemes: tuple[str, ...]
+    uses_final_time: bool
+
+
+def _keep_grid(grid: dict, base_cfg: GridConfig, delta: float, final_time: float) -> None:
+    """fixed_grid: every epsilon keeps (tau, h, N_x, N_t) of ``base_cfg``,
+    where the rescaled relaxation system shows eps-independent
+    conditioning; a fixed grid breaks the explicit step restriction at
+    small epsilon, so its rows skip it."""
+
+
+def _cfl_grid(grid: dict, base_cfg: GridConfig, delta: float, final_time: float) -> None:
+    """cfl_driven: the explicit scheme's accuracy and stability rules.
+    N_x is the domain length over eps * delta, rounded, less one;
+    h = length/(N_x + 1) keeps the domain exact; tau = TAU_SAFETY * h *
+    eps^2/(eps+h) and N_t = ceil(final_time/tau).  An epsilon that is not
+    finite and positive, whose tau underflows to zero, or at which a
+    derived quantity leaves the float range raises a ValueError naming it."""
+    eps = grid["epsilon"]
+    grid.update(dict.fromkeys(("N_x", "h", "tau", "N_t")))
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {eps}")
+    length = base_cfg.x_right - base_cfg.x_left
+    cells = length / (eps * delta) if eps * delta > 0 else math.inf
+    if not math.isfinite(cells):
+        raise ValueError(f"length/(epsilon*delta) overflows at epsilon = {eps}")
+    grid["N_x"] = N_x = max(1, round(cells) - 1)
+    grid["h"] = h = length / (N_x + 1)
+    try:
+        eps2 = eps**2
+    except OverflowError:
+        raise ValueError(f"epsilon**2 overflows at epsilon = {eps}") from None
+    # not TAU_SAFETY * cfl_limit(EXPLICIT, eps, h), whose rounding differs
+    # in the last bit on 9,178 of 20,000 random (eps, delta, length) grids:
+    # calling it would change the bytes of sweep.csv
+    grid["tau"] = tau = TAU_SAFETY * h * eps2 / (eps + h)
+    if not tau > 0:
+        raise ValueError(f"tau = {tau} is not positive at epsilon = {eps}")
+    steps = final_time / tau
+    if not math.isfinite(steps):
+        raise ValueError(f"final_time/tau overflows at epsilon = {eps}")
+    grid["N_t"] = max(1, math.ceil(steps))
+
+
+# mode name -> grid rule; the first is the default mode
+SWEEP_MODES = {
+    "fixed_grid": SweepMode(_keep_grid, allow_unstable=True, schemes=SCHEMES,
+                            uses_final_time=False),
+    "cfl_driven": SweepMode(_cfl_grid, allow_unstable=False, schemes=(EXPLICIT,),
+                            uses_final_time=True),
+}
+
+
 def sweep_epsilon(
     base_cfg: GridConfig,
     epsilons,
-    mode: str = "fixed_grid",
+    mode: str = next(iter(SWEEP_MODES)),
     delta: float = 0.1,
     final_time: float = 0.1,
     measure_spectrum: bool = True,
 ) -> list[ComplexityRow]:
-    """Produce one ComplexityRow per epsilon.
+    """One ComplexityRow per epsilon, on the grid that the ``SWEEP_MODES``
+    entry of ``mode`` derives for it.
 
-    fixed_grid keeps (tau, h, N_x, N_t) of ``base_cfg`` and varies only
-    epsilon, the regime where the rescaled relaxation system shows
-    eps-independent conditioning; it skips the step restriction
-    (``allow_unstable=True``), since a fixed grid breaks the explicit
-    one at small epsilon.  cfl_driven rederives the grid from each
-    epsilon via the explicit scheme's accuracy/stability rules: N_x is
-    the fixed domain length over eps * delta, rounded, less one;
-    h = length/(N_x + 1) keeps the domain exact;
-    tau = TAU_SAFETY * h * eps^2/(eps+h) and N_t = ceil(final_time/tau).
-    In cfl_driven mode an epsilon that is not finite and positive, whose
-    tau underflows to zero, or at which a derived quantity overflows the
-    float range, fails its row with a message that names it.  A failure
-    is recorded in the row status, with as much of the grid as was
-    derived, and the sweep continues.  A row whose system has more than
-    ``assembly.ORDER_CAP`` unknowns is counts_only: its spectrum is not
-    measured.  A ``delta`` outside (0, 1), or in cfl_driven mode a
-    ``final_time`` that is not finite and positive, fails every row
-    alike and raises ValueError before any row.
+    A failure is recorded in the row status, with as much of the grid as
+    was derived, and the sweep continues.  A row whose system has more
+    than ``assembly.ORDER_CAP`` unknowns is counts_only: its spectrum is
+    not measured.  An unknown ``mode``, a scheme the mode does not serve,
+    a ``delta`` outside (0, 1), or, for a mode that reads it, a
+    ``final_time`` that is not finite and positive raises ValueError
+    before any row.
     """
-    if mode not in ("fixed_grid", "cfl_driven"):
-        raise ValueError(f"mode must be 'fixed_grid' or 'cfl_driven', got {mode!r}")
+    if mode not in SWEEP_MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, SWEEP_MODES))}, got {mode!r}")
+    grid_rule = SWEEP_MODES[mode]
     _check_delta(delta)
-    if mode == "cfl_driven":
-        if base_cfg.scheme != EXPLICIT:
-            raise ValueError("cfl_driven mode applies the explicit scheme's grid rules")
-        if not (math.isfinite(final_time) and final_time > 0):
-            raise ValueError(
-                f"final_time must be finite and positive, got {final_time}")
+    if base_cfg.scheme not in grid_rule.schemes:
+        raise ValueError(
+            f"{mode} mode applies the {' or '.join(grid_rule.schemes)} scheme's grid rules")
+    if grid_rule.uses_final_time and not (math.isfinite(final_time) and final_time > 0):
+        raise ValueError(f"final_time must be finite and positive, got {final_time}")
 
-    length = base_cfg.x_right - base_cfg.x_left
     rows = []
     for eps in map(float, epsilons):
         grid = {"epsilon": eps}
         try:
-            if mode == "cfl_driven":
-                # filled step by step: an error row reports what was derived
-                grid.update(dict.fromkeys(("N_x", "h", "tau", "N_t")))
-                if not (math.isfinite(eps) and eps > 0):
-                    raise ValueError(f"epsilon must be finite and positive, got {eps}")
-                cells = length / (eps * delta) if eps * delta > 0 else math.inf
-                if not math.isfinite(cells):
-                    raise ValueError(
-                        f"length/(epsilon*delta) overflows at epsilon = {eps}")
-                grid["N_x"] = N_x = max(1, round(cells) - 1)
-                grid["h"] = h = length / (N_x + 1)
-                try:
-                    eps2 = eps**2
-                except OverflowError:
-                    raise ValueError(f"epsilon**2 overflows at epsilon = {eps}") from None
-                grid["tau"] = tau = TAU_SAFETY * h * eps2 / (eps + h)
-                if not tau > 0:
-                    raise ValueError(
-                        f"tau = {tau} is not positive at epsilon = {eps}")
-                steps = final_time / tau
-                if not math.isfinite(steps):
-                    raise ValueError(f"final_time/tau overflows at epsilon = {eps}")
-                grid["N_t"] = max(1, math.ceil(steps))
-            cfg = dc_replace(base_cfg, allow_unstable=mode == "fixed_grid", **grid)
+            grid_rule.fill(grid, base_cfg, delta, final_time)
+            cfg = dc_replace(base_cfg, allow_unstable=grid_rule.allow_unstable, **grid)
             measure = (measure_spectrum
                        and assembly.system_order(cfg) <= assembly.ORDER_CAP)
             row = row_for(cfg, delta, measure)

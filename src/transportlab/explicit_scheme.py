@@ -31,6 +31,7 @@ from .model import (
     Trajectory,
     Workspace,
     check_field,
+    check_rule,
     march,
 )
 from .quadrature import QuadratureRule
@@ -48,13 +49,10 @@ __all__ = [
 _NORM_CHECK_CAP = 600
 
 
-def _check_explicit(cfg: GridConfig, rule: QuadratureRule | None = None):
+def _check_explicit(cfg: GridConfig, rule: QuadratureRule):
     if cfg.scheme != EXPLICIT:
         raise ValueError(f"config scheme must be {EXPLICIT!r}, got {cfg.scheme!r}")
-    if rule is not None and rule.n_points != 2 * cfg.N:
-        raise ValueError(
-            f"rule has {rule.n_points} points, config expects 2N = {2 * cfg.N}"
-        )
+    check_rule(rule, cfg)
 
 
 def _upwind_rows(cfg: GridConfig, rule: QuadratureRule):

@@ -310,6 +310,14 @@ class KineticField:
         )
 
 
+def check_rule(rule: QuadratureRule, cfg: GridConfig):
+    """Reject a quadrature rule whose size is not ``cfg``'s velocity count."""
+    if rule.n_points != cfg.n_velocities():
+        raise ValueError(
+            f"rule has {rule.n_points} points, config expects {cfg.n_velocities()}"
+        )
+
+
 def check_field(field, cfg: GridConfig):
     """Reject a parity or kinetic field whose size does not fit ``cfg``."""
     if (field.n_velocities, field.n_x) != (cfg.n_velocities(), cfg.N_x):
@@ -343,10 +351,8 @@ class Workspace:
         its coefficient rows belong to another grid."""
         if workspace is None:
             return cls(cfg, rule)
-        if not (isinstance(workspace, cls) and workspace.cfg == cfg and (
-                workspace.rule is rule
-                or (np.array_equal(workspace.rule.nodes, rule.nodes)
-                    and np.array_equal(workspace.rule.weights, rule.weights)))):
+        if not (isinstance(workspace, cls) and workspace.cfg == cfg
+                and workspace.rule == rule):
             raise ValueError(
                 f"{type(workspace).__name__} was built for another grid or rule; "
                 f"this step needs a {cls.__name__} for its own"
@@ -466,8 +472,7 @@ def initial_parity_field(cfg: GridConfig, rule: QuadratureRule) -> ParityField:
     Ghost values are the constant Dirichlet inflow per side (r = bc,
     j = 0), the isotropic-state image of constant kinetic inflow.
     """
-    if rule.n_points != cfg.N:
-        raise ValueError(f"rule has {rule.n_points} points, config expects {cfg.N}")
+    check_rule(rule, cfg)
     profile = _profile(cfg, cfg.interior_x())
     r = np.tile(profile, (cfg.N, 1)).ravel()
     return ParityField(
@@ -482,10 +487,7 @@ def initial_parity_field(cfg: GridConfig, rule: QuadratureRule) -> ParityField:
 
 def initial_kinetic_field(cfg: GridConfig, rule: QuadratureRule) -> KineticField:
     """Isotropic initial data for the explicit solver: f = profile(x)."""
-    if rule.n_points != 2 * cfg.N:
-        raise ValueError(
-            f"rule has {rule.n_points} points, config expects {2 * cfg.N}"
-        )
+    check_rule(rule, cfg)
     profile = _profile(cfg, cfg.interior_x())
     f = np.repeat(profile, 2 * cfg.N)
     return KineticField(

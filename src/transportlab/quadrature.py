@@ -18,17 +18,30 @@ _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights of a Gauss-Legendre rule on ``[a, b]``.
 
     An n-point rule integrates polynomials of degree up to 2n - 1
     exactly.  Nodes are strictly increasing and strictly inside the
     interval; weights are positive and sum to the interval length.
+    Rules are equal, and hash alike, when their nodes and weights are
+    the same float64 values bit for bit, so a rule can key a cache.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
+
+    def _key(self) -> tuple[bytes, bytes]:
+        return (np.asarray(self.nodes, float).tobytes(),
+                np.asarray(self.weights, float).tobytes())
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, QuadratureRule)
+                                 and self._key() == other._key())
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def n_points(self) -> int:

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import svd, svdvals
 
-from ._blas import ITERATIVE_ONE_THREAD_MAX_ORDER, one_thread
+from ._blas import ITERATIVE_ONE_THREAD_MAX_ORDER, numpy_pool, one_thread
 from .assembly import BlockSystem, FourierSymbols, assemble_fourier_matrix, frequency_matrix
 from .model import GridConfig
 from .quadrature import QuadratureRule
@@ -196,10 +196,12 @@ def _lanczos_extremes(system: BlockSystem) -> tuple[float, float, float, int, in
     cluster, so ARPACK, at the same tolerance, needs fewer of its dearer
     Lanczos steps to confirm it.  The sigma_max count is the filter's
     applications plus ARPACK's.  The sigma_min run starts from the
-    all-ones vector.  The whole path runs at one OpenBLAS thread up to
-    order ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (``_blas.one_thread``).
+    all-ones vector.  The whole path runs with numpy's OpenBLAS at one
+    thread, and every other one at one thread up to order
+    ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (``_blas.one_thread``).
     """
-    with one_thread(system.order, ITERATIVE_ONE_THREAD_MAX_ORDER):
+    with (one_thread(system.order, math.inf, numpy_pool()),
+          one_thread(system.order, ITERATIVE_ONE_THREAD_MAX_ORDER)):
         u, mv_symbol = _symbol_top_vector(system.M)
         t = np.arange(system.levels)
         wave = (-1.0) ** t * np.sin(np.pi * (t + 1) / (system.levels + 1))
@@ -231,7 +233,8 @@ def singular_extremes(system: BlockSystem) -> SpectrumReport:
     (2,816), and on (L^H L)^{-1} = L^{-1} L^{-H} gives sigma_min
     (``_lanczos_extremes``): L, L^H, L^{-1} and L^{-H} are
     applied from the one-step block M, so this path builds no ``L`` and
-    factors nothing, and it runs at one OpenBLAS thread up to order
+    factors nothing, and it runs numpy's OpenBLAS at one thread and
+    every other one at one thread up to order
     ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (40,000).  The sparsity comes
     from M on both paths.  An argument that is not a ``BlockSystem``
     raises TypeError, a system of order 0 ValueError, and an ARPACK

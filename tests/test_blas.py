@@ -22,14 +22,14 @@ from transportlab._blas import ITERATIVE_ONE_THREAD_MAX_ORDER, ONE_THREAD_MAX_OR
 class FakeOpenBLAS:
     """A library's thread count, with a log of every set."""
 
-    def __init__(self, name, count):
-        self.name, self.count, self.sets = name, count, []
+    def __init__(self, name, count, numpy=False):
+        self.name, self.count, self.numpy, self.sets = name, count, numpy, []
 
     def handle(self):
         def set_(n):
             self.sets.append(n)
             self.count = n
-        return _blas._OpenBLAS(self.name, lambda: self.count, set_)
+        return _blas._OpenBLAS(self.name, lambda: self.count, set_, self.numpy)
 
 
 @pytest.fixture
@@ -204,3 +204,34 @@ def test_system_spectrum_keeps_the_counts_just_above_the_crossover(fakes, monkey
     assert [lib.sets for lib in fakes] == [[1, 2], [1, 4], []]
     # the fakes set no real library, so both runs took the same path
     assert pinned == unpinned
+
+
+def test_numpy_pool_runs_at_one_thread_above_the_crossover(monkeypatch):
+    libs = [FakeOpenBLAS("numpy", 2, numpy=True), FakeOpenBLAS("scipy", 2)]
+    monkeypatch.setattr(_blas, "_libraries", lambda: tuple(lib.handle() for lib in libs))
+    system = _system_above_the_symbol_cap()
+    counts_seen = _spy_arpack(monkeypatch)
+    monkeypatch.setattr(spectral, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order - 1)
+    singular_extremes(system)
+    symbol, sigma_max, sigma_min = counts_seen
+    assert sigma_max == symbol == sigma_min == {"numpy": 1, "scipy": 2}
+    assert _blas.thread_counts() == {"numpy": 2, "scipy": 2}
+    counts_seen.clear()
+    monkeypatch.setattr(spectral, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order)
+    singular_extremes(system)
+    assert counts_seen == [{"numpy": 1, "scipy": 1}] * 3
+    assert _blas.thread_counts() == {"numpy": 2, "scipy": 2}
+
+
+def test_loaded_numpy_pool_runs_at_one_thread_above_the_crossover(monkeypatch):
+    numpy_names = {lib.name for lib in _blas.numpy_pool()}
+    if not numpy_names:
+        pytest.skip("numpy ships no OpenBLAS of its own in this process")
+    system = _system_above_the_symbol_cap()
+    before = _blas.thread_counts()
+    counts_seen = _spy_arpack(monkeypatch)
+    monkeypatch.setattr(spectral, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order - 1)
+    singular_extremes(system)
+    expected = {name: 1 if name in numpy_names else count for name, count in before.items()}
+    assert counts_seen == [expected] * 3
+    assert _blas.thread_counts() == before

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import platform
@@ -25,7 +26,7 @@ from transportlab import (
     perturbation_check,
     resolve_config,
 )
-from transportlab import assembly, cli, spectral
+from transportlab import assembly, cli, complexity, spectral
 from transportlab._blas import ITERATIVE_ONE_THREAD_MAX_ORDER
 from transportlab.cli import emit_report, main
 from transportlab.complexity import ComplexityRow, sweep_epsilon
@@ -540,6 +541,79 @@ def test_sweep_csv_shape_and_determinism(ap_config, tmp_path):
     lines = first.decode().strip().splitlines()
     assert lines[0].startswith("scheme,epsilon,")
     assert len(lines) == 4
+
+
+# the recorded bytes of --no-spectrum sweeps in both modes, error rows
+# included: a non-finite epsilon, one whose tau underflows and one whose
+# step count overflows.  Counts-only rows hold no BLAS result, so the
+# text is the same on every platform
+SWEEP_GOLDEN = [
+    (AP_RAW, ('--mode', 'fixed_grid', '--epsilons', '1,1e-2,1e-6,nan,-1,1e100'), (
+        'scheme,epsilon,phi,tau,h,N,Nx,Nt,delta,sigma_min,sigma_max,kappa,sparsity,'
+        'alpha,classical_cost,quantum_queries,status\n'
+        'ap,1.0,1.0,0.004,0.1,3,6,4,0.1,,,,,108936.92819388211,216,,counts_only\n'
+        'ap,0.01,1.0,0.004,0.1,3,6,4,0.1,,,,,5259.566621307641,216,,counts_only\n'
+        'ap,1e-06,1.0,0.004,0.1,3,6,4,0.1,,,,,5.457746599992097e-05,216,,counts_only\n'
+        'ap,,1.0,0.004,0.1,3,6,4,0.1,,,,,,216,,"error: epsilon must be finite and '
+        'positive, got nan"\n'
+        'ap,-1.0,1.0,0.004,0.1,3,6,4,0.1,,,,,,216,,"error: epsilon must be finite '
+        'and positive, got -1.0"\n'
+        'ap,1e+100,1.0,0.004,0.1,3,6,4,0.1,,,,,,216,,error: alpha leaves the float '
+        'range at epsilon = 1e+100\n'
+    )),
+    (EXPLICIT_RAW, ('--mode', 'cfl_driven',
+                    '--epsilons', '0.4,0.2,nan,inf,0,1e-300,1e-310,1e300'), (
+        'scheme,epsilon,phi,tau,h,N,Nx,Nt,delta,sigma_min,sigma_max,kappa,sparsity,'
+        'alpha,classical_cost,quantum_queries,status\n'
+        'explicit,0.4,1.0,0.01275949367088608,0.03888888888888889,3,17,8,0.1,,,,,'
+        '10803.984733846404,4896,,counts_only\n'
+        'explicit,0.2,1.0,0.003272727272727274,0.02,3,34,31,0.1,,,,,'
+        '161654.51484497817,37944,,counts_only\n'
+        'explicit,,1.0,,,3,,,0.1,,,,,,,,"error: epsilon must be finite and positive, '
+        'got nan"\n'
+        'explicit,inf,1.0,,,3,,,0.1,,,,,,,,"error: epsilon must be finite and '
+        'positive, got inf"\n'
+        'explicit,0.0,1.0,,,3,,,0.1,,,,,,,,"error: epsilon must be finite and '
+        'positive, got 0.0"\n'
+        'explicit,1e-300,1.0,0.0,1e-301,3,6999999999999999772726558395317716621706280'
+        '8077968900319068981448248335836136136441283367614013856302386053083676469113'
+        '1910814657033379384767944707554466576360647796552818031297647545757956705334'
+        '1018738925700851519889520332198603733423086448308962199215235382277164695048'
+        '767504647809578552076277907455,,0.1,,,,,,,,error: tau = 0.0 is not positive '
+        'at epsilon = 1e-300\n'
+        'explicit,1e-310,1.0,,,3,,,0.1,,,,,,,,error: length/(epsilon*delta) '
+        'overflows at epsilon = 1e-310\n'
+        'explicit,1e+300,1.0,,0.35000000000000003,3,1,,0.1,,,,,,,,error: epsilon**2 '
+        'overflows at epsilon = 1e+300\n'
+    )),
+    (EXPLICIT_RAW, ('--mode', 'cfl_driven', '--T', '1e300', '--epsilons', '1e-50'), (
+        'scheme,epsilon,phi,tau,h,N,Nx,Nt,delta,sigma_min,sigma_max,kappa,sparsity,'
+        'alpha,classical_cost,quantum_queries,status\n'
+        'explicit,1e-50,1.0,8.181818181818183e-102,1e-51,3,'
+        '700000000000000094946763755921830051308725430386687,,0.1,,,,,'
+        '2.5725848682295954e+202,,,error: final_time/tau overflows at epsilon = '
+        '1e-50\n'
+    )),
+]
+
+
+@pytest.mark.parametrize("raw, args, expected", SWEEP_GOLDEN,
+                         ids=["fixed_grid", "cfl_driven", "cfl_driven_long_T"])
+def test_counts_only_sweeps_write_the_recorded_bytes(raw, args, expected, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--output-dir", str(out),
+                 "--no-spectrum", *args]) == 0
+    assert (out / "sweep.csv").read_bytes() == "".join(expected).encode()
+
+
+def test_sweep_mode_choices_are_the_grid_rules():
+    sweep = cli._build_parser()._subparsers._group_actions[0].choices["sweep"]
+    mode = next(action for action in sweep._actions if action.dest == "mode")
+    assert mode.choices == tuple(complexity.SWEEP_MODES)
+    default = inspect.signature(sweep_epsilon).parameters["mode"].default
+    assert mode.default == default == next(iter(complexity.SWEEP_MODES))
 
 
 @pytest.mark.parametrize("delta", ["0", "1", "-0.5", "nan"])

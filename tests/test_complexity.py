@@ -10,6 +10,7 @@ from transportlab import assembly, complexity, resolve_config, schemes, spectral
 from transportlab.spectral import DENSE_CAP
 from transportlab import (
     CSV_HEADER,
+    ComplexityRow,
     GridConfig,
     ap_evolve,
     classical_cost,
@@ -323,6 +324,11 @@ def test_csv_header_is_exact():
         "scheme,epsilon,phi,tau,h,N,Nx,Nt,delta,sigma_min,sigma_max,kappa,"
         "sparsity,alpha,classical_cost,quantum_queries,status"
     )
+
+
+def test_csv_columns_are_the_rows_first_fields():
+    names = [field.name for field in dataclasses.fields(ComplexityRow)]
+    assert CSV_HEADER.split(",") == names[:17]
 
 
 def test_csv_rendering_and_determinism():

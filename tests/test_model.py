@@ -8,8 +8,11 @@ from transportlab import (
     DivergenceError,
     GridConfig,
     ParityField,
+    ap_step_matrices,
+    assemble_fourier_matrix,
     cfl_limit,
     density,
+    explicit_matrix,
     gauss_rule,
     initial_kinetic_field,
     initial_parity_field,
@@ -199,6 +202,21 @@ def test_initial_kinetic_field_layout():
     F = field.blocks()
     assert np.allclose(F, F[:, :1])
     assert np.all(field.f_left == 0.25)
+
+
+@pytest.mark.parametrize("scheme, build", [
+    ("ap", initial_parity_field),
+    ("explicit", initial_kinetic_field),
+    ("ap", ap_step_matrices),
+    ("explicit", explicit_matrix),
+    ("ap", lambda cfg, rule: assemble_fourier_matrix(cfg, rule, 1.0)),
+], ids=["parity_field", "kinetic_field", "ap_matrices", "explicit_matrix", "fourier"])
+def test_every_rule_size_check_speaks_one_message(scheme, build):
+    cfg = ap_cfg(N=3, scheme=scheme, tau=1e-3)
+    expected = cfg.n_velocities()
+    with pytest.raises(ValueError,
+                       match=f"^rule has {expected + 1} points, config expects {expected}$"):
+        build(cfg, gauss_rule(expected + 1, 0.0, 1.0))
 
 
 # --- config files -------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from transportlab import gauss_rule
+from transportlab import QuadratureRule, gauss_rule
 
 # frozen from the 4 moment equations sum w*v^p = 1/(p+1), p = 0..3,
 # solved independently (fsolve oracle agrees to 1e-12)
@@ -74,3 +74,16 @@ def test_rejects_empty_interval():
         gauss_rule(3, 1.0, 1.0)
     with pytest.raises(ValueError):
         gauss_rule(3, 2.0, -1.0)
+
+
+def test_equal_rules_compare_and_hash_equal():
+    rule, again = gauss_rule(3, 0.0, 1.0), gauss_rule(3, 0.0, 1.0)
+    assert rule is not again
+    assert rule == again and hash(rule) == hash(again)
+    assert len({rule, again}) == 1
+    weights = rule.weights.copy()
+    weights[1] = np.nextafter(weights[1], 1.0)
+    changed = QuadratureRule(rule.nodes, weights)
+    assert rule != changed and hash(rule) != hash(changed)
+    assert rule != gauss_rule(3, -1.0, 1.0) and rule != gauss_rule(4, 0.0, 1.0)
+    assert rule != (rule.nodes, rule.weights)
