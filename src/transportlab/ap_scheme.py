@@ -125,9 +125,8 @@ def relaxation_step(
     holds the central difference; without one a fresh workspace is
     built.
     """
-    _check_ap(cfg, rule)
-    check_field(state, cfg)
     ws = ApWorkspace.resolve(workspace, cfg, rule)
+    check_field(state, cfg)
     R, J = state.blocks()
     gamma = cfg.gamma
 
@@ -172,9 +171,8 @@ def transport_step(
     array; a ``workspace`` only supplies the scratch array and the
     coefficients.  Without one a fresh workspace is built.
     """
-    _check_ap(cfg, rule)
-    check_field(star, cfg)
     ws = ApWorkspace.resolve(workspace, cfg, rule)
+    check_field(star, cfg)
     R, J = star.blocks()
     r_ghosts, j_ghosts = (star.r_left, star.r_right), (star.j_left, star.j_right)
     r_new = _transport_into(np.empty_like(R), R, r_ghosts, J, j_ghosts, ws)
@@ -331,9 +329,8 @@ def ap_evolve(
     that the run never writes again.  Without a callback the trajectory
     records every level; with one it holds only the final level.
     """
-    _check_ap(cfg, rule)
-    check_field(initial, cfg)
     ws = ApWorkspace(cfg, rule)
+    check_field(initial, cfg)
     # looked up at call time, so a wrapper on either step function sees every step
     return march(
         initial, cfg,

@@ -24,6 +24,7 @@ import hashlib
 import json
 import platform
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from .model import (
     config_as_dict,
     read_config,
     resolve_config,
+    write_rows,
 )
 
 EXIT_OK = 0
@@ -123,6 +125,13 @@ def _atomic_write(path: Path, text: str) -> None:
         handle.write(text)
 
 
+def _write_table(path: Path, header: str, rows) -> Path:
+    """``header`` (comma-separated names) and ``rows`` as one CSV at ``path``."""
+    with atomic_open(path) as handle:
+        write_rows(handle, [header.split(","), *rows])
+    return path
+
+
 def emit_report(rows, destination) -> Path:
     """Write sweep rows to CSV atomically (write-then-rename)."""
     if not rows:
@@ -179,11 +188,7 @@ def _cmd_solve(args, cfg, outdir: Path, record: dict) -> list[Path]:
         trajectory = scheme.evolve(scheme.initial(cfg, rule), cfg, rule, on_level)
     record["solve"] = {"steps": cfg.N_t, "cost": complexity.classical_cost(cfg)}
     rho = scheme.density(trajectory.fields[-1], rule)
-    x = cfg.interior_x()
-    lines = ["x,rho"]
-    lines += [f"{repr(float(xi))},{repr(float(ri))}" for xi, ri in zip(x, rho)]
-    dpath = outdir / "density.csv"
-    _atomic_write(dpath, "\n".join(lines) + "\n")
+    dpath = _write_table(outdir / "density.csv", "x,rho", zip(cfg.interior_x(), rho))
     return [dpath, tpath] if args.export_trajectory else [dpath]
 
 
@@ -220,28 +225,19 @@ def _cmd_fourier(args, cfg, outdir: Path, record: dict) -> list[Path]:
                          "max_ratio": report.max_ratio,
                          "weyl_slack": report.weyl_slack}
 
-    sym_lines = ["xi,k,v,c1_re,c1_im,c2_re,c2_im,d1_re,d1_im,d2_re,d2_im"]
     s = report.symbols
-    # (n_xi, N, 8) parts; tolist gives the Python floats repr writes
+    # (n_xi, N, 8) parts
     parts = np.stack([part for field in (s.c1, s.c2, s.d1, s.d2)
-                      for part in (field.real, field.imag)], axis=-1).tolist()
-    nodes = [repr(v) for v in rule.nodes.tolist()]
-    for xi, row in zip(report.xi.tolist(), parts):
-        for k, (v, cells) in enumerate(zip(nodes, row)):
-            sym_lines.append(",".join([repr(xi), str(k + 1), v, *map(repr, cells)]))
-    spath = outdir / "symbols.csv"
-    _atomic_write(spath, "\n".join(sym_lines) + "\n")
-
-    norm_lines = ["xi,e_norm,sigma_max_eps,sigma_min_eps,sigma_max_zero,"
-                  "sigma_min_zero,alpha"]
-    for i, xi in enumerate(report.xi):
-        norm_lines.append(",".join(repr(float(v)) for v in (
-            xi, report.e_norms[i], report.sigma_max_eps[i],
-            report.sigma_min_eps[i], report.sigma_max_zero[i],
-            report.sigma_min_zero[i], report.alpha,
-        )))
-    npath = outdir / "fourier_norms.csv"
-    _atomic_write(npath, "\n".join(norm_lines) + "\n")
+                      for part in (field.real, field.imag)], axis=-1)
+    spath = _write_table(
+        outdir / "symbols.csv", "xi,k,v,c1_re,c1_im,c2_re,c2_im,d1_re,d1_im,d2_re,d2_im",
+        ([xi, k + 1, v, *cells] for xi, row in zip(report.xi, parts)
+         for k, (v, cells) in enumerate(zip(rule.nodes, row))))
+    npath = _write_table(
+        outdir / "fourier_norms.csv",
+        "xi,e_norm,sigma_max_eps,sigma_min_eps,sigma_max_zero,sigma_min_zero,alpha",
+        zip(report.xi, report.e_norms, report.sigma_max_eps, report.sigma_min_eps,
+            report.sigma_max_zero, report.sigma_min_zero, repeat(report.alpha)))
     return [spath, npath]
 
 

@@ -10,12 +10,13 @@ comparable as ratios and slopes.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable
 
 from . import assembly, schemes, spectral
-from .model import EXPLICIT, SCHEMES, TAU_SAFETY, GridConfig
+from .model import EXPLICIT, SCHEMES, TAU_SAFETY, GridConfig, write_rows
 
 __all__ = [
     "CSV_HEADER",
@@ -100,30 +101,13 @@ class ComplexityRow:
     matvecs: dict | None = None
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        if math.isinf(value):
-            return "inf"
-        return repr(float(value))
-    text = str(value)
-    if any(ch in text for ch in ',"\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def rows_to_csv(rows) -> str:
     """Render sweep rows with the fixed header, each cell the row field
-    of its column's name; floats use repr so the output is
-    byte-identical across reruns on the same platform."""
+    of its column's name, in the one table format of ``write_rows``."""
     names = CSV_HEADER.split(",")
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(_csv_cell(getattr(row, name)) for name in names))
-    return "\n".join(lines) + "\n"
+    text = io.StringIO()
+    write_rows(text, [names, *([getattr(row, name) for name in names] for row in rows)])
+    return text.getvalue()
 
 
 def row_for(

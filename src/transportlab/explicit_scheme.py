@@ -105,9 +105,8 @@ def explicit_step(
     ``workspace`` only supplies the scratch arrays and the coefficients.
     Without one a fresh workspace is built.
     """
-    _check_explicit(cfg, rule)
-    check_field(field, cfg)
     ws = ExplicitWorkspace.resolve(workspace, cfg, rule)
+    check_field(field, cfg)
 
     F = field.blocks()  # (N_x, 2N)
     coll = np.matmul(F, rule.weights, out=ws.coll)
@@ -220,9 +219,8 @@ def explicit_evolve(
     callback the trajectory records every level; with one it holds only
     the final level.
     """
-    _check_explicit(cfg, rule)
-    check_field(initial, cfg)
     ws = ExplicitWorkspace(cfg, rule)
+    check_field(initial, cfg)
     # looked up at call time, so a wrapper on explicit_step sees every step
     return march(
         initial, cfg,

@@ -12,6 +12,7 @@ the kinetic density f itself.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -339,7 +340,9 @@ class Trajectory:
 
 class Workspace:
     """Per-run buffers of one scheme's steps, tied to the grid and rule
-    they were built for.  Subclasses size their buffers in ``__init__``."""
+    they were built for.  Subclasses check ``cfg`` and ``rule`` and size
+    their buffers in ``__init__``, so a step that resolves its workspace
+    needs no check of its own."""
 
     def __init__(self, cfg: GridConfig, rule: QuadratureRule):
         self.cfg, self.rule = cfg, rule
@@ -627,6 +630,22 @@ def atomic_open(path):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _cell(value):
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(float(value))
+    return value
+
+
+def write_rows(handle, rows) -> None:
+    """Write ``rows`` to ``handle`` as CSV: the one table format of every
+    output.  Lines end in LF; a float is written as ``repr(float(v))``,
+    so reruns give the same bytes; None and nan are blank cells; any
+    other cell is written as it is, quoted by the ``csv`` module when it
+    holds a comma, a quote or a line end."""
+    csv.writer(handle, lineterminator="\n").writerows(
+        [_cell(value) for value in row] for row in rows)
 
 
 # config keys whose GridConfig field is spelled differently

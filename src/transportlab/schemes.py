@@ -6,7 +6,6 @@ call time, so a wrapper installed on a module attribute sees every call.
 
 from __future__ import annotations
 
-import csv
 from contextlib import contextmanager
 
 from . import ap_scheme, assembly, explicit_scheme, model, quadrature
@@ -48,7 +47,7 @@ class _Relaxation(Scheme):
 
     def trajectory_rows(self, step, level, cfg):
         R, J = level.blocks()
-        return ([step, k + 1, m + 1, repr(float(R[k, m])), repr(float(J[k, m]))]
+        return ([step, k + 1, m + 1, R[k, m], J[k, m]]
                 for k in range(cfg.N) for m in range(cfg.N_x))
 
     def system(self, cfg, rule, initial, rescaled):
@@ -71,7 +70,7 @@ class _Upwind(Scheme):
     def trajectory_rows(self, step, level, cfg):
         F = level.blocks()
         labels = [*range(-cfg.N, 0), *range(1, cfg.N + 1)]  # velocity labels skip 0
-        return ([step, labels[idx], m + 1, repr(float(F[m, idx]))]
+        return ([step, labels[idx], m + 1, F[m, idx]]
                 for m in range(cfg.N_x) for idx in range(2 * cfg.N))
 
     def system(self, cfg, rule, initial, rescaled):
@@ -95,9 +94,9 @@ def trajectory_csv(cfg, path):
     diverges part way leaves no partial table."""
     scheme = scheme_for(cfg)
     with model.atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(scheme.trajectory_header)
-        yield lambda step, level: writer.writerows(scheme.trajectory_rows(step, level, cfg))
+        model.write_rows(handle, [scheme.trajectory_header])
+        yield lambda step, level: model.write_rows(
+            handle, scheme.trajectory_rows(step, level, cfg))
 
 
 def write_trajectory_csv(trajectory, cfg, path) -> None:

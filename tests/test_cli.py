@@ -608,6 +608,109 @@ def test_counts_only_sweeps_write_the_recorded_bytes(raw, args, expected, tmp_pa
     assert (out / "sweep.csv").read_bytes() == "".join(expected).encode()
 
 
+@pytest.mark.parametrize("raw, args", [
+    (AP_RAW, ("--mode", "fixed_grid", "--epsilons=-inf,1e-2")),
+    (EXPLICIT_RAW, ("--mode", "cfl_driven", "--epsilons=-inf,0.4")),
+], ids=["fixed_grid", "cfl_driven"])
+def test_negative_infinite_epsilon_is_written_as_minus_inf(raw, args, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--output-dir", str(out),
+                 "--no-spectrum", *args]) == 0
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
+        row = next(csv.DictReader(handle))
+    assert row["epsilon"] == "-inf"
+    assert row["status"] == "error: epsilon must be finite and positive, got -inf"
+
+
+@pytest.mark.parametrize("raw, argv", [
+    (AP_RAW, ("solve", "--export-trajectory")),
+    (EXPLICIT_RAW, ("solve", "--export-trajectory")),
+    (EXPLICIT_RAW, ("spectrum",)),
+    (AP_RAW, ("sweep", "--epsilons", "1,1e-2,nan")),
+    (AP_RAW, ("fourier", "--xi-samples", "3")),
+], ids=["solve-ap", "solve-explicit", "spectrum", "sweep", "fourier"])
+def test_every_csv_ends_its_lines_in_lf(raw, argv, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(config), "--output-dir", str(out),
+                 *argv[1:]]) == 0
+    tables = sorted(out.glob("*.csv"))
+    assert tables
+    for path in tables:
+        data = path.read_bytes()
+        assert b"\r" not in data, path.name
+        assert data.endswith(b"\n"), path.name
+
+
+# the recorded bytes of the small tables that only the CLI writes; the
+# fourier norms are LAPACK SVDs, so their last digits can move with the
+# LAPACK build
+DENSITY_GOLDEN = [
+    (AP_RAW, (
+        'x,rho\n'
+        '0.1,0.009704598749157592\n'
+        '0.2,0.1291647839054538\n'
+        '0.30000000000000004,0.7464856108357303\n'
+        '0.4,0.7464856108357303\n'
+        '0.5,0.12916478390545397\n'
+        '0.6000000000000001,0.009704598749157595\n'
+    )),
+    (EXPLICIT_RAW, (
+        'x,rho\n'
+        '0.1,0.16034143718832106\n'
+        '0.2,0.25011950881659445\n'
+        '0.30000000000000004,0.3582335131101074\n'
+        '0.4,0.3582335131101074\n'
+        '0.5,0.2501195088165945\n'
+        '0.6000000000000001,0.16034143718832106\n'
+    )),
+]
+
+
+@pytest.mark.parametrize("raw, expected", DENSITY_GOLDEN, ids=["ap", "explicit"])
+def test_solve_writes_the_recorded_density_bytes(raw, expected, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--output-dir", str(out)]) == 0
+    assert (out / "density.csv").read_bytes() == "".join(expected).encode()
+
+
+FOURIER_GOLDEN = {
+    "symbols.csv": (
+        'xi,k,v,c1_re,c1_im,c2_re,c2_im,d1_re,d1_im,d2_re,d2_im\n'
+        '0.0,1,0.21132486540518713,-0.984251968503937,0.0,0.0,0.0,'
+        '-0.984251968503937,0.0,0.0,0.0\n'
+        '0.0,2,0.7886751345948129,-0.984251968503937,0.0,0.0,0.0,'
+        '-0.984251968503937,0.0,0.0,0.0\n'
+        '31.41592653589793,1,0.21132486540518713,-0.9676122153224261,0.0,0.0,'
+        '1.0188910236169594e-18,-0.9676122153224261,0.0,0.0,3.976565225219381e-18\n'
+        '31.41592653589793,2,0.7886751345948129,-0.9221515642051329,0.0,0.0,'
+        '3.802553067514352e-18,-0.9221515642051329,0.0,0.0,1.432214384505851e-17\n'
+    ),
+    "fourier_norms.csv": (
+        'xi,e_norm,sigma_max_eps,sigma_min_eps,sigma_max_zero,sigma_min_zero,alpha\n'
+        '0.0,0.9842519685039373,1.6180339887498951,0.6180339887498949,'
+        '1.618033988749895,0.6180339887498947,88975.77733252863\n'
+        '31.41592653589793,0.967612215322426,1.6011276665534202,0.6245598154909129,'
+        '1.5894329386188013,0.6291552010171554,88975.77733252863\n'
+    ),
+}
+
+
+def test_fourier_writes_the_recorded_table_bytes(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(AP_RAW, N=2, Nt=2)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["fourier", "--config", str(config), "--output-dir", str(out),
+                 "--xi-samples", "2"]) == 0
+    for name, expected in FOURIER_GOLDEN.items():
+        assert (out / name).read_bytes() == expected.encode(), name
+
+
 def test_sweep_mode_choices_are_the_grid_rules():
     sweep = cli._build_parser()._subparsers._group_actions[0].choices["sweep"]
     mode = next(action for action in sweep._actions if action.dest == "mode")

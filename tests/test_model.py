@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -19,7 +20,13 @@ from transportlab import (
     parity_transform,
     resolve_config,
 )
-from transportlab.model import CONFIG_KEYS, config_as_dict, march, read_config
+from transportlab.model import (
+    CONFIG_KEYS,
+    config_as_dict,
+    march,
+    read_config,
+    write_rows,
+)
 
 
 def ap_cfg(**kw):
@@ -347,3 +354,19 @@ def test_march_reports_one_non_finite_entry_at_the_step_that_made_it(bad, array,
         _march(levels, 4, handed_on)
     assert err.value.step == 3
     assert handed_on == [0, 1, 2]
+
+
+def test_write_rows_states_the_one_table_format():
+    handle = io.StringIO()
+    write_rows(handle, [
+        ("a", "b", "c", "d"),
+        (None, float("nan"), np.float64(0.1), 7),
+        (float("inf"), float("-inf"), 1e100, np.int64(-3)),
+        ("x,y", 'say "hi"', "two\nlines", ""),
+    ])
+    assert handle.getvalue() == (
+        "a,b,c,d\n"
+        ",,0.1,7\n"
+        "inf,-inf,1e+100,-3\n"
+        '"x,y","say ""hi""","two\nlines",\n'
+    )
