@@ -36,7 +36,6 @@ _HOMES = {
         "density",
         "initial_kinetic_field",
         "initial_parity_field",
-        "parity_transform",
         "resolve_config",
     ),
     "ap_scheme": (

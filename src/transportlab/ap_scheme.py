@@ -66,8 +66,8 @@ class ApWorkspace(Workspace):
     a level is kept: the steps read the ghost values where they need
     them.  The steps compute into it through ufunc ``out=`` with the
     same operations, operands and order as the plain expressions in
-    their docstrings, so a step gives the same bits with or without
-    one.  The starred state a step returns lives here and is
+    their docstrings, so a step gives the same bits as those
+    expressions.  The starred state a step returns lives here and is
     overwritten by the next relaxation step; each new level is a fresh
     array.
     """
@@ -108,10 +108,7 @@ def _neighbours_into(out: np.ndarray, op, values: np.ndarray, left: np.ndarray,
     return out
 
 
-def relaxation_step(
-    state: ParityField, cfg: GridConfig, rule: QuadratureRule, *,
-    workspace: ApWorkspace | None = None,
-) -> ParityField:
+def relaxation_step(state: ParityField, ws: ApWorkspace) -> ParityField:
     """Stiff half-step producing the starred intermediate state.
 
         r* = (r^n + gamma*rho^n) / (1 + gamma)
@@ -120,12 +117,11 @@ def relaxation_step(
     with gamma = tau/eps^2 and central differences using the Dirichlet
     ghost values at m = 0 and m = N_x + 1.  The velocity average rho is
     preserved exactly, which is what makes the implicit update
-    explicitly computable.  With a ``workspace`` the starred state lives
-    in its buffers until the next relaxation step, and the scratch array
-    holds the central difference; without one a fresh workspace is
-    built.
+    explicitly computable.  The grid and rule come from the run's
+    workspace ``ws``, whose buffers hold the starred state until the next
+    relaxation step and whose scratch array holds the central difference.
     """
-    ws = ApWorkspace.resolve(workspace, cfg, rule)
+    cfg, rule = ws.cfg, ws.rule
     check_field(state, cfg)
     R, J = state.blocks()
     gamma = cfg.gamma
@@ -156,10 +152,7 @@ def _transport_into(out: np.ndarray, own: np.ndarray, own_ghosts, other: np.ndar
     return np.subtract(out, term, out=out)
 
 
-def transport_step(
-    star: ParityField, cfg: GridConfig, rule: QuadratureRule, *,
-    workspace: ApWorkspace | None = None,
-) -> ParityField:
+def transport_step(star: ParityField, ws: ApWorkspace) -> ParityField:
     """Centered transport update of the starred state.
 
         r^{n+1} = (1 - lam*v)r* + (lam*v/2)(r*_{m+1} + r*_{m-1})
@@ -168,11 +161,10 @@ def transport_step(
     and the same formula with r and j swapped, where lam = tau/h.  Each
     neighbour sum or difference is one pass over the flat rows, with the
     edge columns taken from the ghost values.  The new level is a fresh
-    array; a ``workspace`` only supplies the scratch array and the
-    coefficients.  Without one a fresh workspace is built.
+    array; the run's workspace ``ws`` supplies the grid, the scratch
+    array and the coefficients.
     """
-    ws = ApWorkspace.resolve(workspace, cfg, rule)
-    check_field(star, cfg)
+    check_field(star, ws.cfg)
     R, J = star.blocks()
     r_ghosts, j_ghosts = (star.r_left, star.r_right), (star.j_left, star.j_right)
     r_new = _transport_into(np.empty_like(R), R, r_ghosts, J, j_ghosts, ws)
@@ -334,8 +326,7 @@ def ap_evolve(
     # looked up at call time, so a wrapper on either step function sees every step
     return march(
         initial, cfg,
-        lambda state: transport_step(relaxation_step(state, cfg, rule, workspace=ws),
-                                     cfg, rule, workspace=ws),
+        lambda state: transport_step(relaxation_step(state, ws), ws),
         lambda state: (state.r, state.j),
         on_level,
     )

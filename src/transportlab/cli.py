@@ -7,9 +7,10 @@ loaded OpenBLAS's thread count at the start of the run and the exit
 status, so any output row can be regenerated and a failed run is
 not mistaken for a finished one.  A run adds its subcommand's figures
 once they are computed: solve its steps and cost, spectrum the spectral
-method, residual and ARPACK matvec counts, sweep one such entry per
-row, fourier its xi sample count, max ||E||/alpha and Weyl slack.  It
-holds no wall time or memory figure, so a rerun writes the same bytes.
+method, residual, ARPACK matvec counts and whether the system was
+tau-rescaled, sweep one such entry per row, fourier its xi sample
+count, max ||E||/alpha and Weyl slack.  It holds no wall time or memory
+figure, so a rerun writes the same bytes.
 A failed run removes its subcommand's output files, and the manifest
 too if its configuration did not resolve, so no earlier run's file
 reads as this run's.
@@ -62,6 +63,30 @@ class _ParserExit(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        self._flags, self._value_flags = set(), set()  # the base __init__ adds --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self._flags.update(action.option_strings)
+        if action.nargs is None:
+            self._value_flags.update(action.option_strings)
+        return action
+
+    # argparse reads a value that starts with "-" but is not a plain
+    # negative number ("-1e-3,0.1", "-inf") as a flag, unless "=" joins
+    # it to its flag; join it, so both spellings parse alike
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            if (joined and joined[-1] in self._value_flags and arg.startswith("-")
+                    and not arg.startswith("--") and arg not in self._flags):
+                joined[-1] += f"={arg}"
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
     # argparse exits 2 on usage errors; route through our exit codes instead
     def error(self, message):
         raise _UsageError(message)
@@ -202,10 +227,15 @@ def _cmd_assemble(args, cfg, outdir: Path, record: dict) -> list[Path]:
     return [lpath, fpath]
 
 
+def _measured(row) -> dict:
+    """Manifest figures of a row's measured system (None if it measured none)."""
+    return {"method": row.method, "residual": row.residual,
+            "matvecs": row.matvecs, "rescaled": row.rescaled}
+
+
 def _cmd_spectrum(args, cfg, outdir: Path, record: dict) -> list[Path]:
     row = complexity.row_for(cfg, args.delta, rescaled=args.rescaled)
-    record["spectrum"] = {"method": row.method, "residual": row.residual,
-                          "matvecs": row.matvecs}
+    record["spectrum"] = _measured(row)
     path = outdir / "spectrum.csv"
     emit_report([row], path)
     return [path]
@@ -249,11 +279,8 @@ def _cmd_sweep(args, cfg, outdir: Path, record: dict) -> list[Path]:
         cfg, epsilons, mode=args.mode, delta=args.delta,
         final_time=args.T, measure_spectrum=not args.no_spectrum,
     )
-    record["sweep"] = [
-        {"epsilon": row.epsilon, "status": row.status,
-         "method": row.method, "residual": row.residual, "matvecs": row.matvecs}
-        for row in rows
-    ]
+    record["sweep"] = [{"epsilon": row.epsilon, "status": row.status, **_measured(row)}
+                       for row in rows]
     path = outdir / "sweep.csv"
     emit_report(rows, path)
     return [path]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Callable
 
 from . import assembly, schemes, spectral
-from .model import EXPLICIT, SCHEMES, TAU_SAFETY, GridConfig, write_rows
+from .model import AP, EXPLICIT, SCHEMES, TAU_SAFETY, GridConfig, write_rows
 
 __all__ = [
     "CSV_HEADER",
@@ -69,12 +69,14 @@ class ComplexityRow:
     """One sweep entry: grid, measured spectrum, and both cost figures.
 
     The first 17 fields are the CSV columns, named as in ``CSV_HEADER``.
-    The last three are not part of the CSV schema: ``method``,
+    The last four are not part of the CSV schema: ``method``,
     ``residual`` and ``matvecs``, the spectral path ("dense" or
     "iterative"), its residual and its ARPACK matvec counts per stage
     (``{"sigma_max": .., "sigma_min": .., "symbol": ..}``, the last the
     order-m solve that seeds sigma_max's start; zeros on the dense path)
-    of a measured row.  An error row
+    of a measured row, and ``rescaled``, whether its measured system was
+    tau-rescaled.  ``alpha`` is the relaxation system's Fourier
+    perturbation bound, so it is None on every upwind row.  An error row
     holds None in each grid field the sweep failed before deriving, and
     in ``alpha`` and ``classical_cost`` when they need such a field.
     """
@@ -99,6 +101,7 @@ class ComplexityRow:
     method: str | None = None
     residual: float | None = None
     matvecs: dict | None = None
+    rescaled: bool | None = None
 
 
 def rows_to_csv(rows) -> str:
@@ -135,7 +138,7 @@ def row_for(
         sigma_max=None,
         kappa=None,
         sparsity=None,
-        alpha=spectral.alpha_bound(cfg.epsilon, cfg.tau, cfg.N),
+        alpha=spectral.alpha_bound(cfg.epsilon, cfg.tau, cfg.N) if cfg.scheme == AP else None,
         classical_cost=classical_cost(cfg),
         quantum_queries=None,
         status="counts_only",
@@ -153,6 +156,7 @@ def row_for(
         row.matvecs = {"sigma_max": report.matvecs_max,
                        "sigma_min": report.matvecs_min,
                        "symbol": report.matvecs_symbol}
+        row.rescaled = assembly.system_metadata(system)["rescaled"]
         row.status = "ok"
     return row
 
@@ -164,7 +168,7 @@ def _error_row(base_cfg: GridConfig, grid: dict, delta: float, exc) -> Complexit
     tried = {"tau": base_cfg.tau, "h": base_cfg.h,
              "N_x": base_cfg.N_x, "N_t": base_cfg.N_t, **grid}
     alpha = cost = None
-    if tried["tau"] is not None:
+    if base_cfg.scheme == AP and tried["tau"] is not None:
         try:
             alpha = spectral.alpha_bound(tried["epsilon"], tried["tau"], base_cfg.N)
         except ValueError:

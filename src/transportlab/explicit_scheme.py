@@ -74,7 +74,7 @@ class ExplicitWorkspace(Workspace):
     each, since a full copy of every row would raise a run's peak by two
     levels.  The step computes into it through ufunc ``out=`` with the
     same operations, operands and order as the formula in the module
-    docstring, so it gives the same bits with or without one.  Each new
+    docstring, so it gives the same bits as that formula.  Each new
     level is a fresh array.
     """
 
@@ -92,24 +92,20 @@ class ExplicitWorkspace(Workspace):
         self.scratch = np.empty((cfg.N_x, 2 * cfg.N))
 
 
-def explicit_step(
-    field: KineticField, cfg: GridConfig, rule: QuadratureRule, *,
-    workspace: ExplicitWorkspace | None = None,
-) -> KineticField:
+def explicit_step(field: KineticField, ws: ExplicitWorkspace) -> KineticField:
     """Apply one upwind step with Dirichlet ghost blocks at both ends.
 
     The upstream and downstream neighbours of a row are the rows just
     before and after it in the level itself, so each upwind product is
     one pass over N_x - 1 rows plus one over the ghost block at the edge
-    row; no padded copy is made.  The new level is a fresh array; a
-    ``workspace`` only supplies the scratch arrays and the coefficients.
-    Without one a fresh workspace is built.
+    row; no padded copy is made.  The new level is a fresh array; the
+    run's workspace ``ws`` supplies the grid, the rule, the scratch
+    arrays and the coefficients.
     """
-    ws = ExplicitWorkspace.resolve(workspace, cfg, rule)
-    check_field(field, cfg)
+    check_field(field, ws.cfg)
 
     F = field.blocks()  # (N_x, 2N)
-    coll = np.matmul(F, rule.weights, out=ws.coll)
+    coll = np.matmul(F, ws.rule.weights, out=ws.coll)
     np.multiply(ws.coll_scale, coll, out=coll)
 
     F_new = np.multiply(ws.c, F, out=np.empty_like(F))
@@ -224,7 +220,7 @@ def explicit_evolve(
     # looked up at call time, so a wrapper on explicit_step sees every step
     return march(
         initial, cfg,
-        lambda state: explicit_step(state, cfg, rule, workspace=ws),
+        lambda state: explicit_step(state, ws),
         lambda state: (state.f,),
         on_level,
     )

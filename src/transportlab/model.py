@@ -246,12 +246,6 @@ class ParityField:
     def n_x(self) -> int:
         return self.r.size // self.n_velocities
 
-    @classmethod
-    def zeros(cls, N: int, N_x: int) -> "ParityField":
-        z = np.zeros(N * N_x)
-        g = np.zeros(N)
-        return cls(z, z.copy(), g, g.copy(), g.copy(), g.copy())
-
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """(N, N_x) views of r and j."""
         N = self.n_velocities
@@ -334,33 +328,15 @@ class Trajectory:
 
     fields: list
 
-    def __len__(self):
-        return len(self.fields)
-
 
 class Workspace:
     """Per-run buffers of one scheme's steps, tied to the grid and rule
     they were built for.  Subclasses check ``cfg`` and ``rule`` and size
-    their buffers in ``__init__``, so a step that resolves its workspace
-    needs no check of its own."""
+    their buffers in ``__init__``; a step reads both from its workspace,
+    so it cannot be handed a grid the buffers do not fit."""
 
     def __init__(self, cfg: GridConfig, rule: QuadratureRule):
         self.cfg, self.rule = cfg, rule
-
-    @classmethod
-    def resolve(cls, workspace, cfg: GridConfig, rule: QuadratureRule):
-        """``workspace`` if it was built for ``cfg`` and ``rule``, a fresh
-        one if it is None; any other workspace raises ValueError, since
-        its coefficient rows belong to another grid."""
-        if workspace is None:
-            return cls(cfg, rule)
-        if not (isinstance(workspace, cls) and workspace.cfg == cfg
-                and workspace.rule == rule):
-            raise ValueError(
-                f"{type(workspace).__name__} was built for another grid or rule; "
-                f"this step needs a {cls.__name__} for its own"
-            )
-        return workspace
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -408,50 +384,13 @@ def march(
     return Trajectory(fields=kept if on_level is None else [state])
 
 
-# ---------------------------------------------------------------------------
-# pointwise operations
-
-
-def parity_transform(f_plus, f_minus, epsilon: float, direction: str = "forward"):
-    """Map between (f(v), f(-v)) and the parity pair (r, j).
-
-    forward: r = (f+ + f-)/2,  j = (f+ - f-)/(2*eps)
-    inverse: f+ = r + eps*j,   f- = r - eps*j
-
-    Works elementwise on scalars or arrays; the two directions compose
-    to the identity.
-    """
-    if not (np.isscalar(epsilon) and math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    if direction == "forward":
-        r = 0.5 * (np.asarray(f_plus) + np.asarray(f_minus))
-        j = (np.asarray(f_plus) - np.asarray(f_minus)) / (2.0 * epsilon)
-        return r, j
-    if direction == "inverse":
-        r, j = np.asarray(f_plus), np.asarray(f_minus)
-        return r + epsilon * j, r - epsilon * j
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
-def density(r, rule: QuadratureRule) -> np.ndarray:
-    """Velocity integral rho_m = sum_k w_k r_{k,m} of an even-parity field.
-
-    ``r`` may be a :class:`ParityField` or a raw velocity-major vector
-    whose length is a multiple of the rule size.
-    """
-    if isinstance(r, ParityField):
-        if r.n_velocities != rule.n_points:
-            raise ValueError(
-                f"field has {r.n_velocities} velocity nodes, rule has {rule.n_points}"
-            )
-        values = r.r
-    else:
-        values = np.asarray(r, dtype=float)
-    if values.size % rule.n_points != 0:
+def density(field: ParityField, rule: QuadratureRule) -> np.ndarray:
+    """Velocity integral rho_m = sum_k w_k r_{k,m} of a parity field."""
+    if field.n_velocities != rule.n_points:
         raise ValueError(
-            f"vector length {values.size} is not a multiple of {rule.n_points}"
+            f"field has {field.n_velocities} velocity nodes, rule has {rule.n_points}"
         )
-    return rule.weights @ values.reshape(rule.n_points, -1)
+    return rule.weights @ field.r.reshape(rule.n_points, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from . import ap_scheme, assembly, explicit_scheme, model, quadrature
 from .model import AP, EXPLICIT
 
-__all__ = ["SCHEMES", "Scheme", "scheme_for", "trajectory_csv", "write_trajectory_csv"]
+__all__ = ["SCHEMES", "Scheme", "scheme_for", "trajectory_csv"]
 
 
 class Scheme:
@@ -97,10 +97,3 @@ def trajectory_csv(cfg, path):
         model.write_rows(handle, [scheme.trajectory_header])
         yield lambda step, level: model.write_rows(
             handle, scheme.trajectory_rows(step, level, cfg))
-
-
-def write_trajectory_csv(trajectory, cfg, path) -> None:
-    """Dump every recorded level of a run, one row per grid value."""
-    with trajectory_csv(cfg, path) as on_level:
-        for step, level in enumerate(trajectory.fields):
-            on_level(step, level)

@@ -25,7 +25,7 @@ from transportlab.ap_scheme import (
     relaxation_step,
     transport_step,
 )
-from transportlab.schemes import write_trajectory_csv
+from transportlab.schemes import trajectory_csv
 
 RANDOM_SEED = 20240817
 
@@ -34,6 +34,10 @@ def make_cfg(**kw):
     base = dict(epsilon=0.5, tau=0.004, h=0.1, N=4, N_x=8, N_t=4)
     base.update(kw)
     return GridConfig(**base)
+
+
+def zero_field(N, N_x):
+    return ParityField(np.zeros(N * N_x), np.zeros(N * N_x), *np.zeros((4, N)))
 
 
 def random_field(rng, N, N_x, ghosts=False):
@@ -146,11 +150,11 @@ def test_eps_free_stencils_are_built_once_per_grid():
 def test_relaxation_equilibrium_fixed_point():
     cfg = make_cfg()
     rule = gauss_rule(4, 0.0, 1.0)
-    field = ParityField.zeros(4, 8)
+    field = zero_field(4, 8)
     field.r[:] = 2.5
     field.r_left[:] = 2.5
     field.r_right[:] = 2.5
-    star = relaxation_step(field, cfg, rule)
+    star = relaxation_step(field, ApWorkspace(cfg, rule))
     np.testing.assert_allclose(star.r, 2.5, rtol=1e-15)
     np.testing.assert_allclose(star.j, 0.0, atol=1e-15)
 
@@ -161,7 +165,7 @@ def test_relaxation_preserves_density():
     rule = gauss_rule(4, 0.0, 1.0)
     for _ in range(100):
         field = random_field(rng, 4, 8)
-        star = relaxation_step(field, cfg, rule)
+        star = relaxation_step(field, ApWorkspace(cfg, rule))
         rho0 = density(field, rule)
         drift = np.linalg.norm(density(star, rule) - rho0)
         assert drift <= 1e-13 * np.linalg.norm(rho0)
@@ -173,7 +177,7 @@ def test_relaxation_small_eps_limit_projects_onto_density():
     cfg = make_cfg(epsilon=1e-8)
     rule = gauss_rule(4, 0.0, 1.0)
     field = random_field(rng, 4, 8)
-    star = relaxation_step(field, cfg, rule)
+    star = relaxation_step(field, ApWorkspace(cfg, rule))
     rho = density(field, rule)
     R, _ = star.blocks()
     assert np.abs(R - rho[None, :]).max() < 1e-12
@@ -185,11 +189,11 @@ def test_relaxation_small_eps_limit_projects_onto_density():
 def test_transport_constant_state_invariant():
     cfg = make_cfg()
     rule = gauss_rule(4, 0.0, 1.0)
-    field = ParityField.zeros(4, 8)
+    field = zero_field(4, 8)
     field.r[:] = 1.5
     field.r_left[:] = 1.5
     field.r_right[:] = 1.5
-    out = transport_step(field, cfg, rule)
+    out = transport_step(field, ApWorkspace(cfg, rule))
     np.testing.assert_allclose(out.r, 1.5, rtol=1e-15)
     np.testing.assert_allclose(out.j, 0.0, atol=1e-15)
 
@@ -198,9 +202,9 @@ def test_transport_single_entry_stencil():
     cfg = make_cfg(N=3, N_x=7)
     rule = gauss_rule(3, 0.0, 1.0)
     k0, m0 = 1, 3
-    field = ParityField.zeros(3, 7)
+    field = zero_field(3, 7)
     field.r[k0 * 7 + m0] = 1.0
-    out = transport_step(field, cfg, rule)
+    out = transport_step(field, ApWorkspace(cfg, rule))
     lam_v = cfg.lam * rule.nodes[k0]
     R, J = out.blocks()
     assert R[k0, m0] == pytest.approx(1.0 - lam_v)
@@ -218,8 +222,9 @@ def test_full_step_matches_matrix_form_on_gaussian_data():
     cfg = make_cfg(N=4, N_x=10)
     rule = gauss_rule(4, 0.0, 1.0)
     init = initial_parity_field(cfg, rule)
-    star = relaxation_step(init, cfg, rule)
-    out = transport_step(star, cfg, rule)
+    ws = ApWorkspace(cfg, rule)
+    star = relaxation_step(init, ws)
+    out = transport_step(star, ws)
     mats = ap_step_matrices(cfg, rule)
     r_expect = mats.B @ star.r - mats.A @ star.j  # zero boundary terms
     np.testing.assert_allclose(out.r, r_expect, atol=1e-13)
@@ -277,12 +282,11 @@ def test_steps_are_bitwise_the_reference_expressions(N, N_x, log_eps, tau_factor
         for _ in range(cfg.N_t):
             star = reference_relaxation(expected[-1], cfg, rule)
             expected.append(reference_transport(star, cfg, rule))
-            # a direct call, then the reused workspace, from the same state
-            for ws in (None, workspace):
-                got_star = relaxation_step(expected[-2], cfg, rule, workspace=ws)
+            # a fresh workspace, then the reused one, from the same state
+            for ws in (ApWorkspace(cfg, rule), workspace):
+                got_star = relaxation_step(expected[-2], ws)
                 assert_same_bits(got_star, star)
-                assert_same_bits(transport_step(got_star, cfg, rule, workspace=ws),
-                                 expected[-1])
+                assert_same_bits(transport_step(got_star, ws), expected[-1])
 
     # the levels a run hands out, through the workspace it owns
     levels = []
@@ -306,13 +310,14 @@ def test_steps_are_bitwise_the_reference_expressions_at_the_solve_workload_shape
     rule = gauss_rule(cfg.N, 0.0, 1.0)
     initial = random_field(np.random.default_rng(RANDOM_SEED), cfg.N, cfg.N_x,
                            ghosts=True)
+    workspace = ApWorkspace(cfg, rule)
     expected = [initial]
     for _ in range(cfg.N_t):
         star = reference_relaxation(expected[-1], cfg, rule)
         expected.append(reference_transport(star, cfg, rule))
-        got_star = relaxation_step(expected[-2], cfg, rule)
+        got_star = relaxation_step(expected[-2], workspace)
         assert_same_bits(got_star, star)
-        assert_same_bits(transport_step(got_star, cfg, rule), expected[-1])
+        assert_same_bits(transport_step(got_star, workspace), expected[-1])
     levels = []
     ap_evolve(initial, cfg, rule, lambda n, level: levels.append(level))
     assert len(levels) == len(expected)
@@ -329,11 +334,12 @@ def test_matrix_step_equals_two_stage_step_random_states(eps):
     cfg = make_cfg(epsilon=eps, N=3, N_x=6)
     rule = gauss_rule(3, 0.0, 1.0)
     mats = ap_step_matrices(cfg, rule)
+    ws = ApWorkspace(cfg, rule)
     for _ in range(100):
         field = random_field(rng, 3, 6, ghosts=True)
         forcing = boundary_forcing(cfg, rule, field, mats)
         via_matrices = matrix_step(field, mats, forcing)
-        via_stages = transport_step(relaxation_step(field, cfg, rule), cfg, rule)
+        via_stages = transport_step(relaxation_step(field, ws), ws)
         scale = max(np.abs(via_stages.r).max(), np.abs(via_stages.j).max(), 1.0)
         assert np.abs(via_matrices.r - via_stages.r).max() <= 1e-12 * scale
         assert np.abs(via_matrices.j - via_stages.j).max() <= 1e-12 * scale
@@ -368,7 +374,7 @@ def test_evolve_zero_steps_returns_initial():
     rule = gauss_rule(4, 0.0, 1.0)
     init = initial_parity_field(cfg, rule)
     traj = ap_evolve(init, cfg, rule)
-    assert len(traj) == 1 and traj.fields[0] is init
+    assert len(traj.fields) == 1 and traj.fields[0] is init
     assert classical_cost(cfg) == 0
 
 
@@ -385,7 +391,7 @@ def test_evolve_cost_counter():
     cfg = make_cfg(N_t=5)
     rule = gauss_rule(4, 0.0, 1.0)
     traj = ap_evolve(initial_parity_field(cfg, rule), cfg, rule)
-    assert len(traj) == 6 and classical_cost(cfg) == 4**2 * 8 * 5
+    assert len(traj.fields) == 6 and classical_cost(cfg) == 4**2 * 8 * 5
 
 
 def test_evolve_uniform_stability_probe():
@@ -412,7 +418,7 @@ def test_phi_not_one_rejected():
     cfg = make_cfg(phi=0.5)
     rule = gauss_rule(4, 0.0, 1.0)
     with pytest.raises(UnsupportedConfigurationError):
-        relaxation_step(initial_parity_field(cfg, rule), cfg, rule)
+        ApWorkspace(cfg, rule)
     with pytest.raises(UnsupportedConfigurationError):
         ap_step_matrices(cfg, rule)
 
@@ -421,15 +427,15 @@ def test_field_size_mismatch_rejected():
     cfg = make_cfg()
     rule = gauss_rule(4, 0.0, 1.0)
     with pytest.raises(ValueError):
-        relaxation_step(ParityField.zeros(4, 5), cfg, rule)
+        relaxation_step(zero_field(4, 5), ApWorkspace(cfg, rule))
 
 
 def test_trajectory_csv_export(tmp_path):
     cfg = make_cfg(N=2, N_x=3, N_t=2)
     rule = gauss_rule(2, 0.0, 1.0)
-    traj = ap_evolve(initial_parity_field(cfg, rule), cfg, rule)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, cfg, path)
+    with trajectory_csv(cfg, path) as on_level:
+        ap_evolve(initial_parity_field(cfg, rule), cfg, rule, on_level)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,k,m,r,j"
     assert len(lines) == 1 + 3 * 2 * 3  # header + (Nt+1) levels * N * Nx

@@ -30,7 +30,7 @@ from transportlab import assembly, cli, complexity, spectral
 from transportlab._blas import ITERATIVE_ONE_THREAD_MAX_ORDER
 from transportlab.cli import emit_report, main
 from transportlab.complexity import ComplexityRow, sweep_epsilon
-from transportlab.schemes import Scheme, scheme_for, write_trajectory_csv
+from transportlab.schemes import Scheme, scheme_for, trajectory_csv
 
 
 AP_RAW = {
@@ -119,8 +119,10 @@ def test_streamed_export_is_the_recorded_export(raw, tmp_path):
     scheme = scheme_for(cfg)
     rule = scheme.rule(cfg)
     reference = tmp_path / "reference.csv"
-    write_trajectory_csv(scheme.evolve(scheme.initial(cfg, rule), cfg, rule), cfg,
-                         reference)
+    recorded = scheme.evolve(scheme.initial(cfg, rule), cfg, rule)
+    with trajectory_csv(cfg, reference) as on_level:
+        for step, level in enumerate(recorded.fields):
+            on_level(step, level)
     assert (out / "trajectory.csv").read_bytes() == reference.read_bytes()
 
 
@@ -500,7 +502,8 @@ def test_spectrum_manifest_records_method_and_residual(explicit_config, tmp_path
     assert manifest["exit_status"] == 0
     assert manifest["spectrum"] == {"method": "dense", "residual": 0.0,
                                     "matvecs": {"sigma_max": 0, "sigma_min": 0,
-                                                "symbol": 0}}
+                                                "symbol": 0},
+                                    "rescaled": False}
 
 
 def test_failure_before_resolving_removes_a_stale_manifest(ap_config, tmp_path):
@@ -565,10 +568,10 @@ SWEEP_GOLDEN = [
                     '--epsilons', '0.4,0.2,nan,inf,0,1e-300,1e-310,1e300'), (
         'scheme,epsilon,phi,tau,h,N,Nx,Nt,delta,sigma_min,sigma_max,kappa,sparsity,'
         'alpha,classical_cost,quantum_queries,status\n'
-        'explicit,0.4,1.0,0.01275949367088608,0.03888888888888889,3,17,8,0.1,,,,,'
-        '10803.984733846404,4896,,counts_only\n'
-        'explicit,0.2,1.0,0.003272727272727274,0.02,3,34,31,0.1,,,,,'
-        '161654.51484497817,37944,,counts_only\n'
+        'explicit,0.4,1.0,0.01275949367088608,0.03888888888888889,3,17,8,0.1,,,,,,'
+        '4896,,counts_only\n'
+        'explicit,0.2,1.0,0.003272727272727274,0.02,3,34,31,0.1,,,,,,'
+        '37944,,counts_only\n'
         'explicit,,1.0,,,3,,,0.1,,,,,,,,"error: epsilon must be finite and positive, '
         'got nan"\n'
         'explicit,inf,1.0,,,3,,,0.1,,,,,,,,"error: epsilon must be finite and '
@@ -590,8 +593,8 @@ SWEEP_GOLDEN = [
         'scheme,epsilon,phi,tau,h,N,Nx,Nt,delta,sigma_min,sigma_max,kappa,sparsity,'
         'alpha,classical_cost,quantum_queries,status\n'
         'explicit,1e-50,1.0,8.181818181818183e-102,1e-51,3,'
-        '700000000000000094946763755921830051308725430386687,,0.1,,,,,'
-        '2.5725848682295954e+202,,,error: final_time/tau overflows at epsilon = '
+        '700000000000000094946763755921830051308725430386687,,0.1,,,,,,,,'
+        'error: final_time/tau overflows at epsilon = '
         '1e-50\n'
     )),
 ]
@@ -622,6 +625,51 @@ def test_negative_infinite_epsilon_is_written_as_minus_inf(raw, args, tmp_path):
         row = next(csv.DictReader(handle))
     assert row["epsilon"] == "-inf"
     assert row["status"] == "error: epsilon must be finite and positive, got -inf"
+
+
+@pytest.mark.parametrize("raw, argv", [
+    (AP_RAW, ("sweep", "--epsilons", "-1e-3,0.1")),
+    (EXPLICIT_RAW, ("sweep", "--mode", "cfl_driven", "--no-spectrum",
+                    "--epsilons", "-inf,0.4")),
+    (AP_RAW, ("solve", "--x_left", "-1e-1")),
+], ids=["sweep", "sweep-cfl_driven", "override"])
+def test_a_value_that_starts_with_a_minus_parses_spaced_or_joined(raw, argv, tmp_path):
+    # argparse alone reads "-1e-3,0.1" after a space as a flag, not a value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    outputs = []
+    for name, args in (("spaced", argv), ("joined", (*argv[:-2], "=".join(argv[-2:])))):
+        out = tmp_path / name
+        assert main([args[0], "--config", str(config), "--output-dir", str(out),
+                     *args[1:]]) == 0
+        outputs.append({path.name: path.read_bytes() for path in out.glob("*.csv")})
+    assert outputs[0] == outputs[1] and outputs[0]
+    if argv[0] == "sweep":
+        first = outputs[0]["sweep.csv"].decode().splitlines()[1]
+        assert first.endswith(f'"error: epsilon must be finite and positive, '
+                              f'got {float(argv[-1].split(",")[0])}"')
+
+
+def test_manifest_records_whether_the_measured_system_was_rescaled(ap_config,
+                                                                   explicit_config,
+                                                                   tmp_path):
+    def spectrum(config, *flags):
+        out = tmp_path / f"{config.stem}{''.join(flags)}"
+        assert main(["spectrum", "--config", str(config), "--output-dir", str(out),
+                     *flags]) == 0
+        return json.loads((out / "manifest.json").read_text())["spectrum"]["rescaled"]
+
+    assert (spectrum(ap_config), spectrum(ap_config, "--rescaled")) == (False, True)
+    # the upwind scheme has one system, whatever the flag
+    assert spectrum(explicit_config, "--rescaled") is False
+    # a sweep measures the rescaled relaxation system; an unmeasured row has none
+    for config, expected in ((ap_config, [True, None]), (explicit_config, [False, None])):
+        out = tmp_path / f"sweep-{config.stem}"
+        assert main(["sweep", "--config", str(config), "--output-dir", str(out),
+                     "--allow-unstable", "--epsilons", "0.5,-1"]) == 0
+        entries = json.loads((out / "manifest.json").read_text())["sweep"]
+        assert [entry["rescaled"] for entry in entries] == expected
+    assert "rescaled" not in complexity.CSV_HEADER.split(",")
 
 
 @pytest.mark.parametrize("raw, argv", [

@@ -254,6 +254,23 @@ def test_rows_at_large_epsilon_keep_the_sweep_going():
     assert rows[1].status == "counts_only"
 
 
+def test_upwind_rows_leave_alpha_blank():
+    # alpha bounds the relaxation system's Fourier perturbation; the upwind
+    # system has no use for it, even where its terms overflow
+    relaxation = complexity.row_for(ap_base(), 0.1, measure=False)
+    assert relaxation.alpha == spectral.alpha_bound(1.0, 0.004, 3)
+    base = GridConfig(epsilon=0.4, tau=1e-3, h=0.1, N=2, N_x=4, N_t=3,
+                      scheme="explicit")
+    rows = sweep_epsilon(base, [0.4, 1e100], mode="fixed_grid")
+    assert [(row.status, row.alpha) for row in rows] == [("ok", None), ("ok", None)]
+    assert all(line.split(",")[13] == "" for line in rows_to_csv(rows).splitlines()[1:])
+    # an upwind error row whose tau was derived leaves it blank too
+    failed = sweep_epsilon(explicit_base(), [1e-50], mode="cfl_driven", final_time=1e300,
+                           measure_spectrum=False)[0]
+    assert failed.status.startswith("error:") and failed.tau > 0
+    assert failed.alpha is None
+
+
 def _factored_extremes(L):
     """sigma_min, sigma_max of a sparse L by ARPACK on L^T L and, through
     one sparse LU of L, on (L^T L)^{-1}: a reference independent of the

@@ -22,7 +22,7 @@ from transportlab.explicit_scheme import (
     explicit_matrix,
     explicit_step,
 )
-from transportlab.schemes import write_trajectory_csv
+from transportlab.schemes import trajectory_csv
 
 
 def make_cfg(eps=0.5, N=4, N_x=8, N_t=4, h=0.1, safety=0.9, **kw):
@@ -40,7 +40,7 @@ def test_constant_state_is_fixed_point():
     rule = make_rule(cfg)
     field = initial_kinetic_field(cfg, rule)
     field.f[:] = 2.0
-    out = explicit_step(field, cfg, rule)
+    out = explicit_step(field, ExplicitWorkspace(cfg, rule))
     np.testing.assert_allclose(out.f, 2.0, rtol=1e-14)
 
 
@@ -52,7 +52,7 @@ def test_isotropic_data_reduces_to_pure_upwind_transport():
     rng = np.random.default_rng(5)
     profile = rng.uniform(0.5, 1.5, cfg.N_x)
     field = KineticField(np.repeat(profile, 6), np.zeros(6), np.zeros(6))
-    out = explicit_step(field, cfg, rule)
+    out = explicit_step(field, ExplicitWorkspace(cfg, rule))
     lam, eps = cfg.lam, cfg.epsilon
     v = rule.nodes
     prof_pad = np.concatenate([[0.0], profile, [0.0]])
@@ -74,7 +74,7 @@ def test_step_equals_matrix_times_state_plus_boundary():
     field.f[:] = rng.uniform(-1, 1, field.f.size)
     mats = explicit_matrix(cfg, rule)
     b = boundary_vector(cfg, rule, field)
-    out = explicit_step(field, cfg, rule)
+    out = explicit_step(field, ExplicitWorkspace(cfg, rule))
     np.testing.assert_allclose(out.f, mats.B @ field.f + b, atol=1e-13)
 
 
@@ -154,10 +154,10 @@ def test_evolve_zero_steps_and_cost():
     rule = make_rule(cfg)
     init = initial_kinetic_field(cfg, rule)
     traj = explicit_evolve(init, cfg, rule)
-    assert len(traj) == 1 and classical_cost(cfg) == 0
+    assert len(traj.fields) == 1 and classical_cost(cfg) == 0
     cfg5 = make_cfg(N_t=5)
     traj5 = explicit_evolve(initial_kinetic_field(cfg5, rule), cfg5, rule)
-    assert len(traj5) == 6 and classical_cost(cfg5) == (2 * 4) ** 2 * 8 * 5
+    assert len(traj5.fields) == 6 and classical_cost(cfg5) == (2 * 4) ** 2 * 8 * 5
 
 
 def test_step_nonexpansive_for_nonnegative_data_zero_inflow():
@@ -165,9 +165,10 @@ def test_step_nonexpansive_for_nonnegative_data_zero_inflow():
     rule = make_rule(cfg)
     rng = np.random.default_rng(23)
     field = KineticField(rng.uniform(0.0, 1.0, 6 * 10), np.zeros(6), np.zeros(6))
+    ws = ExplicitWorkspace(cfg, rule)
     previous = np.abs(field.f).max()
     for _ in range(40):
-        field = explicit_step(field, cfg, rule)
+        field = explicit_step(field, ws)
         current = np.abs(field.f).max()
         assert current <= previous + 1e-13
         previous = current
@@ -218,10 +219,9 @@ def test_step_is_bitwise_the_reference_expression(N, N_x, log_eps, tau_factor, s
     with np.errstate(all="ignore"):
         for _ in range(cfg.N_t):
             expected.append(reference_step(expected[-1], cfg, rule))
-            # a direct call, then the reused workspace, from the same state
-            for ws in (None, workspace):
-                assert_same_bits(explicit_step(expected[-2], cfg, rule, workspace=ws),
-                                 expected[-1])
+            # a fresh workspace, then the reused one, from the same state
+            for ws in (ExplicitWorkspace(cfg, rule), workspace):
+                assert_same_bits(explicit_step(expected[-2], ws), expected[-1])
 
     # the levels a run hands out, through the workspace it owns
     levels = []
@@ -245,10 +245,11 @@ def test_step_is_bitwise_the_reference_expression_at_the_solve_workload_shape():
     two_N = 2 * cfg.N
     initial = KineticField(rng.uniform(-1.0, 1.0, two_N * cfg.N_x),
                            rng.uniform(-1.0, 1.0, two_N), rng.uniform(-1.0, 1.0, two_N))
+    workspace = ExplicitWorkspace(cfg, rule)
     expected = [initial]
     for _ in range(cfg.N_t):
         expected.append(reference_step(expected[-1], cfg, rule))
-        assert_same_bits(explicit_step(expected[-2], cfg, rule), expected[-1])
+        assert_same_bits(explicit_step(expected[-2], workspace), expected[-1])
     levels = []
     explicit_evolve(initial, cfg, rule, lambda n, level: levels.append(level))
     assert len(levels) == len(expected)
@@ -259,9 +260,9 @@ def test_step_is_bitwise_the_reference_expression_at_the_solve_workload_shape():
 def test_trajectory_csv_export(tmp_path):
     cfg = make_cfg(N=2, N_x=3, N_t=1)
     rule = make_rule(cfg)
-    traj = explicit_evolve(initial_kinetic_field(cfg, rule), cfg, rule)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, cfg, path)
+    with trajectory_csv(cfg, path) as on_level:
+        explicit_evolve(initial_kinetic_field(cfg, rule), cfg, rule, on_level)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,k,m,f"
     assert len(lines) == 1 + 2 * 3 * 4  # header + 2 levels * Nx * 2N

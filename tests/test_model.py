@@ -17,7 +17,6 @@ from transportlab import (
     gauss_rule,
     initial_kinetic_field,
     initial_parity_field,
-    parity_transform,
     resolve_config,
 )
 from transportlab.model import (
@@ -98,49 +97,18 @@ def test_derived_quantities():
     assert cfg.interior_x()[-1] == pytest.approx(0.8)
 
 
-# --- parity transform ---------------------------------------------------
-
-
-def test_parity_forward_example():
-    assert parity_transform(2.0, 1.0, 0.5) == (1.5, 1.0)
-
-
-def test_parity_inverse_example():
-    assert parity_transform(1.5, 1.0, 0.5, "inverse") == (2.0, 1.0)
-
-
-def test_isotropic_state_has_zero_odd_parity():
-    for c in (0.0, 3.7, -2.0):
-        r, j = parity_transform(c, c, 1e-3)
-        assert r == c and j == 0.0
-
-
-def test_parity_round_trip_sweep():
-    rng = np.random.default_rng(7)
-    for eps in (1e-8, 1e-4, 1e-1, 1.0):
-        fp = rng.uniform(-1e6, 1e6, size=50)
-        fm = rng.uniform(-1e6, 1e6, size=50)
-        r, j = parity_transform(fp, fm, eps)
-        fp2, fm2 = parity_transform(r, j, eps, "inverse")
-        scale = np.maximum(np.abs(fp), 1.0)
-        assert np.max(np.abs(fp2 - fp) / scale) < 1e-14
-        assert np.max(np.abs(fm2 - fm) / scale) < 1e-14
-
-
-def test_parity_rejects_bad_epsilon():
-    with pytest.raises(ValueError):
-        parity_transform(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        parity_transform(1.0, 1.0, -2.0, "inverse")
-
-
 # --- density ------------------------------------------------------------
+
+
+def parity_field(r, N):
+    """A parity field with interior values ``r`` (j = 0) and zero ghosts."""
+    r = np.asarray(r, dtype=float)
+    return ParityField(r, np.zeros_like(r), *np.zeros((4, N)))
 
 
 def test_density_of_unit_field_is_one():
     rule = gauss_rule(4, 0.0, 1.0)
-    field = ParityField.zeros(4, 6)
-    field.r[:] = 1.0
+    field = parity_field(np.ones(4 * 6), 4)
     np.testing.assert_allclose(density(field, rule), np.ones(6), atol=1e-14)
 
 
@@ -148,9 +116,9 @@ def test_density_degree_one_and_two():
     # analytic integrals of v and v^2 on [0, 1]
     for N in (2, 3, 8):
         rule = gauss_rule(N, 0.0, 1.0)
-        r_lin = np.repeat(rule.nodes, 5)
+        r_lin = parity_field(np.repeat(rule.nodes, 5), N)
         np.testing.assert_allclose(density(r_lin, rule), 0.5, rtol=1e-13)
-        r_quad = np.repeat(rule.nodes**2, 5)
+        r_quad = parity_field(np.repeat(rule.nodes**2, 5), N)
         np.testing.assert_allclose(density(r_quad, rule), 1.0 / 3.0, rtol=1e-13)
 
 
@@ -158,18 +126,15 @@ def test_density_is_linear():
     rng = np.random.default_rng(11)
     rule = gauss_rule(5, 0.0, 1.0)
     r1, r2 = rng.normal(size=(2, 5 * 7))
-    lhs = density(2.5 * r1 - 1.25 * r2, rule)
-    rhs = 2.5 * density(r1, rule) - 1.25 * density(r2, rule)
+    lhs = density(parity_field(2.5 * r1 - 1.25 * r2, 5), rule)
+    rhs = 2.5 * density(parity_field(r1, 5), rule) - 1.25 * density(parity_field(r2, 5), rule)
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
 def test_density_size_mismatch():
     rule = gauss_rule(4, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        density(np.ones(10), rule)
-    field = ParityField.zeros(3, 5)
-    with pytest.raises(ValueError):
-        density(field, rule)
+    with pytest.raises(ValueError, match="field has 3 velocity nodes, rule has 4"):
+        density(parity_field(np.zeros(3 * 5), 3), rule)
 
 
 # --- fields and initial data -------------------------------------------

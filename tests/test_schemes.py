@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,12 +12,7 @@ from transportlab import (
     ap_scheme,
     cfl_limit,
     explicit_scheme,
-    gauss_rule,
-    initial_kinetic_field,
-    initial_parity_field,
 )
-from transportlab.ap_scheme import ApWorkspace
-from transportlab.explicit_scheme import ExplicitWorkspace
 from transportlab.cli import main
 from transportlab.schemes import scheme_for
 
@@ -158,43 +152,3 @@ def test_run_peak_memory_is_a_few_levels_whatever_the_step_count(scheme):
     level = _values(initial).nbytes
     assert abs(peaks[64] - peaks[8]) < level
     assert peaks[64] < PEAK_LEVELS[scheme] * level
-
-
-AP_RULE = gauss_rule(AP_CFG.N, 0.0, 1.0)
-EXPLICIT_RULE = gauss_rule(2 * EXPLICIT_CFG.N, -1.0, 1.0)
-
-# (relaxation workspace, upwind workspace) built for something else
-FOREIGN_WORKSPACES = {
-    # same shapes, other coefficient rows
-    "tau": lambda: (ApWorkspace(replace(AP_CFG, tau=AP_CFG.tau / 2), AP_RULE),
-                    ExplicitWorkspace(replace(EXPLICIT_CFG, tau=EXPLICIT_CFG.tau / 2),
-                                      EXPLICIT_RULE)),
-    "shape": lambda: (ApWorkspace(replace(AP_CFG, N_x=7), AP_RULE),
-                      ExplicitWorkspace(replace(EXPLICIT_CFG, N_x=7), EXPLICIT_RULE)),
-    "rule": lambda: (ApWorkspace(AP_CFG, gauss_rule(AP_CFG.N, 0.0, 0.5)),
-                     ExplicitWorkspace(EXPLICIT_CFG,
-                                       gauss_rule(2 * EXPLICIT_CFG.N, -1.0, 0.5))),
-    "scheme": lambda: (ExplicitWorkspace(EXPLICIT_CFG, EXPLICIT_RULE),
-                       ApWorkspace(AP_CFG, AP_RULE)),
-}
-
-
-@pytest.mark.parametrize("foreign", FOREIGN_WORKSPACES)
-def test_step_rejects_a_workspace_built_for_another_grid(foreign):
-    ap_ws, explicit_ws = FOREIGN_WORKSPACES[foreign]()
-    parity = initial_parity_field(AP_CFG, AP_RULE)
-    kinetic = initial_kinetic_field(EXPLICIT_CFG, EXPLICIT_RULE)
-    with pytest.raises(ValueError, match="built for another grid or rule"):
-        ap_scheme.relaxation_step(parity, AP_CFG, AP_RULE, workspace=ap_ws)
-    with pytest.raises(ValueError, match="built for another grid or rule"):
-        ap_scheme.transport_step(parity, AP_CFG, AP_RULE, workspace=ap_ws)
-    with pytest.raises(ValueError, match="built for another grid or rule"):
-        explicit_scheme.explicit_step(kinetic, EXPLICIT_CFG, EXPLICIT_RULE,
-                                      workspace=explicit_ws)
-
-
-def test_step_accepts_a_workspace_built_for_an_equal_grid_and_rule():
-    ws = ApWorkspace(replace(AP_CFG), gauss_rule(AP_CFG.N, 0.0, 1.0))
-    parity = initial_parity_field(AP_CFG, AP_RULE)
-    star = ap_scheme.relaxation_step(parity, AP_CFG, AP_RULE, workspace=ws)
-    assert np.array_equal(star.r, ap_scheme.relaxation_step(parity, AP_CFG, AP_RULE).r)
