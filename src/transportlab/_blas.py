@@ -5,10 +5,15 @@ hand-off to a second thread costs more than the second thread saves:
 on 2-core OpenBLAS one ``scipy.linalg.svdvals`` of a block-bidiagonal
 ``I + X kron P`` takes 0.44 of its 2-thread time at one thread at order
 128, 0.79 at order 256 and 0.95 at order 512, with the same bits, and
-1.34 at order 1024, with other bits.  So every dense SVD of the package
-runs inside ``one_thread(order)``, which drops each loaded OpenBLAS to
-one thread when ``order <= ONE_THREAD_MAX_ORDER`` and restores its
-previous count afterwards.
+1.34 at order 1024, with other bits.  So the dense spectrum of
+``spectral.singular_extremes`` and the upwind block-norm check run
+inside ``one_thread(order)``, which drops each loaded OpenBLAS to one
+thread when ``order <= ONE_THREAD_MAX_ORDER`` and restores its previous
+count afterwards.  The per-frequency SVDs of
+``spectral.perturbation_check`` run at one thread at every order
+(``one_thread(order, math.inf)``): they are split between two Python
+threads across the frequencies instead, so their bits do not depend on
+the thread count the process starts with.
 
 The iterative path of ``spectral.singular_extremes``, above its dense
 cap, runs numpy's own OpenBLAS, which does the products with a dense
@@ -30,7 +35,8 @@ the one its wheel ships, in ``numpy.libs`` or inside the package; a
 BLAS that numpy shares with scipy is not.  Where none is found (another
 BLAS, or no ``/proc``) nothing is changed.  The thread count is a
 per-process setting, so ``one_thread`` is not meant for concurrent use
-from several Python threads.
+from several Python threads: a caller that splits its work between
+threads enters it once, before it starts them.
 """
 
 from __future__ import annotations

@@ -502,18 +502,21 @@ def assemble_fourier_matrix(
 
 def frequency_matrix(X: np.ndarray, N_t: int) -> np.ndarray:
     """The dense order-N_t expansion ``I + X kron P`` of a per-node block,
-    P the order-N_t time shift.
+    P the order-N_t time shift, or of each block of a stack ``(..., n, n)``
+    into one stack ``(..., n*N_t, n*N_t)``.
 
     Built entry by entry: 1 on the diagonal, X_ab + 0.0 at row
     a*N_t + t + 1 and column b*N_t + t, and +0.0 elsewhere.  For finite
     X these are the bits of ``np.eye + np.kron``, with neither
-    temporary.
+    temporary, and each matrix of a stack has the bits of its block's
+    own expansion.
     """
-    n = X.shape[0]
-    out = np.zeros((n * N_t, n * N_t), dtype=np.result_type(X, float))
-    np.fill_diagonal(out, 1.0)
+    *stack, n, _ = X.shape
+    order = n * N_t
+    out = np.zeros((*stack, order, order), dtype=np.result_type(X, float))
+    out.reshape(*stack, order * order)[..., ::order + 1] = 1.0
     t = np.arange(N_t - 1)
-    out.reshape(n, N_t, n, N_t)[:, t + 1, :, t] = X + 0.0
+    out.reshape(*stack, n, N_t, n, N_t)[..., :, t + 1, :, t] = X + 0.0
     return out
 
 

@@ -126,7 +126,8 @@ class GridConfig:
     (N_x + 1)*h.  Stability restrictions (tau/h^2 <= 1/(1+h) for the
     relaxation scheme, tau <= h*eps^2/(eps+h) for the explicit one, and
     0 <= phi <= 1/eps^2) are enforced at construction unless
-    ``allow_unstable`` is set.
+    ``allow_unstable`` is set.  An epsilon whose square overflows or
+    underflows to 0 raises ValueError naming it, whatever that flag.
     """
 
     epsilon: float
@@ -150,6 +151,13 @@ class GridConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        # every scheme divides by epsilon**2 or multiplies by it
+        try:
+            square = float(self.epsilon) ** 2
+        except OverflowError:
+            raise ValueError(f"epsilon**2 overflows at epsilon = {self.epsilon}") from None
+        if square == 0.0:
+            raise ValueError(f"epsilon**2 underflows to 0 at epsilon = {self.epsilon}")
         for name in ("phi", "x_left", "bc_left", "bc_right"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

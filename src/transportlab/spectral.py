@@ -11,6 +11,7 @@ cost ~ 1/eps^3) into testable numbers.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,6 +352,78 @@ def _real_form(X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _singular_values(stack: np.ndarray) -> np.ndarray:
+    """The singular values of every matrix of a stack ``(..., m, n)``, in
+    descending order: one ``np.linalg.svd`` gufunc call, which runs
+    LAPACK's gesdd on each matrix and, above a small stack size,
+    releases the GIL while it does."""
+    return np.linalg.svd(stack, compute_uv=False)
+
+
+# numpy releases the GIL in a ``_singular_values`` call only when the stack
+# count times the order exceeds this: measured on numpy 2.4.6, a stack of 4
+# at order 128 released it and one of 3 did not, one matrix of order 600
+# did and one of order 400 did not, and a stack of 2 at order 250 did not
+GIL_RELEASE_SIZE = 500
+
+
+def _on_two_threads(work) -> None:
+    """Run ``work(0)`` on the calling thread and ``work(1)`` on one helper
+    thread, and return once both end.  ``work`` takes a second argument,
+    a list that is nonempty once either side has failed, to stop early.
+    An exception of the helper is raised here unchanged; one of the
+    calling thread wins over it."""
+    failed = []
+
+    def helper():
+        try:
+            work(1, failed)
+        except BaseException as exc:
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper, name="perturbation_check")
+    thread.start()
+    try:
+        work(0, failed)
+    except BaseException:
+        failed.append(None)
+        raise
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
+def _frequency_extremes(blocks: np.ndarray, N_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_max and sigma_min of I + X kron P for every block X of the
+    stack ``blocks``, in stack order.
+
+    The blocks are expanded and decomposed in chunks, each one
+    ``frequency_matrix`` stack and one ``_singular_values`` call: the
+    calling thread takes the even chunks and one helper thread the odd
+    ones (``_on_two_threads``), so at most two chunks of matrices are
+    held at once.  A chunk is the smallest stack whose decomposition
+    releases the GIL (``GIL_RELEASE_SIZE``), 4 matrices at order 128.
+    """
+    count = blocks.shape[0]
+    chunk = GIL_RELEASE_SIZE // (blocks.shape[-1] * N_t) + 1
+    starts = range(0, count, chunk)
+    extremes = np.empty((2, count))
+
+    def decompose(side, failed):
+        for start in starts[side::2]:
+            if failed:
+                return
+            values = _singular_values(frequency_matrix(blocks[start:start + chunk], N_t))
+            extremes[:, start:start + chunk] = values[:, [0, -1]].T
+
+    if len(starts) > 1:
+        _on_two_threads(decompose)
+    else:
+        decompose(0, ())
+    return extremes[0], extremes[1]
+
+
 def _stacked_blocks(cfg: GridConfig, rule: QuadratureRule, xi_values: np.ndarray):
     """The per-xi work of ``perturbation_check`` below order 2N*N_t, on
     the stack of all xi at once: the symbols, the real forms of the
@@ -363,7 +436,7 @@ def _stacked_blocks(cfg: GridConfig, rule: QuadratureRule, xi_values: np.ndarray
     X_eps = _real_form(X_eps)
     X_zero = _real_form(X_zero)
     shift_norm = 1.0 if cfg.N_t > 1 else 0.0
-    e_norms = svdvals(X_eps - X_zero)[:, 0] * shift_norm
+    e_norms = _singular_values(X_eps - X_zero)[:, 0] * shift_norm
     # column 0 of X_zero is u scaled by the weight w_1 > 0
     basis = np.empty(X_zero.shape[:-1] + (2,))
     basis[..., 0] = X_zero[..., 0]
@@ -401,11 +474,15 @@ def perturbation_check(
     itself and is the identity on its complement, so its singular
     values are those of the order-2*N_t matrix I + (Q^T X_zero Q) kron P,
     plus the value 1 when N >= 2.  Only the frequency matrices, of
-    order 2N*N_t and 2*N_t, are built and decomposed one xi at a time:
-    a stack of them would grow with the xi count by a whole matrix per
-    xi, where the stacked blocks and symbols grow by a few 2N x 2N
-    blocks.  The sweep runs at one OpenBLAS thread when 2N*N_t is at
-    most 512 (``_blas.one_thread``).
+    order 2N*N_t and 2*N_t, are built and decomposed a chunk of xi at a
+    time (``_frequency_extremes``): the calling thread and one helper
+    thread take every other chunk, each the smallest stack whose numpy
+    SVD releases the GIL, so at most two chunks are held at once, where
+    a stack of every xi would grow by a whole matrix per xi and the
+    stacked blocks and symbols grow by a few 2N x 2N blocks.  Every SVD
+    runs at one OpenBLAS thread at every order (``_blas.one_thread``):
+    the sweep is parallel across frequencies, not inside BLAS, so its
+    bits do not depend on the thread count the process starts with.
     """
     xi_values = np.asarray(xi_values, dtype=float)
     if xi_values.ndim != 1:
@@ -419,16 +496,11 @@ def perturbation_check(
         raise ValueError(
             f"weyl_tolerance must be finite and nonnegative, got {weyl_tolerance}")
 
-    def extremes(blocks):
-        # sigma_max and sigma_min of I + X kron P, one block X at a time
-        return np.array([svdvals(frequency_matrix(X, cfg.N_t))[[0, -1]]
-                         for X in blocks]).T
-
-    # L~_eps, of order 2N*N_t, is the largest matrix decomposed
-    with one_thread(2 * cfg.N * cfg.N_t):
+    # parallel across frequencies, not inside BLAS: one thread each
+    with one_thread(2 * cfg.N * cfg.N_t, math.inf):
         symbols, X_eps, e_norms, reduced = _stacked_blocks(cfg, rule, xi_values)
-        smax_e, smin_e = extremes(X_eps)
-        smax_0, smin_0 = extremes(reduced)
+        smax_e, smin_e = _frequency_extremes(X_eps, cfg.N_t)
+        smax_0, smin_0 = _frequency_extremes(reduced, cfg.N_t)
     if cfg.N > 1:
         # the 1s of the complement; unit triangular up to a permutation,
         # the reduced matrix has singular values multiplying to 1, so

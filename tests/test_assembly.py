@@ -328,6 +328,20 @@ def test_frequency_matrix_is_eye_plus_kron_bit_for_bit(N_t, dtype):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("N_t", [1, 2, 5])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_frequency_matrix_of_a_stack_is_each_blocks_matrix(N_t, dtype):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(2, 3, 4, 4)).astype(dtype)
+    if dtype is complex:
+        X += 1j * rng.normal(size=X.shape)
+    X[0, 1, 0, 1] = X[1, 2, 3, 3] = -0.0
+    got = frequency_matrix(X, N_t)
+    assert got.shape == (2, 3, 4 * N_t, 4 * N_t) and got.dtype == np.result_type(X, float)
+    for index in np.ndindex(X.shape[:2]):
+        assert got[index].tobytes() == frequency_matrix(X[index], N_t).tobytes()
+
+
 @pytest.mark.parametrize("N_t", [1, 2, 16])
 def test_perturbation_norm_matches_full_kronecker_product(N_t):
     rule = gauss_rule(4, 0.0, 1.0)

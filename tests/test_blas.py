@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -141,20 +142,23 @@ def test_explicit_norm_check_runs_at_one_thread(monkeypatch):
 
 
 def test_perturbation_sweep_runs_at_one_thread(monkeypatch):
-    counts_seen = []
-    svdvals = spectral.svdvals
+    calls = []
+    singular_values = spectral._singular_values
 
-    def spy(a):
-        counts_seen.append(_blas.thread_counts())
-        return svdvals(a)
+    def spy(stack):
+        calls.append((_blas.thread_counts(), threading.get_ident()))
+        return singular_values(stack)
 
-    monkeypatch.setattr(spectral, "svdvals", spy)
-    # 2 * N * N_t = 128 <= ONE_THREAD_MAX_ORDER
+    monkeypatch.setattr(spectral, "_singular_values", spy)
+    # 2 * N * N_t = 128, chunks of 4 matrices: the calling thread takes
+    # xi 0-3 and the helper xi 4-7; the order-32 reduced matrices fit in
+    # one chunk of 16
     cfg = GridConfig(epsilon=0.3, tau=0.004, h=0.1, N=4, N_x=6, N_t=16)
-    perturbation_check(cfg, gauss_rule(4, 0.0, 1.0), [0.0, 1.0])
-    # one stacked call for the ||E|| blocks, then two per xi
-    assert len(counts_seen) == 1 + 2 * 2
-    assert all(set(counts.values()) <= {1} for counts in counts_seen)
+    perturbation_check(cfg, gauss_rule(4, 0.0, 1.0), np.linspace(0.0, 1.0, 8))
+    # one stacked call for the ||E|| blocks, then one per chunk
+    assert len(calls) == 1 + 2 + 1
+    assert all(set(counts.values()) <= {1} for counts, _ in calls)
+    assert len({thread for _, thread in calls}) == 2
 
 
 def _system_above_the_symbol_cap():

@@ -450,6 +450,35 @@ def test_sweep_rows_of_no_time_level_name_N_t(ap_config, tmp_path):
     assert json.loads((out / "manifest.json").read_text())["exit_status"] == 0
 
 
+@pytest.mark.parametrize("epsilon, message", [
+    ("1e-200", "epsilon**2 underflows to 0 at epsilon = 1e-200"),
+    ("1e200", "epsilon**2 overflows at epsilon = 1e+200"),
+], ids=["underflow", "overflow"])
+@pytest.mark.parametrize("subcommand, args", [
+    ("solve", ()), ("assemble", ()), ("spectrum", ()), ("fourier", ()),
+    ("sweep", ("--epsilons", "1e-2")),
+], ids=["solve", "assemble", "spectrum", "fourier", "sweep"])
+def test_an_epsilon_whose_square_leaves_the_float_range_exits_2_naming_it(
+        subcommand, args, epsilon, message, ap_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(ap_config), "--output-dir", str(out),
+                 "--epsilon", epsilon, *args]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    # the configuration did not resolve: no manifest
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_rows_name_an_epsilon_whose_square_leaves_the_float_range(
+        ap_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(ap_config), "--output-dir", str(out),
+                 "--epsilons", "1e-2,1e-200,1e200"]) == 0
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
+        statuses = [row["status"] for row in csv.DictReader(handle)]
+    assert statuses == ["ok", "error: epsilon**2 underflows to 0 at epsilon = 1e-200",
+                        "error: epsilon**2 overflows at epsilon = 1e+200"]
+
+
 @pytest.mark.parametrize("raw", [AP_RAW, EXPLICIT_RAW], ids=["ap", "explicit"])
 def test_solve_of_no_step_is_the_initial_density(raw, tmp_path):
     config = tmp_path / "config.json"
@@ -924,6 +953,26 @@ def test_iterative_spectrum_is_the_same_at_either_thread_count(raw, tmp_path):
         assert spectrum["method"] == "iterative"
         assert (spectrum["matvecs"]["symbol"] > 0) == (raw["Nx"] == 25)
     assert b",ok\n" in outputs["1"]
+    assert outputs["1"] == outputs["2"]
+
+
+def test_fourier_above_order_512_is_the_same_at_either_thread_count(tmp_path):
+    # 2 N N_t = 514, the least order above ONE_THREAD_MAX_ORDER, where a
+    # 2-thread OpenBLAS gives L~_eps other bits than a 1-thread one; the
+    # per-frequency SVDs run at one thread at every order
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "scheme": "ap", "epsilon": 0.01, "tau": 0.01, "h": 0.11,
+        "N": 1, "Nx": 8, "Nt": 257,
+    }), encoding="utf-8")
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        _run_module("transportlab.cli", ["fourier", "--config", str(config),
+                                         "--output-dir", str(out), "--xi-samples", "4"],
+                    threads)
+        outputs[threads] = (out / "fourier_norms.csv").read_bytes()
+    assert outputs["1"].count(b"\n") == 1 + 4
     assert outputs["1"] == outputs["2"]
 
 

@@ -83,6 +83,23 @@ def test_invalid_arguments_raise(field, value):
         ap_cfg(**{field: value})
 
 
+@pytest.mark.parametrize("epsilon, message", [
+    (1e-200, r"^epsilon\*\*2 underflows to 0 at epsilon = 1e-200$"),
+    (5e-324, r"^epsilon\*\*2 underflows to 0 at epsilon = 5e-324$"),
+    (1e200, r"^epsilon\*\*2 overflows at epsilon = 1e\+200$"),
+], ids=["underflow", "least-subnormal", "overflow"])
+@pytest.mark.parametrize("allow_unstable", [False, True])
+def test_an_epsilon_whose_square_leaves_the_float_range_is_named(
+        epsilon, message, allow_unstable):
+    with pytest.raises(ValueError, match=message):
+        ap_cfg(epsilon=epsilon, allow_unstable=allow_unstable)
+
+
+def test_an_epsilon_with_a_subnormal_square_constructs():
+    # 1e-160 squares to a subnormal, not to 0
+    assert ap_cfg(epsilon=1e-160, allow_unstable=True).epsilon == 1e-160
+
+
 def test_cfl_limit_values():
     assert cfl_limit("ap", 1.0, 0.1) == pytest.approx(0.01 / 1.1)
     assert cfl_limit("explicit", 0.1, 0.01) == pytest.approx(1e-4 / 0.11)

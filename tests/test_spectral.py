@@ -1,4 +1,6 @@
 import contextlib
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -488,7 +490,7 @@ def test_perturbation_check_rejects_bad_frequencies_before_any_work(
     def never(*args, **kwargs):
         raise AssertionError("decomposed before the frequencies were checked")
 
-    monkeypatch.setattr(spectral, "svdvals", never)
+    monkeypatch.setattr(spectral, "_singular_values", never)
     monkeypatch.setattr(spectral, "assemble_fourier_matrix", never)
     with pytest.raises(ValueError, match=message):
         perturbation_check(fourier_cfg(1e-2), gauss_rule(4, 0.0, 1.0), xi_values)
@@ -506,15 +508,53 @@ def test_a_nan_weyl_slack_fails_the_sandwich(monkeypatch):
     # NaN compares False both ways: the sandwich must read it as violated
     cfg = fourier_cfg(1e-2)
     order = 2 * cfg.N * cfg.N_t
-    original = spectral.svdvals
+    original = spectral._singular_values
 
-    def nan_for_the_frequency_matrix(a):
-        values = original(a)
-        return np.full_like(values, np.nan) if np.shape(a) == (order, order) else values
+    def nan_for_the_frequency_matrices(stack):
+        values = original(stack)
+        return (np.full_like(values, np.nan) if np.shape(stack)[-2:] == (order, order)
+                else values)
 
-    monkeypatch.setattr(spectral, "svdvals", nan_for_the_frequency_matrix)
+    monkeypatch.setattr(spectral, "_singular_values", nan_for_the_frequency_matrices)
     with pytest.raises(RuntimeError, match="sandwich violated by nan"):
         perturbation_check(cfg, gauss_rule(4, 0.0, 1.0), XI[:4])
+
+
+def test_both_threads_write_every_frequency_in_order_under_frequent_switches():
+    # a thread switch every microsecond interleaves the two threads' chunks
+    # as finely as it can: a lost or misplaced write would change the bits
+    cfg = GridConfig(epsilon=1e-3, tau=1e-2, h=0.11, N=4, N_x=8, N_t=16)
+    rule = gauss_rule(4, 0.0, 1.0)
+    want = _reference_check(cfg, rule, XI)[1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = perturbation_check(cfg, rule, XI)
+    finally:
+        sys.setswitchinterval(interval)
+    got = (report.e_norms, report.sigma_max_eps, report.sigma_min_eps,
+           report.sigma_max_zero, report.sigma_min_zero)
+    for a, b in zip(got, want):
+        assert _bits(a, float) == _bits(b, float)
+
+
+def test_an_exception_of_the_helper_thread_reaches_the_caller_unchanged(monkeypatch):
+    raised = MemoryError("the helper's own")
+    original = spectral._singular_values
+    helpers = []
+
+    def fail_off_the_calling_thread(stack):
+        if threading.current_thread() is not threading.main_thread():
+            helpers.append(threading.current_thread())
+            raise raised
+        return original(stack)
+
+    monkeypatch.setattr(spectral, "_singular_values", fail_off_the_calling_thread)
+    with pytest.raises(MemoryError) as caught:
+        perturbation_check(fourier_cfg(1e-2), gauss_rule(4, 0.0, 1.0), XI)
+    assert caught.value is raised
+    # the helper stopped at its first chunk and was joined
+    assert len(helpers) == 1 and not helpers[0].is_alive()
 
 
 def _scalar_symbols(cfg, v_k, xi):
