@@ -1,32 +1,27 @@
 """One OpenBLAS thread where a second one costs more than it saves.
 
-At the orders of the per-frequency and dense-path SVDs, OpenBLAS's
-hand-off to a second thread costs more than the second thread saves:
-on 2-core OpenBLAS one ``scipy.linalg.svdvals`` of a block-bidiagonal
-``I + X kron P`` takes 0.44 of its 2-thread time at one thread at order
-128, 0.79 at order 256 and 0.95 at order 512, with the same bits, and
-1.34 at order 1024, with other bits.  So the dense spectrum of
-``spectral.singular_extremes`` and the upwind block-norm check run
-inside ``one_thread(order)``, which drops each loaded OpenBLAS to one
-thread when ``order <= ONE_THREAD_MAX_ORDER`` and restores its previous
-count afterwards.  The per-frequency SVDs of
-``spectral.perturbation_check`` run at one thread at every order
-(``one_thread(order, math.inf)``): they are split between two Python
-threads across the frequencies instead, so their bits do not depend on
-the thread count the process starts with.
+A pool is the thread pool of one loaded OpenBLAS library; numpy's wheel
+ships one and scipy's another.  ``one_thread`` runs its body with the
+given pools, by default every loaded one, at one thread.  The rule:
 
-The iterative path of ``spectral.singular_extremes``, above its dense
-cap, runs numpy's own OpenBLAS, which does the products with a dense
-one-step block, at one thread at every order: on 2 vCPUs, a fixed-h
-upwind row of order 67,564 (m = 76, N_t = 889) took 40 to 47 s at two
-threads and 9 s at one.  Every other pool, such as scipy's, which runs ARPACK's
-reorthogonalization, whose cost grows with the order, keeps the
-crossover ``ITERATIVE_ONE_THREAD_MAX_ORDER``.  The Chebyshev filter on
-the sigma_max start (above ``spectral.FILTER_CAP``) runs inside the
-same ``one_thread`` blocks: its norms and its one inner product are
-BLAS calls too, so its output, and with it sigma_max and the
-``sigma_max`` matvec count, does not depend on the thread count up to
-that order.
+- Every dense SVD outside the iterative spectrum pins every pool.  On
+  2-core OpenBLAS one ``scipy.linalg.svdvals`` of a block-bidiagonal
+  ``I + X kron P`` takes 0.44 of its 2-thread time at one thread at
+  order 128, 0.79 at order 256 and 0.95 at order 512, with the same
+  bits, and 1.34 at order 1024, with other bits.  The only such SVDs
+  above order 512 are the per-frequency ones, split between two Python
+  threads across the frequencies instead; so no bits of theirs depend
+  on the thread count the process starts with.
+- The iterative spectrum (``iterative_one_thread``) pins numpy's pool,
+  which does the products with a dense one-step block, at every order:
+  on 2 vCPUs a fixed-h upwind row of order 67,564 (m = 76, N_t = 889)
+  took 40 to 47 s with it at two threads and 9 s at one.  Every other
+  pool, such as scipy's, which runs ARPACK's reorthogonalization, whose
+  cost grows with the order, it pins up to order
+  ``ITERATIVE_ONE_THREAD_MAX_ORDER`` only.  The Chebyshev filter on the
+  sigma_max start runs in the same pin, so its output, and with it
+  sigma_max and its matvec count, does not depend on the thread count up
+  to that order.
 
 The libraries are found on first use, not at import: every mapped
 object of the process whose path names ``openblas`` and that exports a
@@ -49,12 +44,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# the largest order run at one thread: the measured crossover above, the
-# last order at which one thread is faster and gives the same bits
-ONE_THREAD_MAX_ORDER = 512
-
-# the largest order whose iterative spectrum (``spectral._lanczos_extremes``)
-# runs at one thread: the measured crossover.  On
+# the largest order at which ``iterative_one_thread`` pins every pool, not
+# numpy's alone: the crossover measured with all pools moved together.  On
 # 2-core OpenBLAS, alternating in one process on upwind systems, one thread
 # takes 0.60 of the 2-thread time at order 12,152, 0.88 and 0.96 at 29,304,
 # 1.08 and 0.86 at 39,600, 0.98 and 1.08 at 49,896, 1.05 at 60,192, 1.08 at
@@ -108,29 +99,31 @@ def thread_counts() -> dict[str, int]:
     return {lib.name: lib.get() for lib in _libraries()}
 
 
-def numpy_pool() -> tuple[_OpenBLAS, ...]:
-    """The loaded OpenBLAS shipped with numpy, if any."""
-    return tuple(lib for lib in _libraries() if lib.numpy)
-
-
 @contextlib.contextmanager
-def one_thread(order: int, max_order: float = ONE_THREAD_MAX_ORDER, libraries=None):
+def one_thread(libraries=None):
     """Run the body with ``libraries`` (by default every loaded OpenBLAS)
-    at one thread if ``order`` is at most ``max_order``, else at their
-    current counts.
+    at one thread.
 
     A library already at one thread is left alone; every other one gets
     its previous count back when the body ends, also when it raises.
     """
     saved = []
-    if order <= max_order:
-        for lib in _libraries() if libraries is None else libraries:
-            count = lib.get()
-            if count > 1:
-                lib.set(1)
-                saved.append((lib, count))
+    for lib in _libraries() if libraries is None else libraries:
+        count = lib.get()
+        if count > 1:
+            lib.set(1)
+            saved.append((lib, count))
     try:
         yield
     finally:
         for lib, count in reversed(saved):
             lib.set(count)
+
+
+def iterative_one_thread(order: int):
+    """``one_thread`` for the iterative spectrum of a system of ``order``:
+    every loaded OpenBLAS up to ``ITERATIVE_ONE_THREAD_MAX_ORDER``, and
+    numpy's own alone above it."""
+    if order <= ITERATIVE_ONE_THREAD_MAX_ORDER:
+        return one_thread()
+    return one_thread(lib for lib in _libraries() if lib.numpy)

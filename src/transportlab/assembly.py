@@ -212,6 +212,11 @@ class BlockSystem:
         return np.result_type(self.M.dtype, np.float64)
 
     @property
+    def rescaled(self) -> bool:
+        """Whether some group is stored divided by a scale other than 1."""
+        return any(s != 1.0 for s in self.scale)
+
+    @property
     def sparsity(self) -> int:
         """``sparsity(L)``, from M: a row or column of L holds its
         identity entry and, on all but one time level, one row or column
@@ -562,6 +567,6 @@ def system_metadata(system: BlockSystem) -> dict:
     """Sidecar metadata for an assembled system."""
     return {
         "scheme": system.cfg.scheme,
-        "rescaled": any(s != 1.0 for s in system.scale),
+        "rescaled": system.rescaled,
         "config": config_as_dict(system.cfg),
     }

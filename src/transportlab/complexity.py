@@ -156,7 +156,7 @@ def row_for(
         row.matvecs = {"sigma_max": report.matvecs_max,
                        "sigma_min": report.matvecs_min,
                        "symbol": report.matvecs_symbol}
-        row.rescaled = assembly.system_metadata(system)["rescaled"]
+        row.rescaled = system.rescaled
         row.status = "ok"
     return row
 

@@ -144,7 +144,7 @@ def explicit_matrix(cfg: GridConfig, rule: QuadratureRule) -> ExplicitStepMatrix
     When the step restriction holds and the order is small enough for a
     dense check, sigma_max(B1) <= 1 - tau/eps^2 is verified numerically
     at construction, from one batched SVD of B1's per-node blocks, run
-    at one OpenBLAS thread (``_blas.one_thread``).
+    inside ``_blas.one_thread``.
     """
     _check_explicit(cfg, rule)
     eps, tau, lam = cfg.epsilon, cfg.tau, cfg.lam
@@ -174,7 +174,7 @@ def explicit_matrix(cfg: GridConfig, rule: QuadratureRule) -> ExplicitStepMatrix
         blocks = (c[:, None, None] * np.eye(Nx)
                   + (lam / eps) * v_plus[:, None, None] * np.eye(Nx, k=-1)
                   - (lam / eps) * v_minus[:, None, None] * np.eye(Nx, k=1))
-        with one_thread(Nx):
+        with one_thread():
             top = np.linalg.svd(blocks, compute_uv=False).max()
         if top > 1.0 - alpha + 1e-10:
             raise RuntimeError(

@@ -71,7 +71,7 @@ def _parabolic_violation(epsilon, tau, h) -> str | None:
 
 
 def _upwind_violation(epsilon, tau, h) -> str | None:
-    limit = h * epsilon**2 / (epsilon + h)
+    limit = cfl_limit(EXPLICIT, epsilon, h)
     if tau > limit:
         return (f"upwind step restriction violated: tau = {tau:.6g} "
                 f"> h*eps^2/(eps+h) = {limit:.6g}")
@@ -127,7 +127,8 @@ class GridConfig:
     relaxation scheme, tau <= h*eps^2/(eps+h) for the explicit one, and
     0 <= phi <= 1/eps^2) are enforced at construction unless
     ``allow_unstable`` is set.  An epsilon whose square overflows or
-    underflows to 0 raises ValueError naming it, whatever that flag.
+    underflows to 0, or whose 1/eps^2 overflows, raises ValueError
+    naming it, whatever that flag.
     """
 
     epsilon: float
@@ -158,6 +159,8 @@ class GridConfig:
             raise ValueError(f"epsilon**2 overflows at epsilon = {self.epsilon}") from None
         if square == 0.0:
             raise ValueError(f"epsilon**2 underflows to 0 at epsilon = {self.epsilon}")
+        if math.isinf(1.0 / square):
+            raise ValueError(f"1/epsilon**2 overflows at epsilon = {self.epsilon}")
         for name in ("phi", "x_left", "bc_left", "bc_right"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import svd, svdvals
 
-from ._blas import ITERATIVE_ONE_THREAD_MAX_ORDER, numpy_pool, one_thread
+from ._blas import iterative_one_thread, one_thread
 from .assembly import BlockSystem, FourierSymbols, assemble_fourier_matrix, frequency_matrix
 from .model import GridConfig
 from .quadrature import QuadratureRule
@@ -197,12 +197,10 @@ def _lanczos_extremes(system: BlockSystem) -> tuple[float, float, float, int, in
     cluster, so ARPACK, at the same tolerance, needs fewer of its dearer
     Lanczos steps to confirm it.  The sigma_max count is the filter's
     applications plus ARPACK's.  The sigma_min run starts from the
-    all-ones vector.  The whole path runs with numpy's OpenBLAS at one
-    thread, and every other one at one thread up to order
-    ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (``_blas.one_thread``).
+    all-ones vector.  The whole path runs inside
+    ``_blas.iterative_one_thread``.
     """
-    with (one_thread(system.order, math.inf, numpy_pool()),
-          one_thread(system.order, ITERATIVE_ONE_THREAD_MAX_ORDER)):
+    with iterative_one_thread(system.order):
         u, mv_symbol = _symbol_top_vector(system.M)
         t = np.arange(system.levels)
         wave = (-1.0) ** t * np.sin(np.pi * (t + 1) / (system.levels + 1))
@@ -228,18 +226,16 @@ def singular_extremes(system: BlockSystem) -> SpectrumReport:
 
     Systems of order up to ``DENSE_CAP`` (192, the measured cost
     crossover of the two paths) are decomposed densely, by ``svdvals``
-    of the system's ``L`` at one OpenBLAS thread (``_blas.one_thread``).
+    of the system's ``L`` inside ``_blas.one_thread``.
     Above the cap, ARPACK Lanczos on L^H L gives sigma_max, started from
     the symbol's top mode, Chebyshev-filtered above order ``FILTER_CAP``
     (2,816), and on (L^H L)^{-1} = L^{-1} L^{-H} gives sigma_min
     (``_lanczos_extremes``): L, L^H, L^{-1} and L^{-H} are
     applied from the one-step block M, so this path builds no ``L`` and
-    factors nothing, and it runs numpy's OpenBLAS at one thread and
-    every other one at one thread up to order
-    ``ITERATIVE_ONE_THREAD_MAX_ORDER`` (40,000).  The sparsity comes
-    from M on both paths.  An argument that is not a ``BlockSystem``
-    raises TypeError, a system of order 0 ValueError, and an ARPACK
-    convergence failure or a filtered start that is not finite
+    factors nothing, and it runs inside ``_blas.iterative_one_thread``.
+    The sparsity comes from M on both paths.  An argument that is not a
+    ``BlockSystem`` raises TypeError, a system of order 0 ValueError, and
+    an ARPACK convergence failure or a filtered start that is not finite
     RuntimeError.
     """
     if not isinstance(system, BlockSystem):
@@ -251,7 +247,7 @@ def singular_extremes(system: BlockSystem) -> SpectrumReport:
 
     if order <= DENSE_CAP:
         method = "dense"
-        with one_thread(order):
+        with one_thread():
             values = svdvals(system.L.toarray())
         sigma_min, sigma_max = float(values[-1]), float(values[0])
         residual = 0.0
@@ -480,9 +476,8 @@ def perturbation_check(
     SVD releases the GIL, so at most two chunks are held at once, where
     a stack of every xi would grow by a whole matrix per xi and the
     stacked blocks and symbols grow by a few 2N x 2N blocks.  Every SVD
-    runs at one OpenBLAS thread at every order (``_blas.one_thread``):
-    the sweep is parallel across frequencies, not inside BLAS, so its
-    bits do not depend on the thread count the process starts with.
+    runs inside ``_blas.one_thread``, entered once before the helper
+    thread starts.
     """
     xi_values = np.asarray(xi_values, dtype=float)
     if xi_values.ndim != 1:
@@ -497,7 +492,7 @@ def perturbation_check(
             f"weyl_tolerance must be finite and nonnegative, got {weyl_tolerance}")
 
     # parallel across frequencies, not inside BLAS: one thread each
-    with one_thread(2 * cfg.N * cfg.N_t, math.inf):
+    with one_thread():
         symbols, X_eps, e_norms, reduced = _stacked_blocks(cfg, rule, xi_values)
         smax_e, smin_e = _frequency_extremes(X_eps, cfg.N_t)
         smax_0, smin_0 = _frequency_extremes(reduced, cfg.N_t)

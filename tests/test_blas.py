@@ -9,6 +9,7 @@ from transportlab import (
     _blas,
     assemble_ap_system,
     explicit_matrix,
+    explicit_scheme,
     gauss_rule,
     initial_parity_field,
     perturbation_check,
@@ -17,7 +18,7 @@ from transportlab import (
     singular_extremes,
     spectral,
 )
-from transportlab._blas import ITERATIVE_ONE_THREAD_MAX_ORDER, ONE_THREAD_MAX_ORDER, one_thread
+from transportlab._blas import ITERATIVE_ONE_THREAD_MAX_ORDER, one_thread
 
 
 class FakeOpenBLAS:
@@ -41,7 +42,7 @@ def fakes(monkeypatch):
 
 
 def test_one_thread_inside_and_previous_counts_after(fakes):
-    with one_thread(ONE_THREAD_MAX_ORDER):
+    with one_thread():
         assert _blas.thread_counts() == {"two": 1, "four": 1, "one": 1}
     assert _blas.thread_counts() == {"two": 2, "four": 4, "one": 1}
     # a library already at one thread is never set
@@ -50,16 +51,10 @@ def test_one_thread_inside_and_previous_counts_after(fakes):
 
 def test_previous_counts_restored_when_the_body_raises(fakes):
     with pytest.raises(ZeroDivisionError):
-        with one_thread(3):
+        with one_thread():
             assert _blas.thread_counts() == {"two": 1, "four": 1, "one": 1}
             1 / 0
     assert _blas.thread_counts() == {"two": 2, "four": 4, "one": 1}
-
-
-def test_orders_above_the_cap_keep_the_counts(fakes):
-    with one_thread(ONE_THREAD_MAX_ORDER + 1):
-        assert _blas.thread_counts() == {"two": 2, "four": 4, "one": 1}
-    assert [lib.sets for lib in fakes] == [[], [], []]
 
 
 def test_loaded_libraries_restored_to_their_own_counts():
@@ -71,7 +66,7 @@ def test_loaded_libraries_restored_to_their_own_counts():
         libs[0].set(2)
         expected = _blas.thread_counts()
         with pytest.raises(RuntimeError):
-            with one_thread(64):
+            with one_thread():
                 assert set(_blas.thread_counts().values()) == {1}
                 raise RuntimeError
         assert _blas.thread_counts() == expected
@@ -104,11 +99,10 @@ def test_values_bit_identical_when_no_library_is_found(monkeypatch):
 
 
 def test_dense_spectrum_same_bits_with_and_without_the_pin(monkeypatch):
-    # order 2 * N * N_x * N_t = 192 <= ONE_THREAD_MAX_ORDER
+    # order 2 * N * N_x * N_t = 192: the dense path
     cfg = GridConfig(epsilon=0.3, tau=0.004, h=0.1, N=4, N_x=6, N_t=4)
     rule = gauss_rule(4, 0.0, 1.0)
     system = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule))
-    assert system.order <= ONE_THREAD_MAX_ORDER
     counts_seen = []
     svdvals = spectral.svdvals
 
@@ -139,6 +133,31 @@ def test_explicit_norm_check_runs_at_one_thread(monkeypatch):
     explicit_matrix(cfg, gauss_rule(6, -1.0, 1.0))
     assert len(counts_seen) == 1
     assert set(counts_seen[0].values()) <= {1}
+
+
+def test_explicit_norm_check_at_its_cap_runs_at_one_thread_with_the_same_bits(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, **kwargs):
+        values = svd(a, **kwargs)
+        calls.append((_blas.thread_counts(), values))
+        return values
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    # 2 * N * N_x = 600, the largest order the check runs at: six
+    # 100 x 100 blocks
+    cfg = resolve_config({"scheme": "explicit", "epsilon": 0.4, "tau": "auto",
+                          "h": 0.01, "N": 3, "Nx": 100, "Nt": 4})
+    assert 2 * cfg.N * cfg.N_x == explicit_scheme._NORM_CHECK_CAP
+    rule = gauss_rule(6, -1.0, 1.0)
+    explicit_matrix(cfg, rule)
+    monkeypatch.setattr(_blas, "_libraries", lambda: ())
+    explicit_matrix(cfg, rule)
+    (pinned_counts, pinned), (_, unpinned) = calls
+    assert set(pinned_counts.values()) <= {1}
+    assert pinned.shape == (6, 100)
+    assert pinned.tobytes() == unpinned.tobytes()
 
 
 def test_perturbation_sweep_runs_at_one_thread(monkeypatch):
@@ -197,12 +216,12 @@ def test_system_spectrum_keeps_the_counts_just_above_the_crossover(fakes, monkey
     for lib in fakes:
         lib.sets.clear()  # the assembler's block-norm check pins too
     counts_seen = _spy_arpack(monkeypatch)
-    monkeypatch.setattr(spectral, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order)
+    monkeypatch.setattr(_blas, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order)
     pinned = singular_extremes(system)
     assert counts_seen == [{"two": 1, "four": 1, "one": 1}] * 3
     assert _blas.thread_counts() == {"two": 2, "four": 4, "one": 1}
     counts_seen.clear()
-    monkeypatch.setattr(spectral, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order - 1)
+    monkeypatch.setattr(_blas, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order - 1)
     unpinned = singular_extremes(system)
     assert counts_seen == [{"two": 2, "four": 4, "one": 1}] * 3
     assert [lib.sets for lib in fakes] == [[1, 2], [1, 4], []]
@@ -215,26 +234,26 @@ def test_numpy_pool_runs_at_one_thread_above_the_crossover(monkeypatch):
     monkeypatch.setattr(_blas, "_libraries", lambda: tuple(lib.handle() for lib in libs))
     system = _system_above_the_symbol_cap()
     counts_seen = _spy_arpack(monkeypatch)
-    monkeypatch.setattr(spectral, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order - 1)
+    monkeypatch.setattr(_blas, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order - 1)
     singular_extremes(system)
     symbol, sigma_max, sigma_min = counts_seen
     assert sigma_max == symbol == sigma_min == {"numpy": 1, "scipy": 2}
     assert _blas.thread_counts() == {"numpy": 2, "scipy": 2}
     counts_seen.clear()
-    monkeypatch.setattr(spectral, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order)
+    monkeypatch.setattr(_blas, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order)
     singular_extremes(system)
     assert counts_seen == [{"numpy": 1, "scipy": 1}] * 3
     assert _blas.thread_counts() == {"numpy": 2, "scipy": 2}
 
 
 def test_loaded_numpy_pool_runs_at_one_thread_above_the_crossover(monkeypatch):
-    numpy_names = {lib.name for lib in _blas.numpy_pool()}
+    numpy_names = {lib.name for lib in _blas._libraries() if lib.numpy}
     if not numpy_names:
         pytest.skip("numpy ships no OpenBLAS of its own in this process")
     system = _system_above_the_symbol_cap()
     before = _blas.thread_counts()
     counts_seen = _spy_arpack(monkeypatch)
-    monkeypatch.setattr(spectral, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order - 1)
+    monkeypatch.setattr(_blas, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order - 1)
     singular_extremes(system)
     expected = {name: 1 if name in numpy_names else count for name, count in before.items()}
     assert counts_seen == [expected] * 3

@@ -453,7 +453,8 @@ def test_sweep_rows_of_no_time_level_name_N_t(ap_config, tmp_path):
 @pytest.mark.parametrize("epsilon, message", [
     ("1e-200", "epsilon**2 underflows to 0 at epsilon = 1e-200"),
     ("1e200", "epsilon**2 overflows at epsilon = 1e+200"),
-], ids=["underflow", "overflow"])
+    ("1e-160", "1/epsilon**2 overflows at epsilon = 1e-160"),
+], ids=["underflow", "overflow", "reciprocal-overflow"])
 @pytest.mark.parametrize("subcommand, args", [
     ("solve", ()), ("assemble", ()), ("spectrum", ()), ("fourier", ()),
     ("sweep", ("--epsilons", "1e-2")),
@@ -472,11 +473,12 @@ def test_sweep_rows_name_an_epsilon_whose_square_leaves_the_float_range(
         ap_config, tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(ap_config), "--output-dir", str(out),
-                 "--epsilons", "1e-2,1e-200,1e200"]) == 0
+                 "--epsilons", "1e-2,1e-200,1e200,1e-160"]) == 0
     with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
         statuses = [row["status"] for row in csv.DictReader(handle)]
     assert statuses == ["ok", "error: epsilon**2 underflows to 0 at epsilon = 1e-200",
-                        "error: epsilon**2 overflows at epsilon = 1e+200"]
+                        "error: epsilon**2 overflows at epsilon = 1e+200",
+                        "error: 1/epsilon**2 overflows at epsilon = 1e-160"]
 
 
 @pytest.mark.parametrize("raw", [AP_RAW, EXPLICIT_RAW], ids=["ap", "explicit"])
@@ -957,9 +959,9 @@ def test_iterative_spectrum_is_the_same_at_either_thread_count(raw, tmp_path):
 
 
 def test_fourier_above_order_512_is_the_same_at_either_thread_count(tmp_path):
-    # 2 N N_t = 514, the least order above ONE_THREAD_MAX_ORDER, where a
-    # 2-thread OpenBLAS gives L~_eps other bits than a 1-thread one; the
-    # per-frequency SVDs run at one thread at every order
+    # 2 N N_t = 514, just above order 512, up to which a 2-thread OpenBLAS
+    # gives L~_eps the same bits as a 1-thread one; the per-frequency SVDs
+    # run at one thread at every order
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "scheme": "ap", "epsilon": 0.01, "tau": 0.01, "h": 0.11,

@@ -237,6 +237,16 @@ def test_cfl_driven_rows_name_what_leaves_the_float_range():
     assert rows_to_csv(rows).splitlines()[2].startswith("explicit,1e-310,1.0,,,3,,,0.1,")
 
 
+def test_an_epsilon_whose_reciprocal_square_overflows_fails_its_row():
+    # 1e-160 squares to a subnormal whose reciprocal is inf
+    fixed = sweep_epsilon(ap_base(), [1e-160], mode="fixed_grid", measure_spectrum=False)[0]
+    assert fixed.status == "error: 1/epsilon**2 overflows at epsilon = 1e-160"
+    # cfl_driven derives tau = h*eps^2/(eps+h) first, and it underflows to 0
+    cfl = sweep_epsilon(explicit_base(), [1e-160], mode="cfl_driven",
+                        measure_spectrum=False)[0]
+    assert cfl.status == "error: tau = 0.0 is not positive at epsilon = 1e-160"
+
+
 def test_cfl_driven_row_names_an_overflowing_step_count():
     # tau ~ 8e-102 is positive, but final_time / tau is inf
     row = sweep_epsilon(explicit_base(), [1e-50], mode="cfl_driven", final_time=1e300,

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -87,7 +88,10 @@ def test_invalid_arguments_raise(field, value):
     (1e-200, r"^epsilon\*\*2 underflows to 0 at epsilon = 1e-200$"),
     (5e-324, r"^epsilon\*\*2 underflows to 0 at epsilon = 5e-324$"),
     (1e200, r"^epsilon\*\*2 overflows at epsilon = 1e\+200$"),
-], ids=["underflow", "least-subnormal", "overflow"])
+    (1e-160, r"^1/epsilon\*\*2 overflows at epsilon = 1e-160$"),
+    (7.4e-155, r"^1/epsilon\*\*2 overflows at epsilon = 7.4e-155$"),
+], ids=["underflow", "least-subnormal", "overflow", "reciprocal-overflow",
+        "reciprocal-overflow-at-the-edge"])
 @pytest.mark.parametrize("allow_unstable", [False, True])
 def test_an_epsilon_whose_square_leaves_the_float_range_is_named(
         epsilon, message, allow_unstable):
@@ -96,8 +100,9 @@ def test_an_epsilon_whose_square_leaves_the_float_range_is_named(
 
 
 def test_an_epsilon_with_a_subnormal_square_constructs():
-    # 1e-160 squares to a subnormal, not to 0
-    assert ap_cfg(epsilon=1e-160, allow_unstable=True).epsilon == 1e-160
+    # 7.5e-155 squares to a subnormal whose reciprocal is still finite
+    assert 0.0 < 7.5e-155**2 < sys.float_info.min
+    assert ap_cfg(epsilon=7.5e-155, allow_unstable=True).epsilon == 7.5e-155
 
 
 def test_cfl_limit_values():
