@@ -4,14 +4,15 @@ A pool is the thread pool of one loaded OpenBLAS library; numpy's wheel
 ships one and scipy's another.  ``one_thread`` runs its body with the
 given pools, by default every loaded one, at one thread.  The rule:
 
-- Every dense SVD outside the iterative spectrum pins every pool.  On
-  2-core OpenBLAS one ``scipy.linalg.svdvals`` of a block-bidiagonal
-  ``I + X kron P`` takes 0.44 of its 2-thread time at one thread at
-  order 128, 0.79 at order 256 and 0.95 at order 512, with the same
-  bits, and 1.34 at order 1024, with other bits.  The only such SVDs
-  above order 512 are the per-frequency ones, split between two Python
-  threads across the frequencies instead; so no bits of theirs depend
-  on the thread count the process starts with.
+- Every dense SVD outside the iterative spectrum, the dense spectrum's
+  and ``perturbation_check``'s, pins every pool; the upwind transport
+  check takes none.  On 2-core OpenBLAS one ``scipy.linalg.svdvals`` of
+  a block-bidiagonal ``I + X kron P`` takes 0.44 of its 2-thread time at
+  one thread at order 128, 0.79 at order 256 and 0.95 at order 512,
+  with the same bits, and 1.34 at order 1024, with other bits.  The
+  only such SVDs above order 512 are the per-frequency ones, split
+  between two Python threads across the frequencies instead; so no bits
+  of theirs depend on the thread count the process starts with.
 - The iterative spectrum (``iterative_one_thread``) pins numpy's pool,
   which does the products with a dense one-step block, at every order:
   on 2 vCPUs a fixed-h upwind row of order 67,564 (m = 76, N_t = 889)

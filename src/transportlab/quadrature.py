@@ -8,6 +8,7 @@ with a symmetric 2N-point rule.  Both come out of :func:`gauss_rule`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,9 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _legendre(n: int, x: float) -> tuple[float, float]:
     """Evaluate P_n and its derivative at x via the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
+    p_prev, p = 1.0, x
     for k in range(2, n + 1):
         p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
     dp = n * (x * p - p_prev) / (x * x - 1.0)
@@ -65,23 +65,26 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gauss_rule(n_points: int, a: float, b: float) -> QuadratureRule:
     """Build the n-point Gauss-Legendre rule on ``[a, b]``.
 
-    Roots of the Legendre polynomial are found by Newton iteration
-    seeded with the Chebyshev-angle estimates; only half the roots are
-    computed and the rest mirrored, so rules on symmetric intervals are
-    exactly symmetric (v_{-k} = -v_k, w_{-k} = w_k).
+    Roots of the Legendre polynomial are found one at a time by Newton
+    iteration on Python floats, seeded with the Chebyshev-angle
+    estimates; only half the roots are computed and the rest mirrored,
+    so rules on symmetric intervals are exactly symmetric
+    (v_{-k} = -v_k, w_{-k} = w_k).
 
     Parameters
     ----------
     n_points : int
-        Number of nodes, at least 1.
+        Number of nodes, at least 1; a bool is not a count.
     a, b : float
         Interval endpoints, a < b.
 
     Raises
     ------
     ValueError
-        If ``n_points < 1`` or ``a >= b``.
+        If ``n_points`` is not an integer or is below 1, or ``a >= b``.
     """
+    if not isinstance(n_points, numbers.Integral) or isinstance(n_points, bool):
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -102,8 +105,8 @@ def gauss_rule(n_points: int, a: float, b: float) -> QuadratureRule:
             z = math.cos(math.pi * (i + 0.75) / (n + 0.5))
             converged = False
             for _ in range(_NEWTON_MAX_ITER):
-                p, dp = _legendre(n, np.array([z]))
-                dz = p[0] / dp[0]
+                p, dp = _legendre(n, z)
+                dz = p / dp
                 z -= dz
                 if abs(dz) <= _NEWTON_TOL:
                     converged = True
@@ -112,8 +115,8 @@ def gauss_rule(n_points: int, a: float, b: float) -> QuadratureRule:
                 raise RuntimeError(
                     f"Legendre root {i} failed to converge for n={n}"
                 )
-            _, dp = _legendre(n, np.array([z]))
-            w = 2.0 / ((1.0 - z * z) * dp[0] ** 2)
+            _, dp = _legendre(n, z)
+            w = 2.0 / ((1.0 - z * z) * dp ** 2)
             # z runs from the largest positive root downwards; mirror it
             ref_nodes[i] = -z
             ref_nodes[n - 1 - i] = z

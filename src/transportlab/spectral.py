@@ -543,12 +543,16 @@ class RegressionResult:
 def scaling_regression(points) -> RegressionResult:
     """Fit value ~ C * size^slope from (size, value) pairs.
 
-    Requires at least four points whose sizes span a factor of four, so
-    a slope is actually identifiable.
+    Requires at least four points, each with a finite size and value,
+    whose sizes span a factor of four, so a slope is actually
+    identifiable.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 4:
         raise ValueError(f"need at least 4 points, got {len(pts)}")
+    for x, y in pts:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"sizes and values must be finite, got the point ({x!r}, {y!r})")
     sizes = np.array([p[0] for p in pts])
     values = np.array([p[1] for p in pts])
     if np.any(sizes <= 0) or np.any(values <= 0):

@@ -9,7 +9,6 @@ from transportlab import (
     _blas,
     assemble_ap_system,
     explicit_matrix,
-    explicit_scheme,
     gauss_rule,
     initial_parity_field,
     perturbation_check,
@@ -119,45 +118,22 @@ def test_dense_spectrum_same_bits_with_and_without_the_pin(monkeypatch):
     assert pinned == unpinned
 
 
-def test_explicit_norm_check_runs_at_one_thread(monkeypatch):
-    counts_seen = []
+@pytest.mark.parametrize("N_x", [6, 200])
+def test_explicit_matrix_runs_no_svd_and_sets_no_thread_count(fakes, monkeypatch, N_x):
+    svd_calls = []
     svd = np.linalg.svd
 
     def spy(a, **kwargs):
-        counts_seen.append(_blas.thread_counts())
+        svd_calls.append(a.shape)
         return svd(a, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
+    # order 2 * N * N_x = 36 and 1200
     cfg = resolve_config({"scheme": "explicit", "epsilon": 0.4, "tau": "auto",
-                          "h": 0.1, "N": 3, "Nx": 6, "Nt": 4})
+                          "h": 0.1, "N": 3, "Nx": N_x, "Nt": 4})
     explicit_matrix(cfg, gauss_rule(6, -1.0, 1.0))
-    assert len(counts_seen) == 1
-    assert set(counts_seen[0].values()) <= {1}
-
-
-def test_explicit_norm_check_at_its_cap_runs_at_one_thread_with_the_same_bits(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def spy(a, **kwargs):
-        values = svd(a, **kwargs)
-        calls.append((_blas.thread_counts(), values))
-        return values
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    # 2 * N * N_x = 600, the largest order the check runs at: six
-    # 100 x 100 blocks
-    cfg = resolve_config({"scheme": "explicit", "epsilon": 0.4, "tau": "auto",
-                          "h": 0.01, "N": 3, "Nx": 100, "Nt": 4})
-    assert 2 * cfg.N * cfg.N_x == explicit_scheme._NORM_CHECK_CAP
-    rule = gauss_rule(6, -1.0, 1.0)
-    explicit_matrix(cfg, rule)
-    monkeypatch.setattr(_blas, "_libraries", lambda: ())
-    explicit_matrix(cfg, rule)
-    (pinned_counts, pinned), (_, unpinned) = calls
-    assert set(pinned_counts.values()) <= {1}
-    assert pinned.shape == (6, 100)
-    assert pinned.tobytes() == unpinned.tobytes()
+    assert svd_calls == []
+    assert [lib.sets for lib in fakes] == [[], [], []]
 
 
 def test_perturbation_sweep_runs_at_one_thread(monkeypatch):
@@ -213,8 +189,6 @@ def test_system_spectrum_runs_arpack_at_one_thread(monkeypatch):
 
 def test_system_spectrum_keeps_the_counts_just_above_the_crossover(fakes, monkeypatch):
     system = _system_above_the_symbol_cap()
-    for lib in fakes:
-        lib.sets.clear()  # the assembler's block-norm check pins too
     counts_seen = _spy_arpack(monkeypatch)
     monkeypatch.setattr(_blas, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order)
     pinned = singular_extremes(system)

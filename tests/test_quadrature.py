@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,10 +65,32 @@ def test_deterministic_output():
     assert r1.weights.tobytes() == r2.weights.tobytes()
 
 
-@pytest.mark.parametrize("bad", [0, -3])
+@pytest.mark.parametrize("bad", [0, -3, 3.5, True, "3"])
 def test_rejects_nonpositive_point_count(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_points"):
         gauss_rule(bad, 0.0, 1.0)
+
+
+def test_numpy_integer_point_count_gives_the_same_rule():
+    assert gauss_rule(np.int64(5), 0.0, 1.0) == gauss_rule(5, 0.0, 1.0)
+
+
+# sha256 of each rule's nodes then weights, in the order of POINT_COUNTS,
+# recorded from the Newton iteration on one-element numpy arrays
+POINT_COUNTS = (1, 2, 7, 32, 64, 200)
+
+
+@pytest.mark.parametrize("interval, digest", [
+    ((0.0, 1.0), "9b3085baf6b47dd80862986b4a2f420bf918cdf8ab3523d34baef49d7351d02a"),
+    ((-1.0, 1.0), "4ce6a9af7839465f66ae9e2477eabd8ff5c8647a4c0377aae54bc91998f49caa"),
+])
+def test_rules_keep_their_recorded_bits(interval, digest):
+    sha = hashlib.sha256()
+    for n in POINT_COUNTS:
+        rule = gauss_rule(n, *interval)
+        sha.update(rule.nodes.tobytes())
+        sha.update(rule.weights.tobytes())
+    assert sha.hexdigest() == digest
 
 
 def test_rejects_empty_interval():

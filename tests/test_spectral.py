@@ -762,6 +762,15 @@ def test_regression_requires_enough_spread():
         scaling_regression([(10, 1.0), (12, 1.1), (14, 1.2), (16, 1.3)])
 
 
+@pytest.mark.parametrize("point", [(8, float("nan")), (8, float("inf")),
+                                   (float("inf"), 8.0), (float("nan"), 8.0)])
+def test_regression_rejects_a_point_that_is_not_finite(point):
+    points = [(1, 1.0), (2, 2.0), (4, 4.0), point]
+    with pytest.raises(ValueError, match="finite") as info:
+        scaling_regression(points)
+    assert repr((float(point[0]), float(point[1]))) in str(info.value)
+
+
 def test_regression_reports_uncertainty():
     rng = np.random.default_rng(0)
     sizes = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
