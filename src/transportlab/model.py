@@ -61,8 +61,19 @@ class UnsupportedConfigurationError(Exception):
     """Configuration is valid but outside what the solvers implement."""
 
 
+def _h_squared(h: float) -> float:
+    """h**2, or a ValueError naming h where it overflows or underflows to 0."""
+    try:
+        square = h**2
+    except OverflowError:
+        raise ValueError(f"h**2 overflows at h = {h}") from None
+    if square == 0.0:
+        raise ValueError(f"h**2 underflows to 0 at h = {h}")
+    return square
+
+
 def _parabolic_violation(epsilon, tau, h) -> str | None:
-    lhs = tau / h**2
+    lhs = tau / _h_squared(h)
     rhs = 1.0 / (1.0 + h)
     if lhs > rhs:
         return (f"parabolic step restriction violated: tau/h^2 = {lhs:.6g} "
@@ -95,7 +106,7 @@ class SchemeGrid:
 
 
 SCHEME_GRIDS = {
-    AP: SchemeGrid(1, (0.0, 1.0), lambda epsilon, h: h**2 / (1.0 + h),
+    AP: SchemeGrid(1, (0.0, 1.0), lambda epsilon, h: _h_squared(h) / (1.0 + h),
                    _parabolic_violation),
     EXPLICIT: SchemeGrid(2, (-1.0, 1.0), lambda epsilon, h: h * epsilon**2 / (epsilon + h),
                          _upwind_violation),
@@ -128,7 +139,9 @@ class GridConfig:
     0 <= phi <= 1/eps^2) are enforced at construction unless
     ``allow_unstable`` is set.  An epsilon whose square overflows or
     underflows to 0, or whose 1/eps^2 overflows, raises ValueError
-    naming it, whatever that flag.
+    naming it, whatever that flag; so does an h whose square overflows
+    or underflows to 0 in the relaxation scheme's restriction, where it
+    is checked.
     """
 
     epsilon: float
@@ -202,7 +215,9 @@ class GridConfig:
 
 
 def cfl_limit(scheme: str, epsilon: float, h: float) -> float:
-    """Largest stable time step for the given scheme and mesh."""
+    """Largest stable time step for the given scheme and mesh.  An h
+    whose square overflows or underflows to 0 in the relaxation scheme's
+    limit raises ValueError naming it."""
     if scheme not in SCHEME_GRIDS:
         raise ValueError(f"unknown scheme {scheme!r}")
     return SCHEME_GRIDS[scheme].cfl_limit(epsilon, h)

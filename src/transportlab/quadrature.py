@@ -76,21 +76,31 @@ def gauss_rule(n_points: int, a: float, b: float) -> QuadratureRule:
     n_points : int
         Number of nodes, at least 1; a bool is not a count.
     a, b : float
-        Interval endpoints, a < b.
+        Interval endpoints, real and finite, a < b; a bool is not an
+        endpoint.
 
     Raises
     ------
     ValueError
-        If ``n_points`` is not an integer or is below 1, or ``a >= b``.
+        If ``n_points`` is not an integer or is below 1, an endpoint is
+        not a finite real number, ``a >= b``, or the length ``b - a`` or
+        the sum ``a + b`` overflows.
     """
     if not isinstance(n_points, numbers.Integral) or isinstance(n_points, bool):
         raise ValueError(f"n_points must be an integer, got {n_points!r}")
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
+    for name, value in (("a", a), ("b", b)):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"endpoint {name} must be a real number, got {value!r}")
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError(f"interval endpoints must be finite, got ({a}, {b})")
     if a >= b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
+    # the midpoint and half-length below; Python floats give inf, not a warning
+    if not (math.isfinite(float(b) - float(a)) and math.isfinite(float(a) + float(b))):
+        raise ValueError(f"the interval [{a}, {b}] leaves the float range: "
+                         f"its length or midpoint overflows")
 
     n = int(n_points)
     ref_nodes = np.empty(n)

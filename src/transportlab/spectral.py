@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import svd, svdvals
 
-from ._blas import iterative_one_thread, one_thread
+from ._blas import one_thread
 from .assembly import BlockSystem, FourierSymbols, assemble_fourier_matrix, frequency_matrix
 from .model import GridConfig
 from .quadrature import QuadratureRule
@@ -197,25 +197,24 @@ def _lanczos_extremes(system: BlockSystem) -> tuple[float, float, float, int, in
     cluster, so ARPACK, at the same tolerance, needs fewer of its dearer
     Lanczos steps to confirm it.  The sigma_max count is the filter's
     applications plus ARPACK's.  The sigma_min run starts from the
-    all-ones vector.  The whole path runs inside
-    ``_blas.iterative_one_thread``.
+    all-ones vector.  ``singular_extremes`` runs the whole path inside
+    ``_blas.one_thread``.
     """
-    with iterative_one_thread(system.order):
-        u, mv_symbol = _symbol_top_vector(system.M)
-        t = np.arange(system.levels)
-        wave = (-1.0) ** t * np.sin(np.pi * (t + 1) / (system.levels + 1))
+    u, mv_symbol = _symbol_top_vector(system.M)
+    t = np.arange(system.levels)
+    wave = (-1.0) ** t * np.sin(np.pi * (t + 1) / (system.levels + 1))
 
-        def gram(x):
-            return system.apply_h(system.apply(x))
+    def gram(x):
+        return system.apply_h(system.apply(x))
 
-        start, mv_filter = np.kron(wave, u), 0
-        if system.order > FILTER_CAP:
-            mv_filter = math.ceil(FILTER_DEGREE_PER_LEVEL * system.levels)
-            start = _chebyshev_filtered(gram, start, mv_filter)
-        lam, res_max, mv_max = _top_eigenvalue(gram, start)
-        mu, res_min, mv_min = _top_eigenvalue(
-            lambda x: system.solve(system.solve_h(x)),
-            np.ones(system.order, system.dtype))
+    start, mv_filter = np.kron(wave, u), 0
+    if system.order > FILTER_CAP:
+        mv_filter = math.ceil(FILTER_DEGREE_PER_LEVEL * system.levels)
+        start = _chebyshev_filtered(gram, start, mv_filter)
+    lam, res_max, mv_max = _top_eigenvalue(gram, start)
+    mu, res_min, mv_min = _top_eigenvalue(
+        lambda x: system.solve(system.solve_h(x)),
+        np.ones(system.order, system.dtype))
     return (1.0 / math.sqrt(mu), math.sqrt(lam), max(res_max, res_min),
             mv_filter + mv_max, mv_min, mv_symbol)
 
@@ -226,14 +225,14 @@ def singular_extremes(system: BlockSystem) -> SpectrumReport:
 
     Systems of order up to ``DENSE_CAP`` (192, the measured cost
     crossover of the two paths) are decomposed densely, by ``svdvals``
-    of the system's ``L`` inside ``_blas.one_thread``.
-    Above the cap, ARPACK Lanczos on L^H L gives sigma_max, started from
+    of the system's ``L``.  Above the cap, ARPACK Lanczos on L^H L gives sigma_max, started from
     the symbol's top mode, Chebyshev-filtered above order ``FILTER_CAP``
     (2,816), and on (L^H L)^{-1} = L^{-1} L^{-H} gives sigma_min
     (``_lanczos_extremes``): L, L^H, L^{-1} and L^{-H} are
     applied from the one-step block M, so this path builds no ``L`` and
-    factors nothing, and it runs inside ``_blas.iterative_one_thread``.
-    The sparsity comes from M on both paths.  An argument that is not a
+    factors nothing.  Both paths run inside ``_blas.one_thread``, every
+    loaded OpenBLAS at one thread, so no bit depends on the thread
+    count.  The sparsity comes from M on both paths.  An argument that is not a
     ``BlockSystem`` raises TypeError, a system of order 0 ValueError, and
     an ARPACK convergence failure or a filtered start that is not finite
     RuntimeError.
@@ -245,16 +244,16 @@ def singular_extremes(system: BlockSystem) -> SpectrumReport:
     if order == 0:
         raise ValueError("system must be nonempty")
 
-    if order <= DENSE_CAP:
-        method = "dense"
-        with one_thread():
+    with one_thread():
+        if order <= DENSE_CAP:
+            method = "dense"
             values = svdvals(system.L.toarray())
-        sigma_min, sigma_max = float(values[-1]), float(values[0])
-        residual = 0.0
-        matvecs = (0, 0, 0)
-    else:
-        method = "iterative"
-        sigma_min, sigma_max, residual, *matvecs = _lanczos_extremes(system)
+            sigma_min, sigma_max = float(values[-1]), float(values[0])
+            residual = 0.0
+            matvecs = (0, 0, 0)
+        else:
+            method = "iterative"
+            sigma_min, sigma_max, residual, *matvecs = _lanczos_extremes(system)
 
     # singular to working precision: flag rather than divide
     if sigma_min <= np.finfo(float).eps * order * sigma_max:
@@ -476,8 +475,8 @@ def perturbation_check(
     SVD releases the GIL, so at most two chunks are held at once, where
     a stack of every xi would grow by a whole matrix per xi and the
     stacked blocks and symbols grow by a few 2N x 2N blocks.  Every SVD
-    runs inside ``_blas.one_thread``, entered once before the helper
-    thread starts.
+    runs inside ``_blas.one_thread``, every loaded OpenBLAS at one
+    thread, entered once before the helper thread starts.
     """
     xi_values = np.asarray(xi_values, dtype=float)
     if xi_values.ndim != 1:

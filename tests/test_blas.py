@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,20 +19,20 @@ from transportlab import (
     singular_extremes,
     spectral,
 )
-from transportlab._blas import ITERATIVE_ONE_THREAD_MAX_ORDER, one_thread
+from transportlab._blas import one_thread
 
 
 class FakeOpenBLAS:
     """A library's thread count, with a log of every set."""
 
-    def __init__(self, name, count, numpy=False):
-        self.name, self.count, self.numpy, self.sets = name, count, numpy, []
+    def __init__(self, name, count):
+        self.name, self.count, self.sets = name, count, []
 
     def handle(self):
         def set_(n):
             self.sets.append(n)
             self.count = n
-        return _blas._OpenBLAS(self.name, lambda: self.count, set_, self.numpy)
+        return _blas._OpenBLAS(self.name, lambda: self.count, set_)
 
 
 @pytest.fixture
@@ -179,7 +181,6 @@ def _spy_arpack(monkeypatch):
 
 def test_system_spectrum_runs_arpack_at_one_thread(monkeypatch):
     system = _system_above_the_symbol_cap()
-    assert system.order <= ITERATIVE_ONE_THREAD_MAX_ORDER
     counts_seen = _spy_arpack(monkeypatch)
     report = singular_extremes(system)
     assert report.method == "iterative" and report.matvecs_symbol > 0
@@ -187,48 +188,40 @@ def test_system_spectrum_runs_arpack_at_one_thread(monkeypatch):
     assert all(set(counts.values()) <= {1} for counts in counts_seen)
 
 
-def test_system_spectrum_keeps_the_counts_just_above_the_crossover(fakes, monkeypatch):
-    system = _system_above_the_symbol_cap()
+def test_system_spectrum_pins_every_pool_above_order_40000(fakes, monkeypatch):
+    # order 2 * N * N_x * N_t = 40,392 with a one-step block of m = 792
+    # rows: three ARPACK runs on a long explicit row
+    cfg = resolve_config({"scheme": "explicit", "epsilon": 0.1, "tau": "auto",
+                          "h": 0.01, "N": 4, "Nx": 99, "Nt": 51})
+    system = schemes.scheme_for(cfg).assemble(cfg, False)
+    assert system.order == 40_392
     counts_seen = _spy_arpack(monkeypatch)
-    monkeypatch.setattr(_blas, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order)
-    pinned = singular_extremes(system)
+    report = singular_extremes(system)
+    assert report.method == "iterative" and report.matvecs_symbol > 0
     assert counts_seen == [{"two": 1, "four": 1, "one": 1}] * 3
     assert _blas.thread_counts() == {"two": 2, "four": 4, "one": 1}
-    counts_seen.clear()
-    monkeypatch.setattr(_blas, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order - 1)
-    unpinned = singular_extremes(system)
-    assert counts_seen == [{"two": 2, "four": 4, "one": 1}] * 3
     assert [lib.sets for lib in fakes] == [[1, 2], [1, 4], []]
-    # the fakes set no real library, so both runs took the same path
-    assert pinned == unpinned
 
 
-def test_numpy_pool_runs_at_one_thread_above_the_crossover(monkeypatch):
-    libs = [FakeOpenBLAS("numpy", 2, numpy=True), FakeOpenBLAS("scipy", 2)]
-    monkeypatch.setattr(_blas, "_libraries", lambda: tuple(lib.handle() for lib in libs))
-    system = _system_above_the_symbol_cap()
-    counts_seen = _spy_arpack(monkeypatch)
-    monkeypatch.setattr(_blas, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order - 1)
-    singular_extremes(system)
-    symbol, sigma_max, sigma_min = counts_seen
-    assert sigma_max == symbol == sigma_min == {"numpy": 1, "scipy": 2}
-    assert _blas.thread_counts() == {"numpy": 2, "scipy": 2}
-    counts_seen.clear()
-    monkeypatch.setattr(_blas, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order)
-    singular_extremes(system)
-    assert counts_seen == [{"numpy": 1, "scipy": 1}] * 3
-    assert _blas.thread_counts() == {"numpy": 2, "scipy": 2}
+# the names of ``_blas`` that another module may use: every pin goes
+# through ``one_thread``
+BLAS_NAMES_OUTSIDE = {"one_thread", "thread_counts"}
 
 
-def test_loaded_numpy_pool_runs_at_one_thread_above_the_crossover(monkeypatch):
-    numpy_names = {lib.name for lib in _blas._libraries() if lib.numpy}
-    if not numpy_names:
-        pytest.skip("numpy ships no OpenBLAS of its own in this process")
-    system = _system_above_the_symbol_cap()
-    before = _blas.thread_counts()
-    counts_seen = _spy_arpack(monkeypatch)
-    monkeypatch.setattr(_blas, "ITERATIVE_ONE_THREAD_MAX_ORDER", system.order - 1)
-    singular_extremes(system)
-    expected = {name: 1 if name in numpy_names else count for name, count in before.items()}
-    assert counts_seen == [expected] * 3
-    assert _blas.thread_counts() == before
+def test_only_blas_sets_a_thread_count():
+    package = Path(_blas.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_blas.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        assert "set_num_threads" not in source, path.name
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module is not None \
+                    and node.module.split(".")[-1] == "_blas":
+                names = {alias.name for alias in node.names}
+                assert names <= BLAS_NAMES_OUTSIDE, (path.name, names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "_blas":
+                assert node.attr in BLAS_NAMES_OUTSIDE, (path.name, node.attr)
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            assert name != "_libraries", path.name

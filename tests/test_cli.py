@@ -27,7 +27,6 @@ from transportlab import (
     resolve_config,
 )
 from transportlab import assembly, cli, complexity, spectral
-from transportlab._blas import ITERATIVE_ONE_THREAD_MAX_ORDER
 from transportlab.cli import emit_report, main
 from transportlab.complexity import ComplexityRow, sweep_epsilon
 from transportlab.schemes import Scheme, scheme_for, trajectory_csv
@@ -450,20 +449,23 @@ def test_sweep_rows_of_no_time_level_name_N_t(ap_config, tmp_path):
     assert json.loads((out / "manifest.json").read_text())["exit_status"] == 0
 
 
-@pytest.mark.parametrize("epsilon, message", [
-    ("1e-200", "epsilon**2 underflows to 0 at epsilon = 1e-200"),
-    ("1e200", "epsilon**2 overflows at epsilon = 1e+200"),
-    ("1e-160", "1/epsilon**2 overflows at epsilon = 1e-160"),
-], ids=["underflow", "overflow", "reciprocal-overflow"])
+@pytest.mark.parametrize("override, message", [
+    (("--epsilon", "1e-200"), "epsilon**2 underflows to 0 at epsilon = 1e-200"),
+    (("--epsilon", "1e200"), "epsilon**2 overflows at epsilon = 1e+200"),
+    (("--epsilon", "1e-160"), "1/epsilon**2 overflows at epsilon = 1e-160"),
+    # h, not epsilon: the relaxation scheme's step restriction squares it
+    (("--h", "1e200"), "h**2 overflows at h = 1e+200"),
+    (("--h", "1e-200"), "h**2 underflows to 0 at h = 1e-200"),
+], ids=["underflow", "overflow", "reciprocal-overflow", "h-overflow", "h-underflow"])
 @pytest.mark.parametrize("subcommand, args", [
     ("solve", ()), ("assemble", ()), ("spectrum", ()), ("fourier", ()),
     ("sweep", ("--epsilons", "1e-2")),
 ], ids=["solve", "assemble", "spectrum", "fourier", "sweep"])
 def test_an_epsilon_whose_square_leaves_the_float_range_exits_2_naming_it(
-        subcommand, args, epsilon, message, ap_config, tmp_path, capsys):
+        subcommand, args, override, message, ap_config, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([subcommand, "--config", str(ap_config), "--output-dir", str(out),
-                 "--epsilon", epsilon, *args]) == 2
+                 *override, *args]) == 2
     assert capsys.readouterr().err == f"validation error: {message}\n"
     # the configuration did not resolve: no manifest
     assert list(out.iterdir()) == []
@@ -938,11 +940,12 @@ def _run_module(module, argv, threads=None):
     # order 1000, a one-step block of 200 rows > DENSE_CAP: it is ARPACK's
     {"scheme": "explicit", "epsilon": 0.3, "tau": "auto", "h": 0.04,
      "N": 4, "Nx": 25, "Nt": 5},
-], ids=["dense-symbol", "arpack-symbol"])
+    # order 40,392, a one-step block of 792 rows: a long explicit row
+    {"scheme": "explicit", "epsilon": 0.1, "tau": "auto", "h": 0.01,
+     "N": 4, "Nx": 99, "Nt": 51},
+], ids=["dense-symbol", "arpack-symbol", "order-40392"])
 def test_iterative_spectrum_is_the_same_at_either_thread_count(raw, tmp_path):
-    # both orders are below ITERATIVE_ONE_THREAD_MAX_ORDER, so every
-    # ARPACK run is at one thread whatever the process starts with
-    assert 2 * raw["N"] * raw["Nx"] * raw["Nt"] <= ITERATIVE_ONE_THREAD_MAX_ORDER
+    # every ARPACK run is at one thread whatever the process starts with
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
     outputs = {}
@@ -953,7 +956,8 @@ def test_iterative_spectrum_is_the_same_at_either_thread_count(raw, tmp_path):
         outputs[threads] = (out / "spectrum.csv").read_bytes()
         spectrum = json.loads((out / "manifest.json").read_text())["spectrum"]
         assert spectrum["method"] == "iterative"
-        assert (spectrum["matvecs"]["symbol"] > 0) == (raw["Nx"] == 25)
+        block_rows = 2 * raw["N"] * raw["Nx"]
+        assert (spectrum["matvecs"]["symbol"] > 0) == (block_rows > spectral.DENSE_CAP)
     assert b",ok\n" in outputs["1"]
     assert outputs["1"] == outputs["2"]
 

@@ -108,6 +108,28 @@ def test_an_epsilon_with_a_subnormal_square_constructs():
 def test_cfl_limit_values():
     assert cfl_limit("ap", 1.0, 0.1) == pytest.approx(0.01 / 1.1)
     assert cfl_limit("explicit", 0.1, 0.01) == pytest.approx(1e-4 / 0.11)
+    # the overflow guard keeps the relaxation limit's bits, so tau auto too
+    for h in (0.01, 1.0 / 3.0, 1e-150, 1e150):
+        assert cfl_limit("ap", 0.5, h) == h**2 / (1.0 + h)
+
+
+@pytest.mark.parametrize("h, message", [
+    (1e200, r"^h\*\*2 overflows at h = 1e\+200$"),
+    (1e-200, r"^h\*\*2 underflows to 0 at h = 1e-200$"),
+], ids=["overflow", "underflow"])
+def test_an_h_whose_square_leaves_the_float_range_is_named(h, message):
+    with pytest.raises(ValueError, match=message):
+        cfl_limit("ap", 0.5, h)
+    with pytest.raises(ValueError, match=message):
+        resolve_config({"scheme": "ap", "epsilon": 0.5, "tau": "auto", "h": h,
+                        "N": 4, "Nx": 8, "Nt": 4})
+    # the step restriction's check
+    with pytest.raises(ValueError, match=message):
+        ap_cfg(h=h)
+    # which an unstable run skips
+    assert ap_cfg(h=h, allow_unstable=True).h == h
+    # the upwind limit squares epsilon, not h
+    assert cfl_limit("explicit", 0.5, h) > 0.0
 
 
 def test_derived_quantities():

@@ -65,14 +65,34 @@ def test_deterministic_output():
     assert r1.weights.tobytes() == r2.weights.tobytes()
 
 
-@pytest.mark.parametrize("bad", [0, -3, 3.5, True, "3"])
-def test_rejects_nonpositive_point_count(bad):
-    with pytest.raises(ValueError, match="n_points"):
-        gauss_rule(bad, 0.0, 1.0)
+@pytest.mark.parametrize("args, message", [
+    ((0, 0.0, 1.0), "n_points"),
+    ((-3, 0.0, 1.0), "n_points"),
+    ((3.5, 0.0, 1.0), "n_points"),
+    ((True, 0.0, 1.0), "n_points"),
+    (("3", 0.0, 1.0), "n_points"),
+    ((3, False, True), "endpoint a must be a real number, got False"),
+    ((3, 0.0, True), "endpoint b must be a real number, got True"),
+    ((3, "0", 1.0), "endpoint a must be a real number, got '0'"),
+    ((3, 0.0, 1j), "endpoint b must be a real number, got 1j"),
+    ((3, -1e308, 1e308), r"interval \[-1e\+308, 1e\+308\] leaves the float range"),
+    ((3, 1e308, 1.7e308), r"interval \[1e\+308, 1.7e\+308\] leaves the float range"),
+], ids=["0", "-3", "3.5", "True", "3", "bool-a", "bool-b", "string-a", "complex-b",
+        "length-overflows", "sum-overflows"])
+def test_rejects_nonpositive_point_count(args, message):
+    with pytest.raises(ValueError, match=message):
+        gauss_rule(*args)
 
 
 def test_numpy_integer_point_count_gives_the_same_rule():
     assert gauss_rule(np.int64(5), 0.0, 1.0) == gauss_rule(5, 0.0, 1.0)
+
+
+def test_numpy_and_integer_endpoints_give_the_same_rule():
+    rule = gauss_rule(5, 0.0, 1.0)
+    assert gauss_rule(5, np.float64(0.0), np.int64(1)) == rule
+    assert gauss_rule(5, 0, 1) == rule
+    assert gauss_rule(5, -1e307, 1e307).nodes[2] == 0.0
 
 
 # sha256 of each rule's nodes then weights, in the order of POINT_COUNTS,
