@@ -26,10 +26,9 @@ from .model import (
     GridConfig,
     ParityField,
     Trajectory,
-    UnsupportedConfigurationError,
     Workspace,
     check_field,
-    check_rule,
+    check_solver,
     march,
 )
 from .quadrature import QuadratureRule
@@ -44,16 +43,6 @@ __all__ = [
     "relaxation_step",
     "transport_step",
 ]
-
-
-def _check_ap(cfg: GridConfig, rule: QuadratureRule):
-    if cfg.scheme != AP:
-        raise ValueError(f"config scheme must be {AP!r}, got {cfg.scheme!r}")
-    if cfg.phi != 1.0:
-        raise UnsupportedConfigurationError(
-            f"relaxation solver implements phi = 1 only, got phi = {cfg.phi}"
-        )
-    check_rule(rule, cfg)
 
 
 class ApWorkspace(Workspace):
@@ -73,8 +62,7 @@ class ApWorkspace(Workspace):
     """
 
     def __init__(self, cfg: GridConfig, rule: QuadratureRule):
-        _check_ap(cfg, rule)
-        super().__init__(cfg, rule)
+        super().__init__(AP, cfg, rule)
         N, Nx = cfg.N, cfg.N_x
         v = rule.nodes[:, None]
         lam_v = cfg.lam * v
@@ -231,7 +219,7 @@ def ap_step_matrices(cfg: GridConfig, rule: QuadratureRule) -> ApStepMatrices:
     matrices are formed afresh on each call, and G, A and B are returned
     as copies, so a caller may change any matrix it gets.
     """
-    _check_ap(cfg, rule)
+    check_solver(cfg, AP, rule)
     N, Nx = cfg.N, cfg.N_x
     lam, gamma, tau = cfg.lam, cfg.gamma, cfg.tau
     eps2 = cfg.epsilon**2
@@ -264,7 +252,7 @@ def boundary_forcing(
     system.  Both vanish identically for zero ghost data.  ``mats`` are
     the one-step matrices ``ap_step_matrices(cfg, rule)``.
     """
-    _check_ap(cfg, rule)
+    check_solver(cfg, AP, rule)
     N, Nx = cfg.N, cfg.N_x
     lam, tau = cfg.lam, cfg.tau
     eps2 = cfg.epsilon**2

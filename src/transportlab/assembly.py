@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from scipy.io import mmwrite
 
 from . import ap_scheme, explicit_scheme
-from .model import (AP, EXPLICIT, GridConfig, KineticField, ParityField, check_rule,
+from .model import (AP, EXPLICIT, GridConfig, KineticField, ParityField, check_solver,
                     config_as_dict)
 from .quadrature import QuadratureRule
 
@@ -318,8 +318,7 @@ def assemble_ap_system(
     and g~ - B2 r^0 + A2 j^0); later rows repeat the boundary forcing.
     With ``rescaled`` the system has scale (tau, 1), and S is [r/tau; j].
     """
-    if cfg.scheme != AP:
-        raise ValueError(f"config scheme must be {AP!r}, got {cfg.scheme!r}")
+    check_solver(cfg, AP, rule)
     _check_order(cfg)
 
     mats = ap_scheme.ap_step_matrices(cfg, rule)
@@ -336,8 +335,7 @@ def assemble_explicit_system(
     initial: KineticField,
 ) -> BlockSystem:
     """Stack the upwind scheme into the block bidiagonal system L U = F."""
-    if cfg.scheme != EXPLICIT:
-        raise ValueError(f"config scheme must be {EXPLICIT!r}, got {cfg.scheme!r}")
+    check_solver(cfg, EXPLICIT, rule)
     _check_order(cfg)
 
     mats = explicit_scheme.explicit_matrix(cfg, rule)
@@ -472,9 +470,7 @@ def assemble_fourier_matrix(
     Analysis, 4.2).  ``xi`` is a scalar or a 1-D array; an array gives
     stacked blocks, each with the bits of a scalar call at its xi.
     """
-    if cfg.scheme != AP:
-        raise ValueError(f"config scheme must be {AP!r}, got {cfg.scheme!r}")
-    check_rule(rule, cfg)
+    check_solver(cfg, AP, rule)
     _check_levels(cfg, "per-frequency")
     xi = np.asarray(xi, dtype=float)
     if xi.ndim > 1:

@@ -246,8 +246,7 @@ def _cmd_fourier(args, cfg, outdir: Path, record: dict) -> list[Path]:
     whose symbol table (one evaluation per xi and node) feeds both."""
     if args.xi_samples < 1:
         raise _UsageError("--xi-samples must be at least 1")
-    # the per-frequency analysis is the relaxation scheme's; the
-    # assembler rejects any other
+    # assemble_fourier_matrix accepts only the relaxation scheme at phi = 1
     rule = schemes.scheme_for(cfg).rule(cfg)
     xi_values = np.linspace(0.0, np.pi, args.xi_samples) / cfg.h
     report = spectral.perturbation_check(cfg, rule, xi_values)

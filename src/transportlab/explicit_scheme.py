@@ -30,7 +30,7 @@ from .model import (
     Trajectory,
     Workspace,
     check_field,
-    check_rule,
+    check_solver,
     march,
 )
 from .quadrature import QuadratureRule
@@ -43,11 +43,6 @@ __all__ = [
     "explicit_matrix",
     "explicit_step",
 ]
-
-def _check_explicit(cfg: GridConfig, rule: QuadratureRule):
-    if cfg.scheme != EXPLICIT:
-        raise ValueError(f"config scheme must be {EXPLICIT!r}, got {cfg.scheme!r}")
-    check_rule(rule, cfg)
 
 
 def _upwind_rows(cfg: GridConfig, rule: QuadratureRule):
@@ -74,8 +69,7 @@ class ExplicitWorkspace(Workspace):
     """
 
     def __init__(self, cfg: GridConfig, rule: QuadratureRule):
-        _check_explicit(cfg, rule)
-        super().__init__(cfg, rule)
+        super().__init__(EXPLICIT, cfg, rule)
         eps, lam = cfg.epsilon, cfg.lam
         v_plus, v_minus, c = _upwind_rows(cfg, rule)
         shape = (cfg.N_x, 2 * cfg.N)
@@ -141,7 +135,7 @@ def explicit_matrix(cfg: GridConfig, rule: QuadratureRule) -> ExplicitStepMatrix
     every absolute row sum and column sum of B1 is at most
     1 - tau/eps^2, which bounds ||B1||_2 <= sqrt(||B1||_1 ||B1||_inf).
     """
-    _check_explicit(cfg, rule)
+    check_solver(cfg, EXPLICIT, rule)
     eps, tau, lam = cfg.epsilon, cfg.tau, cfg.lam
     Nx = cfg.N_x
     two_N = 2 * cfg.N
@@ -178,7 +172,7 @@ def boundary_vector(
     cfg: GridConfig, rule: QuadratureRule, field: KineticField
 ) -> np.ndarray:
     """Inflow contribution b of one step, from the Dirichlet ghost blocks."""
-    _check_explicit(cfg, rule)
+    check_solver(cfg, EXPLICIT, rule)
     check_field(field, cfg)
     lam, eps = cfg.lam, cfg.epsilon
     v = rule.nodes

@@ -91,7 +91,7 @@ def _upwind_violation(epsilon, tau, h) -> str | None:
 
 @dataclass(frozen=True)
 class SchemeGrid:
-    """Grid facts of one scheme.
+    """Grid facts of one scheme, and the name of its ``solver`` in messages.
 
     The scheme uses ``velocity_factor * N`` velocity nodes, the Gauss
     nodes on ``rule_interval``.  ``cfl_limit(epsilon, h)`` is its largest
@@ -99,6 +99,7 @@ class SchemeGrid:
     restriction with both sides evaluated when the step breaks it.
     """
 
+    solver: str
     velocity_factor: int
     rule_interval: tuple[float, float]
     cfl_limit: Callable[[float, float], float]
@@ -106,10 +107,10 @@ class SchemeGrid:
 
 
 SCHEME_GRIDS = {
-    AP: SchemeGrid(1, (0.0, 1.0), lambda epsilon, h: _h_squared(h) / (1.0 + h),
-                   _parabolic_violation),
-    EXPLICIT: SchemeGrid(2, (-1.0, 1.0), lambda epsilon, h: h * epsilon**2 / (epsilon + h),
-                         _upwind_violation),
+    AP: SchemeGrid("relaxation", 1, (0.0, 1.0),
+                   lambda epsilon, h: _h_squared(h) / (1.0 + h), _parabolic_violation),
+    EXPLICIT: SchemeGrid("upwind", 2, (-1.0, 1.0),
+                         lambda epsilon, h: h * epsilon**2 / (epsilon + h), _upwind_violation),
 }
 SCHEMES = tuple(SCHEME_GRIDS)
 
@@ -339,6 +340,18 @@ def check_rule(rule: QuadratureRule, cfg: GridConfig):
         )
 
 
+def check_solver(cfg: GridConfig, scheme: str, rule: QuadratureRule):
+    """The one acceptance check of every solver entry point: rejects, in
+    this order, another scheme than ``scheme``, a phi other than 1 (the
+    only value either solver implements) and a rule of the wrong size."""
+    if cfg.scheme != scheme:
+        raise ValueError(f"config scheme must be {scheme!r}, got {cfg.scheme!r}")
+    if cfg.phi != 1.0:
+        raise UnsupportedConfigurationError(f"{SCHEME_GRIDS[scheme].solver} solver "
+                                            f"implements phi = 1 only, got phi = {cfg.phi}")
+    check_rule(rule, cfg)
+
+
 def check_field(field, cfg: GridConfig):
     """Reject a parity or kinetic field whose size does not fit ``cfg``."""
     if (field.n_velocities, field.n_x) != (cfg.n_velocities(), cfg.N_x):
@@ -357,11 +370,12 @@ class Trajectory:
 
 class Workspace:
     """Per-run buffers of one scheme's steps, tied to the grid and rule
-    they were built for.  Subclasses check ``cfg`` and ``rule`` and size
-    their buffers in ``__init__``; a step reads both from its workspace,
-    so it cannot be handed a grid the buffers do not fit."""
+    they were built for once :func:`check_solver` accepts them.
+    Subclasses size their buffers in ``__init__``; a step reads both from
+    its workspace, so it cannot be handed a grid the buffers do not fit."""
 
-    def __init__(self, cfg: GridConfig, rule: QuadratureRule):
+    def __init__(self, scheme: str, cfg: GridConfig, rule: QuadratureRule):
+        check_solver(cfg, scheme, rule)
         self.cfg, self.rule = cfg, rule
 
 

@@ -83,8 +83,9 @@ def gauss_rule(n_points: int, a: float, b: float) -> QuadratureRule:
     ------
     ValueError
         If ``n_points`` is not an integer or is below 1, an endpoint is
-        not a finite real number, ``a >= b``, or the length ``b - a`` or
-        the sum ``a + b`` overflows.
+        not a finite real number, ``a >= b``, the length ``b - a`` or
+        the sum ``a + b`` overflows, or the rule does not fit the
+        interval in float64.
     """
     if not isinstance(n_points, numbers.Integral) or isinstance(n_points, bool):
         raise ValueError(f"n_points must be an integer, got {n_points!r}")
@@ -93,12 +94,16 @@ def gauss_rule(n_points: int, a: float, b: float) -> QuadratureRule:
     for name, value in (("a", a), ("b", b)):
         if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise ValueError(f"endpoint {name} must be a real number, got {value!r}")
-    if not (np.isfinite(a) and np.isfinite(b)):
+    try:
+        a, b = float(a), float(b)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        raise ValueError(f"interval endpoints must be finite, got ({a}, {b})") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"interval endpoints must be finite, got ({a}, {b})")
     if a >= b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     # the midpoint and half-length below; Python floats give inf, not a warning
-    if not (math.isfinite(float(b) - float(a)) and math.isfinite(float(a) + float(b))):
+    if not (math.isfinite(b - a) and math.isfinite(a + b)):
         raise ValueError(f"the interval [{a}, {b}] leaves the float range: "
                          f"its length or midpoint overflows")
 
@@ -137,6 +142,10 @@ def gauss_rule(n_points: int, a: float, b: float) -> QuadratureRule:
     scale = 0.5 * (b - a)
     nodes = mid + scale * ref_nodes
     weights = scale * ref_weights
+    if not (a < nodes[0] and nodes[-1] < b and (np.diff(nodes) > 0.0).all()
+            and (weights > 0.0).all()):
+        raise ValueError(f"the interval [{a}, {b}] is too short for n_points = {n} in "
+                         f"float64: nodes not strictly increasing inside it, or a weight is 0")
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights)

@@ -439,6 +439,46 @@ def test_a_system_of_no_time_level_exits_2_naming_N_t(subcommand, raw, kind,
     assert manifest["exit_status"] == 2 and manifest["resolved_config"]["Nt"] == 0
 
 
+PHI_MESSAGE = "{} solver implements phi = 1 only, got phi = 0.5"
+SOLVERS = {"ap": "relaxation", "explicit": "upwind"}
+
+
+@pytest.mark.parametrize("subcommand, raw", [
+    ("solve", AP_RAW), ("solve", EXPLICIT_RAW), ("assemble", AP_RAW),
+    ("assemble", EXPLICIT_RAW), ("spectrum", AP_RAW), ("spectrum", EXPLICIT_RAW),
+    ("fourier", AP_RAW),
+], ids=["solve-ap", "solve-explicit", "assemble-ap", "assemble-explicit",
+        "spectrum-ap", "spectrum-explicit", "fourier"])
+def test_a_solver_run_at_phi_other_than_1_exits_2(subcommand, raw, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(config), "--output-dir", str(out),
+                 "--phi", "0.5"]) == 2
+    solver = SOLVERS[raw["scheme"]]
+    assert capsys.readouterr().err == f"validation error: {PHI_MESSAGE.format(solver)}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2 and manifest["resolved_config"]["phi"] == 0.5
+
+
+@pytest.mark.parametrize("raw", [AP_RAW, EXPLICIT_RAW], ids=["ap", "explicit"])
+@pytest.mark.parametrize("measured", [True, False], ids=["measured", "counts-only"])
+def test_sweep_rows_at_phi_other_than_1(raw, measured, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(config), "--output-dir", str(out),
+            "--phi", "0.5", "--epsilons", "0.5,1e-2"]
+    assert main(argv if measured else argv + ["--no-spectrum"]) == 0
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    # a counts-only row runs no solver, so nothing rejects its phi
+    status = (f"error: {PHI_MESSAGE.format(SOLVERS[raw['scheme']])}" if measured
+              else "counts_only")
+    assert [(row["phi"], row["status"]) for row in rows] == [("0.5", status)] * 2
+
+
 def test_sweep_rows_of_no_time_level_name_N_t(ap_config, tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(ap_config), "--output-dir", str(out),

@@ -1,6 +1,8 @@
 import io
 import json
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,16 +12,24 @@ from transportlab import (
     DivergenceError,
     GridConfig,
     ParityField,
+    UnsupportedConfigurationError,
     ap_step_matrices,
+    assemble_ap_system,
+    assemble_explicit_system,
     assemble_fourier_matrix,
+    boundary_forcing,
+    boundary_vector,
     cfl_limit,
     density,
     explicit_matrix,
     gauss_rule,
     initial_kinetic_field,
     initial_parity_field,
+    model,
     resolve_config,
 )
+from transportlab.ap_scheme import ApWorkspace
+from transportlab.explicit_scheme import ExplicitWorkspace
 from transportlab.model import (
     CONFIG_KEYS,
     config_as_dict,
@@ -233,6 +243,44 @@ def test_every_rule_size_check_speaks_one_message(scheme, build):
     with pytest.raises(ValueError,
                        match=f"^rule has {expected + 1} points, config expects {expected}$"):
         build(cfg, gauss_rule(expected + 1, 0.0, 1.0))
+
+
+# every solver entry point; a field argument is None, since the check
+# comes before anything reads it
+@pytest.mark.parametrize("scheme, build", [
+    ("ap", ApWorkspace),
+    ("ap", ap_step_matrices),
+    ("ap", lambda cfg, rule: boundary_forcing(cfg, rule, None, None)),
+    ("ap", lambda cfg, rule: assemble_ap_system(cfg, rule, None)),
+    ("ap", lambda cfg, rule: assemble_fourier_matrix(cfg, rule, 1.0)),
+    ("explicit", ExplicitWorkspace),
+    ("explicit", explicit_matrix),
+    ("explicit", lambda cfg, rule: boundary_vector(cfg, rule, None)),
+    ("explicit", lambda cfg, rule: assemble_explicit_system(cfg, rule, None)),
+], ids=["ap_workspace", "ap_matrices", "ap_forcing", "ap_system", "fourier",
+        "explicit_workspace", "explicit_matrix", "explicit_boundary", "explicit_system"])
+def test_every_solver_entry_point_checks_scheme_then_phi_then_rule(scheme, build):
+    other, solver = {"ap": ("explicit", "relaxation"), "explicit": ("ap", "upwind")}[scheme]
+    cfg = ap_cfg(N=3, scheme=scheme, tau=1e-3, phi=0.5)
+    wrong_rule = gauss_rule(cfg.n_velocities() + 1, 0.0, 1.0)
+    with pytest.raises(ValueError, match=f"^config scheme must be '{scheme}', got '{other}'$"):
+        build(replace(cfg, scheme=other), wrong_rule)
+    with pytest.raises(UnsupportedConfigurationError,
+                       match=f"^{solver} solver implements phi = 1 only, got phi = 0.5$"):
+        build(cfg, wrong_rule)
+
+
+ACCEPTANCE_TEXTS = ("config scheme must be", "implements phi = 1 only")
+
+
+def test_only_model_holds_the_acceptance_check():
+    package = Path(model.__file__).parent
+    assert all(text in Path(model.__file__).read_text(encoding="utf-8")
+               for text in ACCEPTANCE_TEXTS)
+    for path in sorted(package.glob("*.py")):
+        if path.name != "model.py":
+            source = path.read_text(encoding="utf-8")
+            assert not any(text in source for text in ACCEPTANCE_TEXTS), path.name
 
 
 # --- config files -------------------------------------------------------

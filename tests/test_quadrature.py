@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,11 +78,21 @@ def test_deterministic_output():
     ((3, 0.0, 1j), "endpoint b must be a real number, got 1j"),
     ((3, -1e308, 1e308), r"interval \[-1e\+308, 1e\+308\] leaves the float range"),
     ((3, 1e308, 1.7e308), r"interval \[1e\+308, 1.7e\+308\] leaves the float range"),
+    ((3, 10**400, 1.0), "interval endpoints must be finite"),
+    ((3, 0.0, 5e-324), r"interval \[0.0, 5e-324\] is too short for n_points = 3"),
+    ((3, 1.0, 1.0000000000000002),
+     r"interval \[1.0, 1.0000000000000002\] is too short for n_points = 3"),
+    ((1, 1.0, 1.0000000000000002), r"too short for n_points = 1"),
 ], ids=["0", "-3", "3.5", "True", "3", "bool-a", "bool-b", "string-a", "complex-b",
-        "length-overflows", "sum-overflows"])
+        "length-overflows", "sum-overflows", "int-overflows", "subnormal-length",
+        "one-ulp-length", "one-point-one-ulp"])
 def test_rejects_nonpositive_point_count(args, message):
     with pytest.raises(ValueError, match=message):
         gauss_rule(*args)
+
+
+def test_fraction_endpoints_give_the_same_rule():
+    assert gauss_rule(3, Fraction(0), Fraction(1, 1)) == gauss_rule(3, 0.0, 1.0)
 
 
 def test_numpy_integer_point_count_gives_the_same_rule():
