@@ -7,10 +7,11 @@ and ``perturbation_check`` each enter it, so no output bit of theirs
 depends on the thread count the process starts with, at any order.  The
 reasons, on 2-core OpenBLAS:
 
-- The dense SVDs are faster at one thread: one ``scipy.linalg.svdvals``
-  of a block-bidiagonal ``I + X kron P`` takes 0.44 of its 2-thread
-  time at one thread at order 128, 0.79 at order 256 and 0.95 at order
-  512, with the same bits, and 1.34 at order 1024, with other bits.
+- The dense SVDs, all numpy's ``np.linalg.svd``, are faster at one
+  thread: one of a block-bidiagonal ``I + X kron P`` takes about 0.5 of
+  its 2-thread time at one thread at order 128, 0.76 at order 256 and
+  0.93 at order 512, with the same bits, and 1.25 at order 1024, with
+  other bits.
   The only such SVDs above order 512 are the per-frequency ones, split
   between two Python threads across the frequencies instead.
 - The iterative spectrum does its products with a dense one-step block

@@ -332,24 +332,20 @@ class KineticField:
         )
 
 
-def check_rule(rule: QuadratureRule, cfg: GridConfig):
-    """Reject a quadrature rule whose size is not ``cfg``'s velocity count."""
-    if rule.n_points != cfg.n_velocities():
-        raise ValueError(
-            f"rule has {rule.n_points} points, config expects {cfg.n_velocities()}"
-        )
-
-
 def check_solver(cfg: GridConfig, scheme: str, rule: QuadratureRule):
     """The one acceptance check of every solver entry point: rejects, in
     this order, another scheme than ``scheme``, a phi other than 1 (the
-    only value either solver implements) and a rule of the wrong size."""
+    only value either solver implements) and a rule whose size is not
+    ``cfg``'s velocity count."""
     if cfg.scheme != scheme:
         raise ValueError(f"config scheme must be {scheme!r}, got {cfg.scheme!r}")
     if cfg.phi != 1.0:
         raise UnsupportedConfigurationError(f"{SCHEME_GRIDS[scheme].solver} solver "
                                             f"implements phi = 1 only, got phi = {cfg.phi}")
-    check_rule(rule, cfg)
+    if rule.n_points != cfg.n_velocities():
+        raise ValueError(
+            f"rule has {rule.n_points} points, config expects {cfg.n_velocities()}"
+        )
 
 
 def check_field(field, cfg: GridConfig):
@@ -454,7 +450,7 @@ def initial_parity_field(cfg: GridConfig, rule: QuadratureRule) -> ParityField:
     Ghost values are the constant Dirichlet inflow per side (r = bc,
     j = 0), the isotropic-state image of constant kinetic inflow.
     """
-    check_rule(rule, cfg)
+    check_solver(cfg, AP, rule)
     profile = _profile(cfg, cfg.interior_x())
     r = np.tile(profile, (cfg.N, 1)).ravel()
     return ParityField(
@@ -469,7 +465,7 @@ def initial_parity_field(cfg: GridConfig, rule: QuadratureRule) -> ParityField:
 
 def initial_kinetic_field(cfg: GridConfig, rule: QuadratureRule) -> KineticField:
     """Isotropic initial data for the explicit solver: f = profile(x)."""
-    check_rule(rule, cfg)
+    check_solver(cfg, EXPLICIT, rule)
     profile = _profile(cfg, cfg.interior_x())
     f = np.repeat(profile, 2 * cfg.N)
     return KineticField(

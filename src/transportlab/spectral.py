@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import svd, svdvals
 
 from ._blas import one_thread
 from .assembly import BlockSystem, FourierSymbols, assemble_fourier_matrix, frequency_matrix
@@ -133,13 +132,13 @@ def _top_eigenvalue(apply_op, v0: np.ndarray) -> tuple[float, float, int]:
 def _symbol_top_vector(M: sp.csr_matrix) -> tuple[np.ndarray, int]:
     """The top right singular vector u of I + M, the symbol
     I - e^{i theta} M of a block Toeplitz L at theta = pi, and the
-    operator applications its ARPACK run made: a dense SVD when M has at
-    most ``DENSE_CAP`` rows (0 applications), else Lanczos on
+    operator applications its ARPACK run made: numpy's dense SVD when M
+    has at most ``DENSE_CAP`` rows (0 applications), else Lanczos on
     (I + M)^H (I + M) from the all-ones start at ``SYMBOL_TOL``."""
     m = M.shape[0]
     S = sp.identity(m, dtype=M.dtype, format="csr") + M
     if m <= DENSE_CAP:
-        return svd(S.toarray())[2][0].conj(), 0
+        return np.linalg.svd(S.toarray())[2][0].conj(), 0
     Sh = S.conj(copy=False).T.tocsr()
     _, u, matvecs = _top_eigenpair(lambda x: Sh @ (S @ x),
                                    np.ones(m, np.result_type(S.dtype, np.float64)),
@@ -224,18 +223,19 @@ def singular_extremes(system: BlockSystem) -> SpectrumReport:
     system's matrix L.
 
     Systems of order up to ``DENSE_CAP`` (192, the measured cost
-    crossover of the two paths) are decomposed densely, by ``svdvals``
-    of the system's ``L``.  Above the cap, ARPACK Lanczos on L^H L gives sigma_max, started from
-    the symbol's top mode, Chebyshev-filtered above order ``FILTER_CAP``
-    (2,816), and on (L^H L)^{-1} = L^{-1} L^{-H} gives sigma_min
-    (``_lanczos_extremes``): L, L^H, L^{-1} and L^{-H} are
-    applied from the one-step block M, so this path builds no ``L`` and
-    factors nothing.  Both paths run inside ``_blas.one_thread``, every
-    loaded OpenBLAS at one thread, so no bit depends on the thread
-    count.  The sparsity comes from M on both paths.  An argument that is not a
-    ``BlockSystem`` raises TypeError, a system of order 0 ValueError, and
-    an ARPACK convergence failure or a filtered start that is not finite
-    RuntimeError.
+    crossover of the two paths) are decomposed densely, by
+    ``_singular_values`` of the system's ``L``: numpy's LAPACK, like
+    every dense SVD of this module.  Above the cap, ARPACK Lanczos on
+    L^H L gives sigma_max, started from the symbol's top mode,
+    Chebyshev-filtered above order ``FILTER_CAP`` (2,816), and on
+    (L^H L)^{-1} = L^{-1} L^{-H} gives sigma_min (``_lanczos_extremes``):
+    L, L^H, L^{-1} and L^{-H} are applied from the one-step block M, so
+    this path builds no ``L`` and factors nothing.  Both paths run
+    inside ``_blas.one_thread``, every loaded OpenBLAS at one thread, so
+    no bit depends on the thread count.  The sparsity comes from M on
+    both paths.  An argument that is not a ``BlockSystem`` raises
+    TypeError, a system of order 0 ValueError, and an ARPACK convergence
+    failure or a filtered start that is not finite RuntimeError.
     """
     if not isinstance(system, BlockSystem):
         raise TypeError(
@@ -247,7 +247,7 @@ def singular_extremes(system: BlockSystem) -> SpectrumReport:
     with one_thread():
         if order <= DENSE_CAP:
             method = "dense"
-            values = svdvals(system.L.toarray())
+            values = _singular_values(system.L.toarray())
             sigma_min, sigma_max = float(values[-1]), float(values[0])
             residual = 0.0
             matvecs = (0, 0, 0)
@@ -350,7 +350,7 @@ def _real_form(X: np.ndarray) -> np.ndarray:
 def _singular_values(stack: np.ndarray) -> np.ndarray:
     """The singular values of every matrix of a stack ``(..., m, n)``, in
     descending order: one ``np.linalg.svd`` gufunc call, which runs
-    LAPACK's gesdd on each matrix and, above a small stack size,
+    numpy's LAPACK gesdd on each matrix and, above a small stack size,
     releases the GIL while it does."""
     return np.linalg.svd(stack, compute_uv=False)
 
@@ -396,9 +396,9 @@ def _frequency_extremes(blocks: np.ndarray, N_t: int) -> tuple[np.ndarray, np.nd
     The blocks are expanded and decomposed in chunks, each one
     ``frequency_matrix`` stack and one ``_singular_values`` call: the
     calling thread takes the even chunks and one helper thread the odd
-    ones (``_on_two_threads``), so at most two chunks of matrices are
-    held at once.  A chunk is the smallest stack whose decomposition
-    releases the GIL (``GIL_RELEASE_SIZE``), 4 matrices at order 128.
+    ones, none if there is one chunk (``_on_two_threads``), so at most
+    two chunks of matrices are held at once.  A chunk is the smallest
+    stack whose decomposition releases the GIL (``GIL_RELEASE_SIZE``).
     """
     count = blocks.shape[0]
     chunk = GIL_RELEASE_SIZE // (blocks.shape[-1] * N_t) + 1
@@ -412,10 +412,7 @@ def _frequency_extremes(blocks: np.ndarray, N_t: int) -> tuple[np.ndarray, np.nd
             values = _singular_values(frequency_matrix(blocks[start:start + chunk], N_t))
             extremes[:, start:start + chunk] = values[:, [0, -1]].T
 
-    if len(starts) > 1:
-        _on_two_threads(decompose)
-    else:
-        decompose(0, ())
+    _on_two_threads(decompose)
     return extremes[0], extremes[1]
 
 
@@ -475,8 +472,8 @@ def perturbation_check(
     SVD releases the GIL, so at most two chunks are held at once, where
     a stack of every xi would grow by a whole matrix per xi and the
     stacked blocks and symbols grow by a few 2N x 2N blocks.  Every SVD
-    runs inside ``_blas.one_thread``, every loaded OpenBLAS at one
-    thread, entered once before the helper thread starts.
+    runs on numpy's LAPACK inside ``_blas.one_thread`` (every OpenBLAS
+    at one thread), entered once before the helper thread starts.
     """
     xi_values = np.asarray(xi_values, dtype=float)
     if xi_values.ndim != 1:

@@ -105,13 +105,13 @@ def test_dense_spectrum_same_bits_with_and_without_the_pin(monkeypatch):
     rule = gauss_rule(4, 0.0, 1.0)
     system = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule))
     counts_seen = []
-    svdvals = spectral.svdvals
+    singular_values = spectral._singular_values
 
     def spy(a):
         counts_seen.append(_blas.thread_counts())
-        return svdvals(a)
+        return singular_values(a)
 
-    monkeypatch.setattr(spectral, "svdvals", spy)
+    monkeypatch.setattr(spectral, "_singular_values", spy)
     pinned = singular_extremes(system)
     assert pinned.method == "dense" and len(counts_seen) == 1
     assert all(set(counts.values()) <= {1} for counts in counts_seen)

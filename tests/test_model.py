@@ -248,17 +248,20 @@ def test_every_rule_size_check_speaks_one_message(scheme, build):
 # every solver entry point; a field argument is None, since the check
 # comes before anything reads it
 @pytest.mark.parametrize("scheme, build", [
+    ("ap", initial_parity_field),
     ("ap", ApWorkspace),
     ("ap", ap_step_matrices),
     ("ap", lambda cfg, rule: boundary_forcing(cfg, rule, None, None)),
     ("ap", lambda cfg, rule: assemble_ap_system(cfg, rule, None)),
     ("ap", lambda cfg, rule: assemble_fourier_matrix(cfg, rule, 1.0)),
+    ("explicit", initial_kinetic_field),
     ("explicit", ExplicitWorkspace),
     ("explicit", explicit_matrix),
     ("explicit", lambda cfg, rule: boundary_vector(cfg, rule, None)),
     ("explicit", lambda cfg, rule: assemble_explicit_system(cfg, rule, None)),
-], ids=["ap_workspace", "ap_matrices", "ap_forcing", "ap_system", "fourier",
-        "explicit_workspace", "explicit_matrix", "explicit_boundary", "explicit_system"])
+], ids=["parity_field", "ap_workspace", "ap_matrices", "ap_forcing", "ap_system", "fourier",
+        "kinetic_field", "explicit_workspace", "explicit_matrix", "explicit_boundary",
+        "explicit_system"])
 def test_every_solver_entry_point_checks_scheme_then_phi_then_rule(scheme, build):
     other, solver = {"ap": ("explicit", "relaxation"), "explicit": ("ap", "upwind")}[scheme]
     cfg = ap_cfg(N=3, scheme=scheme, tau=1e-3, phi=0.5)
@@ -268,6 +271,20 @@ def test_every_solver_entry_point_checks_scheme_then_phi_then_rule(scheme, build
     with pytest.raises(UnsupportedConfigurationError,
                        match=f"^{solver} solver implements phi = 1 only, got phi = 0.5$"):
         build(cfg, wrong_rule)
+
+
+# each builder with the other scheme's config and the rule of that
+# config: the size fits, so only the scheme check can reject it
+@pytest.mark.parametrize("scheme, other, build", [
+    ("ap", "explicit", initial_parity_field),
+    ("explicit", "ap", initial_kinetic_field),
+], ids=["parity_field", "kinetic_field"])
+def test_an_initial_field_rejects_the_other_scheme_with_a_rule_that_fits_it(
+        scheme, other, build):
+    cfg = ap_cfg(N=3, scheme=other, tau=1e-3)
+    rule = gauss_rule(cfg.n_velocities(), *model.SCHEME_GRIDS[other].rule_interval)
+    with pytest.raises(ValueError, match=f"^config scheme must be '{scheme}', got '{other}'$"):
+        build(cfg, rule)
 
 
 ACCEPTANCE_TEXTS = ("config scheme must be", "implements phi = 1 only")

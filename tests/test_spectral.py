@@ -1,9 +1,12 @@
+import ast
 import contextlib
+import hashlib
 import sys
 import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -256,6 +259,54 @@ def test_near_double_top_pair_gives_its_top_member():
     assert report.method == "iterative"
     assert report.sigma_max == pytest.approx(NEAR_DOUBLE_TOP, rel=1e-14, abs=0.0)
     assert report.sigma_max != pytest.approx(NEAR_DOUBLE_SECOND, rel=1e-12, abs=0.0)
+
+
+# repr of sigma_min, sigma_max and kappa of two dense systems of order
+# 192, recorded when those SVDs ran on scipy.linalg's LAPACK
+@pytest.mark.parametrize("scheme, rescaled, N, Nx, expected", [
+    ("ap", True, 4, 6, ("0.01177858602483642", "20.79888168964598", "1765.8216059032293")),
+    ("explicit", False, 3, 8, ("0.3526405719132749", "1.8695060249753788",
+                               "5.301449050040525")),
+], ids=["ap-rescaled", "explicit"])
+def test_dense_extremes_keep_their_recorded_bits(scheme, rescaled, N, Nx, expected):
+    cfg = resolve_config({"scheme": scheme, "epsilon": 0.3, "tau": "auto", "h": 0.04,
+                          "N": N, "Nx": Nx, "Nt": 4})
+    report = singular_extremes(schemes.scheme_for(cfg).assemble(cfg, rescaled))
+    assert report.method == "dense"
+    assert (repr(report.sigma_min), repr(report.sigma_max), repr(report.kappa)) == expected
+
+
+# sha256 of the symbol's top vector u at the benchmark's m = 64 (N = 4,
+# N_x = 8), recorded when that SVD ran on scipy.linalg's LAPACK
+@pytest.mark.parametrize("scheme, rescaled, digest", [
+    ("ap", True, "a0978d463aceb1c242c669d1e9554f5172cbff776e49013c950a7595e50fad02"),
+    ("explicit", False, "b944de22f98e2ac8de25c2e1852ebd233a38f7220eeaf23d8a9eafb977647657"),
+], ids=["ap-rescaled", "explicit"])
+def test_symbol_top_vector_keeps_its_recorded_bits(scheme, rescaled, digest):
+    cfg = resolve_config({"scheme": scheme, "epsilon": 0.3, "tau": "auto", "h": 0.04,
+                          "N": 4, "Nx": 8, "Nt": 4})
+    M = schemes.scheme_for(cfg).assemble(cfg, rescaled).M
+    assert M.shape == (64, 64)
+    # as _lanczos_extremes calls it, inside singular_extremes' pin
+    with spectral.one_thread():
+        u, matvecs = spectral._symbol_top_vector(M)
+    assert matvecs == 0
+    assert hashlib.sha256(u.tobytes()).hexdigest() == digest
+
+
+def test_no_module_imports_scipy_linalg():
+    # every dense SVD runs on numpy's LAPACK, the one the manifest records
+    package = Path(spectral.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module is not None:
+                modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(module == "scipy.linalg" or module.startswith("scipy.linalg.")
+                           for module in modules), path.name
 
 
 # one-step blocks with m = 32 and m = 200 rows, on either side of
