@@ -43,8 +43,7 @@ import scipy.sparse as sp
 from scipy.io import mmwrite
 
 from . import ap_scheme, explicit_scheme
-from .model import (AP, EXPLICIT, GridConfig, KineticField, ParityField, check_solver,
-                    config_as_dict)
+from .model import AP, EXPLICIT, GridConfig, KineticField, ParityField, check_solver
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -153,14 +152,17 @@ def space_time_matrix(M, levels: int, groups: int) -> sp.csr_matrix:
 
 @dataclass
 class BlockSystem:
-    """The space-time system L S = F of one scheme, with its provenance,
-    held as its one-step block M.
+    """The space-time system L S = F of ``levels`` = N_t steps of the
+    one-step block M.
 
     S stacks ``groups`` = len(scale) unknown groups one after the other
     ([r; j] for the relaxation scheme, f for the upwind one), each
     holding its N_t time levels in order, group a divided by
-    ``scale[a]`` ((tau, 1) when tau-rescaled, else ones).  M is in canonical CSR form and has
-    one row and column per unknown of a time level.
+    ``scale[a]`` ((tau, 1) when tau-rescaled, else ones).  M has one row
+    and column per unknown of a time level; the assemblers give it in
+    canonical CSR form.  The system holds no configuration: any block M
+    and level count make one, a per-frequency block as well as a
+    scheme's, and the caller keeps the provenance.
 
     The system is the operator L.  Time-major, a vector is an
     (N_t, k*m) array whose row t holds time level t of all k groups, and
@@ -189,15 +191,11 @@ class BlockSystem:
     M: sp.csr_matrix
     F: np.ndarray
     scale: tuple[float, ...]
-    cfg: GridConfig
+    levels: int
 
     @property
     def groups(self) -> int:
         return len(self.scale)
-
-    @property
-    def levels(self) -> int:
-        return self.cfg.N_t
 
     @property
     def order(self) -> int:
@@ -303,7 +301,7 @@ def _stack(cfg: GridConfig, blocks, forcing, first, scale) -> BlockSystem:
         F_a = np.tile(f, cfg.N_t)
         F_a[:f.size] += x0
         F.append(F_a / s)
-    return BlockSystem(M=_canonical(M), F=np.concatenate(F), scale=scale, cfg=cfg)
+    return BlockSystem(M=_canonical(M), F=np.concatenate(F), scale=scale, levels=cfg.N_t)
 
 
 def assemble_ap_system(
@@ -557,12 +555,3 @@ def export_matrix_market(matrix, path, metadata: dict | None = None) -> Path:
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return sidecar_path
-
-
-def system_metadata(system: BlockSystem) -> dict:
-    """Sidecar metadata for an assembled system."""
-    return {
-        "scheme": system.cfg.scheme,
-        "rescaled": system.rescaled,
-        "config": config_as_dict(system.cfg),
-    }

@@ -11,9 +11,11 @@ method, residual, ARPACK matvec counts and whether the system was
 tau-rescaled, sweep one such entry per row, fourier its xi sample
 count, max ||E||/alpha and Weyl slack.  It holds no wall time or memory
 figure, so a rerun writes the same bytes.
-A failed run removes its subcommand's output files, and the manifest
-too if its configuration did not resolve, so no earlier run's file
-reads as this run's.
+A run first removes its subcommand's output files left by an earlier
+run, so a successful run leaves only the files it wrote.  A failed run
+also removes the ones it wrote, and the manifest too if its
+configuration did not resolve, so no earlier run's file reads as this
+run's.
 Exit codes: 0 ok, 1 usage, 2 validation, 3 numerical failure, 4 I/O.
 """
 
@@ -219,7 +221,8 @@ def _cmd_solve(args, cfg, outdir: Path, record: dict) -> list[Path]:
 
 def _cmd_assemble(args, cfg, outdir: Path, record: dict) -> list[Path]:
     system = schemes.scheme_for(cfg).assemble(cfg, args.rescaled)
-    meta = assembly.system_metadata(system)
+    meta = {"scheme": cfg.scheme, "rescaled": system.rescaled,
+            "config": config_as_dict(cfg)}
     lpath = outdir / "L.mtx"
     fpath = outdir / "F.mtx"
     assembly.export_matrix_market(system.L, lpath, meta)
@@ -227,15 +230,9 @@ def _cmd_assemble(args, cfg, outdir: Path, record: dict) -> list[Path]:
     return [lpath, fpath]
 
 
-def _measured(row) -> dict:
-    """Manifest figures of a row's measured system (None if it measured none)."""
-    return {"method": row.method, "residual": row.residual,
-            "matvecs": row.matvecs, "rescaled": row.rescaled}
-
-
 def _cmd_spectrum(args, cfg, outdir: Path, record: dict) -> list[Path]:
     row = complexity.row_for(cfg, args.delta, rescaled=args.rescaled)
-    record["spectrum"] = _measured(row)
+    record["spectrum"] = spectral.manifest_entry(row.spectrum)
     path = outdir / "spectrum.csv"
     emit_report([row], path)
     return [path]
@@ -278,15 +275,15 @@ def _cmd_sweep(args, cfg, outdir: Path, record: dict) -> list[Path]:
         cfg, epsilons, mode=args.mode, delta=args.delta,
         final_time=args.T, measure_spectrum=not args.no_spectrum,
     )
-    record["sweep"] = [{"epsilon": row.epsilon, "status": row.status, **_measured(row)}
-                       for row in rows]
+    record["sweep"] = [{"epsilon": row.epsilon, "status": row.status,
+                        **spectral.manifest_entry(row.spectrum)} for row in rows]
     path = outdir / "sweep.csv"
     emit_report(rows, path)
     return [path]
 
 
-# subcommand -> (handler, every file it can write); a run that fails
-# removes all of those files
+# subcommand -> (handler, every file it can write); every run removes
+# those files before it starts, and a run that fails removes them again
 COMMANDS = {
     "solve": (_cmd_solve, ("density.csv", "trajectory.csv")),
     "assemble": (_cmd_assemble, ("L.mtx", "L.mtx.json", "F.mtx", "F.mtx.json")),
@@ -318,6 +315,8 @@ def main(argv=None) -> int:
     code = EXIT_OK
     try:
         outdir.mkdir(parents=True, exist_ok=True)
+        for name in outputs:
+            (outdir / name).unlink(missing_ok=True)
         # override flags coincide with config keys
         raw = read_config(args.config)
         raw.update({key: value for key in CONFIG_KEYS

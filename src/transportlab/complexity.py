@@ -69,13 +69,10 @@ class ComplexityRow:
     """One sweep entry: grid, measured spectrum, and both cost figures.
 
     The first 17 fields are the CSV columns, named as in ``CSV_HEADER``.
-    The last four are not part of the CSV schema: ``method``,
-    ``residual`` and ``matvecs``, the spectral path ("dense" or
-    "iterative"), its residual and its ARPACK matvec counts per stage
-    (``{"sigma_max": .., "sigma_min": .., "symbol": ..}``, the last the
-    order-m solve that seeds sigma_max's start; zeros on the dense path)
-    of a measured row, and ``rescaled``, whether its measured system was
-    tau-rescaled.  ``alpha`` is the relaxation system's Fourier
+    The last, ``spectrum``, is not part of the CSV schema: the
+    ``spectral.SpectrumReport`` of a measured row, whose path, residual,
+    matvec counts and rescaling the manifest records, and None on a row
+    that measured nothing.  ``alpha`` is the relaxation system's Fourier
     perturbation bound, so it is None on every upwind row.  An error row
     holds None in each grid field the sweep failed before deriving, and
     in ``alpha`` and ``classical_cost`` when they need such a field.
@@ -98,10 +95,7 @@ class ComplexityRow:
     classical_cost: int | None
     quantum_queries: float | None
     status: str
-    method: str | None = None
-    residual: float | None = None
-    matvecs: dict | None = None
-    rescaled: bool | None = None
+    spectrum: spectral.SpectrumReport | None = None
 
 
 def rows_to_csv(rows) -> str:
@@ -144,20 +138,14 @@ def row_for(
         status="counts_only",
     )
     if measure:
-        system = schemes.scheme_for(cfg).assemble(cfg, rescaled)
-        report = spectral.singular_extremes(system)
+        report = spectral.singular_extremes(schemes.scheme_for(cfg).assemble(cfg, rescaled))
         row.quantum_queries = (
             qlsa_queries(report.sparsity, report.kappa, delta)
             if math.isfinite(report.kappa) else float("inf")
         )
         row.sigma_min, row.sigma_max = report.sigma_min, report.sigma_max
         row.kappa, row.sparsity = report.kappa, report.sparsity
-        row.method, row.residual = report.method, report.residual
-        row.matvecs = {"sigma_max": report.matvecs_max,
-                       "sigma_min": report.matvecs_min,
-                       "symbol": report.matvecs_symbol}
-        row.rescaled = system.rescaled
-        row.status = "ok"
+        row.spectrum, row.status = report, "ok"
     return row
 
 

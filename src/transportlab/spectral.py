@@ -28,6 +28,7 @@ __all__ = [
     "RegressionResult",
     "SpectrumReport",
     "alpha_bound",
+    "manifest_entry",
     "perturbation_check",
     "scaling_regression",
     "singular_extremes",
@@ -36,7 +37,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Extreme singular values of one space-time system.
+    """Extreme singular values of one space-time system, and how they
+    were measured: the one record of a measurement, which
+    ``manifest_entry`` turns into its manifest figures.
 
     ``method`` is the path that computed them, "dense" or "iterative".
     ``residual`` is a backward-error estimate of the extreme
@@ -49,7 +52,9 @@ class SpectrumReport:
     start.  ``matvecs_min`` counts ARPACK's applications of
     (L^H L)^{-1} for sigma_min, and ``matvecs_symbol`` those of the
     order-m solve for the start of the sigma_max run (0 when that solve
-    is dense).  All three are 0 on the dense path.
+    is dense).  All three are 0 on the dense path.  ``rescaled`` is the
+    system's: whether some group of S is stored divided by a scale
+    other than 1.
     """
 
     sigma_min: float
@@ -61,6 +66,20 @@ class SpectrumReport:
     matvecs_max: int
     matvecs_min: int
     matvecs_symbol: int
+    rescaled: bool
+
+
+def manifest_entry(report: SpectrumReport | None) -> dict:
+    """The manifest figures of a measurement: its method, residual,
+    matvec counts per stage and whether its system was rescaled, each
+    None when ``report`` is None (no system was measured)."""
+    if report is None:
+        return dict.fromkeys(("method", "residual", "matvecs", "rescaled"))
+    return {"method": report.method, "residual": report.residual,
+            "matvecs": {"sigma_max": report.matvecs_max,
+                        "sigma_min": report.matvecs_min,
+                        "symbol": report.matvecs_symbol},
+            "rescaled": report.rescaled}
 
 
 # ARPACK stops once a Ritz pair's eigen-residual is below this fraction
@@ -261,7 +280,7 @@ def singular_extremes(system: BlockSystem) -> SpectrumReport:
     else:
         kappa = sigma_max / sigma_min
     return SpectrumReport(sigma_min, sigma_max, kappa, system.sparsity, method,
-                          residual, *matvecs)
+                          residual, *matvecs, system.rescaled)
 
 
 def alpha_bound(epsilon: float, tau: float, N: int) -> float:

@@ -29,10 +29,10 @@ from transportlab import (
 )
 from transportlab.assembly import (
     frequency_matrix,
-    system_metadata,
     _time_shift,
 )
 from transportlab.ap_scheme import ap_step_matrices
+from transportlab.model import config_as_dict
 from transportlab.explicit_scheme import explicit_matrix
 
 
@@ -411,7 +411,7 @@ def test_export_round_trip(tmp_path):
     rule = gauss_rule(3, 0.0, 1.0)
     system = assemble_ap_system(cfg, rule, initial_parity_field(cfg, rule))
     path = tmp_path / "L.mtx"
-    sidecar = export_matrix_market(system.L, path, system_metadata(system))
+    sidecar = export_matrix_market(system.L, path, {"config": config_as_dict(cfg)})
     back = mmread(path).tocsr()
     assert (back != system.L).nnz == 0
     assert sidecar.exists()
@@ -551,10 +551,8 @@ def test_stacked_matrix_is_the_kron_bmat_formula_exactly(scheme, rescaled, N_t):
 def _block_system(M, levels=3):
     """The system of ``levels`` steps of the one-step block M."""
     M = sp.csr_matrix(M)
-    cfg = GridConfig(epsilon=1.0, tau=1.0, h=1.0, N=1, N_x=1, N_t=levels,
-                     scheme="explicit", allow_unstable=True)
     return assembly.BlockSystem(M=M, F=np.zeros(levels * M.shape[0]),
-                                scale=(1.0,), cfg=cfg)
+                                scale=(1.0,), levels=levels)
 
 
 def test_block_storage_switches_on_rows():

@@ -146,3 +146,13 @@ def test_traced_fourier_assembles_once_per_invocation(monkeypatch, tmp_path):
     assert tracer.missing_spans("fourier") == []
     assert tracer.counters["assembly.assemble_fourier_matrix.calls"] == len(invocations)
     assert tracer.counters["spectral.perturbation_check.calls"] == len(invocations)
+
+
+def test_benchmark_smoke_check_passes():
+    # the harness's own check at tiny sizes: every workload runs untraced
+    # and twice traced, and each metric BENCHMARK.json declares is reported
+    root = PERFBENCH.parent
+    done = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--smoke"],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "smoke: ok"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import inspect
 import json
 import os
@@ -184,6 +185,19 @@ def test_failed_run_removes_an_earlier_runs_outputs(ap_config, tmp_path, failing
     assert sorted(p.name for p in out.iterdir()) == left
     if left:
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == code
+
+
+def test_successful_run_removes_an_earlier_runs_output_it_does_not_write(
+        ap_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["solve", "--config", str(ap_config), "--output-dir", str(out)]
+    assert main(argv + ["--export-trajectory"]) == 0
+    assert (out / "trajectory.csv").exists()
+    capsys.readouterr()
+    assert main(argv + ["--Nt", "2"]) == 0
+    assert capsys.readouterr().out == f"{out / 'density.csv'}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["density.csv", "manifest.json"]
+    assert json.loads((out / "manifest.json").read_text())["solve"]["steps"] == 2
 
 
 def test_outputs_get_the_umask_mode(ap_config, tmp_path):
@@ -743,6 +757,79 @@ def test_manifest_records_whether_the_measured_system_was_rescaled(ap_config,
         entries = json.loads((out / "manifest.json").read_text())["sweep"]
         assert [entry["rescaled"] for entry in entries] == expected
     assert "rescaled" not in complexity.CSV_HEADER.split(",")
+
+
+# the recorded JSON text of each manifest entry of a measured system:
+# spectrum runs on the dense path (plain and rescaled) and the iterative
+# one, and sweeps with ok, counts_only and error rows.  The iterative
+# entries pin ARPACK's matvec counts and residual at one BLAS thread
+_DENSE_ENTRY = ('"matvecs": {"sigma_max": 0, "sigma_min": 0, "symbol": 0}, '
+                '"method": "dense"')
+_NO_ENTRY = '"matvecs": null, "method": null, "rescaled": null, "residual": null'
+_ERROR = '"error: epsilon must be finite and positive, got -1.0"'
+RECORDED_ENTRIES = {
+    "ap": (AP_RAW, ("spectrum",),
+           f'{{{_DENSE_ENTRY}, "rescaled": false, "residual": 0.0}}'),
+    "ap-rescaled": (AP_RAW, ("spectrum", "--rescaled"),
+                    f'{{{_DENSE_ENTRY}, "rescaled": true, "residual": 0.0}}'),
+    "ap-iterative": (AP_RAW, ("spectrum", "--rescaled", "--Nt", "12"),
+                     '{"matvecs": {"sigma_max": 41, "sigma_min": 21, "symbol": 0}, '
+                     '"method": "iterative", "rescaled": true, '
+                     '"residual": 1.9341295235804271e-13}'),
+    "explicit": (EXPLICIT_RAW, ("spectrum",),
+                 f'{{{_DENSE_ENTRY}, "rescaled": false, "residual": 0.0}}'),
+    "sweep-ap": (AP_RAW, ("sweep", "--allow-unstable", "--epsilons", "0.5,-1"),
+                 f'[{{"epsilon": 0.5, {_DENSE_ENTRY}, "rescaled": true, '
+                 f'"residual": 0.0, "status": "ok"}}, '
+                 f'{{"epsilon": -1.0, {_NO_ENTRY}, "status": {_ERROR}}}]'),
+    "sweep-ap-counts": (AP_RAW, ("sweep", "--no-spectrum", "--epsilons", "0.5"),
+                        f'[{{"epsilon": 0.5, {_NO_ENTRY}, "status": "counts_only"}}]'),
+    "sweep-explicit": (EXPLICIT_RAW, ("sweep", "--mode", "cfl_driven",
+                                      "--epsilons", "0.4,1e-3,-1"),
+                       '[{"epsilon": 0.4, "matvecs": {"sigma_max": 51, '
+                       '"sigma_min": 31, "symbol": 0}, "method": "iterative", '
+                       '"rescaled": false, "residual": 9.610408446955085e-14, '
+                       '"status": "ok"}, '
+                       f'{{"epsilon": 0.001, {_NO_ENTRY}, "status": "counts_only"}}, '
+                       f'{{"epsilon": -1.0, {_NO_ENTRY}, "status": {_ERROR}}}]'),
+}
+
+
+@pytest.mark.parametrize("raw, argv, recorded", RECORDED_ENTRIES.values(),
+                         ids=RECORDED_ENTRIES)
+def test_manifest_entry_of_a_measurement_keeps_its_recorded_text(raw, argv, recorded,
+                                                                 tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(config), "--output-dir", str(out),
+                 *argv[1:]]) == 0
+    entry = json.loads((out / "manifest.json").read_text())[argv[0]]
+    assert json.dumps(entry, sort_keys=True) == recorded
+
+
+# the sha256 of the recorded L.mtx.json sidecars: shape, nnz, scheme,
+# rescaling and the resolved configuration
+RECORDED_SIDECARS = {
+    "ap": (AP_RAW, (),
+           "c4089d18d6fba22298bf21c491604bc5eebaaef1bc1abfea41f110713acde212"),
+    "ap-rescaled": (AP_RAW, ("--rescaled",),
+                    "c7d647ad9bebbcca3db16423541fbddd35baef67ad5d1432303e048c70dd5a3f"),
+    "explicit": (EXPLICIT_RAW, (),
+                 "0f938f27bd59eb548e923c0f519508e0f32a24e78357150a11970a6db2924843"),
+}
+
+
+@pytest.mark.parametrize("raw, flags, recorded", RECORDED_SIDECARS.values(),
+                         ids=RECORDED_SIDECARS)
+def test_assemble_writes_the_recorded_sidecar_bytes(raw, flags, recorded, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["assemble", "--config", str(config), "--output-dir", str(out),
+                 *flags]) == 0
+    data = (out / "L.mtx.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == recorded
 
 
 @pytest.mark.parametrize("raw, argv", [

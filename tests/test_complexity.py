@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import svdvals
 
 from transportlab import assembly, complexity, resolve_config, schemes, spectral
-from transportlab.spectral import DENSE_CAP
+from transportlab.spectral import DENSE_CAP, manifest_entry
 from transportlab import (
     CSV_HEADER,
     ComplexityRow,
@@ -317,10 +317,10 @@ def test_row_above_dense_cap_needs_no_factorization(monkeypatch, raw):
     for name in ("splu", "spilu", "spsolve", "spsolve_triangular", "factorized"):
         monkeypatch.setattr(spla, name, refuse)
     row = complexity.row_for(cfg, 0.1)
-    assert (row.status, row.method) == ("ok", "iterative")
+    assert (row.status, row.spectrum.method) == ("ok", "iterative")
     assert row.sigma_min == pytest.approx(sigma_min, rel=1e-10)
     assert row.sigma_max == pytest.approx(sigma_max, rel=1e-10)
-    assert 0.0 <= row.residual <= 1e-8
+    assert 0.0 <= row.spectrum.residual <= 1e-8
 
 
 def test_criterion_6_grid_takes_the_iterative_path_and_agrees_with_dense():
@@ -328,7 +328,7 @@ def test_criterion_6_grid_takes_the_iterative_path_and_agrees_with_dense():
                       allow_unstable=True)
     rows = sweep_epsilon(base, [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     for row in rows:
-        assert (row.status, row.method) == ("ok", "iterative")
+        assert (row.status, row.spectrum.method) == ("ok", "iterative")
         cfg = dataclasses.replace(base, epsilon=row.epsilon)
         values = svdvals(schemes.scheme_for(cfg).assemble(cfg, True).L.toarray())
         assert row.sigma_min == pytest.approx(values[-1], rel=1e-12)
@@ -379,9 +379,10 @@ def test_csv_writes_numpy_scalars_as_plain_floats():
 
 def test_row_carries_the_spectral_method_outside_the_csv():
     row = sweep_epsilon(ap_base(), [1e-2], mode="fixed_grid")[0]
-    assert (row.method, row.residual) == ("dense", 0.0)
-    assert row.matvecs == {"sigma_max": 0, "sigma_min": 0, "symbol": 0}
-    unmeasured = dataclasses.replace(row, method=None, residual=None, matvecs=None)
+    assert (row.spectrum.method, row.spectrum.residual) == ("dense", 0.0)
+    assert manifest_entry(row.spectrum)["matvecs"] == {
+        "sigma_max": 0, "sigma_min": 0, "symbol": 0}
+    unmeasured = dataclasses.replace(row, spectrum=None)
     assert rows_to_csv([row]) == rows_to_csv([unmeasured])
 
 
