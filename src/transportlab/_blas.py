@@ -13,7 +13,7 @@ reasons, on 2-core OpenBLAS:
   0.93 at order 512, with the same bits, and 1.25 at order 1024, with
   other bits.
   The only such SVDs above order 512 are the per-frequency ones, split
-  between two Python threads across the frequencies instead.
+  across the frequencies between two thread-pool workers instead.
 - The iterative spectrum does its products with a dense one-step block
   on numpy's pool: a fixed-h upwind row of order 67,564 (m = 76,
   N_t = 889) took 40 to 47 s with it at two threads and 9 s at one.
@@ -28,8 +28,8 @@ whose path names ``openblas`` and that exports a
 ``{scipy_,}openblas_{get,set}_num_threads{64_,}`` pair.  Where none is
 found (another BLAS, or no ``/proc``) nothing is changed.  The thread
 count is a per-process setting, so ``one_thread`` is not meant for
-concurrent use from several Python threads: a caller that splits its
-work between threads enters it once, before it starts them.
+concurrent use from several Python threads: a caller with a thread pool
+enters it before the pool starts and leaves it once the pool is joined.
 """
 
 from __future__ import annotations

@@ -268,7 +268,10 @@ def _cmd_fourier(args, cfg, outdir: Path, record: dict) -> list[Path]:
 
 
 def _cmd_sweep(args, cfg, outdir: Path, record: dict) -> list[Path]:
-    epsilons = [float(e) for e in args.epsilons.split(",") if e]
+    try:
+        epsilons = [float(e) for e in args.epsilons.split(",") if e]
+    except ValueError as exc:
+        raise _UsageError(f"--epsilons must list numbers: {exc}") from None
     if not epsilons:
         raise _UsageError("--epsilons must list at least one value")
     rows = complexity.sweep_epsilon(

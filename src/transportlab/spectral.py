@@ -11,7 +11,7 @@ cost ~ 1/eps^3) into testable numbers.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,18 +120,31 @@ FILTER_MARGIN = 0.03
 SYMBOL_TOL = 1e-6
 
 
+class _NotFinite(RuntimeError):
+    """Raised by an operator application that is not finite, inside an
+    ARPACK run, to end the run before ARPACK reads the value."""
+
+    def __init__(self, made: int):
+        super().__init__(f"application {made} of an ARPACK run's operator is not finite")
+        self.made = made  # the run's applications, this one included
+
+
 def _top_eigenpair(apply_op, v0: np.ndarray,
                    tol: float = ARPACK_TOL) -> tuple[float, np.ndarray, int]:
     """Largest eigenvalue of a Hermitian positive operator and its
     vector, by ARPACK's implicitly restarted Lanczos from the fixed
     start ``v0`` (normalized here by its 2-norm, so results are
-    reproducible), and the number of operator applications ARPACK made."""
+    reproducible), and the number of operator applications ARPACK made.
+    An application that is not finite raises ``_NotFinite``."""
     matvecs = 0
 
     def counted(x):
         nonlocal matvecs
         matvecs += 1
-        return apply_op(x)
+        y = apply_op(x)
+        if not np.isfinite(y).all():
+            raise _NotFinite(matvecs)
+        return y
 
     n = v0.size
     op = spla.LinearOperator((n, n), matvec=counted, dtype=v0.dtype)
@@ -143,9 +156,12 @@ def _top_eigenpair(apply_op, v0: np.ndarray,
 def _top_eigenvalue(apply_op, v0: np.ndarray) -> tuple[float, float, int]:
     """``_top_eigenpair`` at ``ARPACK_TOL``: the eigenvalue rho, the
     relative eigen-residual ||op(x) - rho*x|| / rho of its Ritz pair,
-    and the matvec count."""
+    and the matvec count.  A residual that overflows is not finite and
+    raises no floating-point warning."""
     rho, x, matvecs = _top_eigenpair(apply_op, v0)
-    return rho, float(np.linalg.norm(apply_op(x) - rho * x) / rho), matvecs
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(apply_op(x) - rho * x) / rho
+    return rho, float(residual), matvecs
 
 
 def _symbol_top_vector(M: sp.csr_matrix) -> tuple[np.ndarray, int]:
@@ -215,8 +231,10 @@ def _lanczos_extremes(system: BlockSystem) -> tuple[float, float, float, int, in
     cluster, so ARPACK, at the same tolerance, needs fewer of its dearer
     Lanczos steps to confirm it.  The sigma_max count is the filter's
     applications plus ARPACK's.  The sigma_min run starts from the
-    all-ones vector.  ``singular_extremes`` runs the whole path inside
-    ``_blas.one_thread``.
+    all-ones vector; once (L^H L)^{-1} overflows, in an application or in
+    the residual, that run stops and sigma_min is 0, with the sigma_max
+    stage's residual and the applications made.  ``singular_extremes``
+    runs the whole path inside ``_blas.one_thread``.
     """
     u, mv_symbol = _symbol_top_vector(system.M)
     t = np.arange(system.levels)
@@ -230,10 +248,18 @@ def _lanczos_extremes(system: BlockSystem) -> tuple[float, float, float, int, in
         mv_filter = math.ceil(FILTER_DEGREE_PER_LEVEL * system.levels)
         start = _chebyshev_filtered(gram, start, mv_filter)
     lam, res_max, mv_max = _top_eigenvalue(gram, start)
-    mu, res_min, mv_min = _top_eigenvalue(
-        lambda x: system.solve(system.solve_h(x)),
-        np.ones(system.order, system.dtype))
-    return (1.0 / math.sqrt(mu), math.sqrt(lam), max(res_max, res_min),
+    try:
+        mu, res_min, mv_min = _top_eigenvalue(
+            lambda x: system.solve(system.solve_h(x)),
+            np.ones(system.order, system.dtype))
+    except _NotFinite as exc:
+        res_min, mv_min = math.inf, exc.made
+    if not math.isfinite(res_min):
+        # an overflow of (L^H L)^{-1} or of its residual's norm proves
+        # sigma_min < 1e-77, below the singularity flag's bound at every
+        # sigma_max >= 1, which the last level's unit columns give
+        mu, res_min = math.inf, res_max
+    return (1.0 / math.sqrt(mu), math.sqrt(lam), float(np.maximum(res_max, res_min)),
             mv_filter + mv_max, mv_min, mv_symbol)
 
 
@@ -252,9 +278,11 @@ def singular_extremes(system: BlockSystem) -> SpectrumReport:
     this path builds no ``L`` and factors nothing.  Both paths run
     inside ``_blas.one_thread``, every loaded OpenBLAS at one thread, so
     no bit depends on the thread count.  The sparsity comes from M on
-    both paths.  An argument that is not a ``BlockSystem`` raises
+    both paths.  A system whose (L^H L)^{-1} overflows is singular to
+    working precision.  An argument that is not a ``BlockSystem`` raises
     TypeError, a system of order 0 ValueError, and an ARPACK convergence
-    failure or a filtered start that is not finite RuntimeError.
+    failure, a filtered start or an application of L^H L that is not
+    finite RuntimeError.
     """
     if not isinstance(system, BlockSystem):
         raise TypeError(
@@ -381,58 +409,24 @@ def _singular_values(stack: np.ndarray) -> np.ndarray:
 GIL_RELEASE_SIZE = 500
 
 
-def _on_two_threads(work) -> None:
-    """Run ``work(0)`` on the calling thread and ``work(1)`` on one helper
-    thread, and return once both end.  ``work`` takes a second argument,
-    a list that is nonempty once either side has failed, to stop early.
-    An exception of the helper is raised here unchanged; one of the
-    calling thread wins over it."""
-    failed = []
-
-    def helper():
-        try:
-            work(1, failed)
-        except BaseException as exc:
-            failed.append(exc)
-
-    thread = threading.Thread(target=helper, name="perturbation_check")
-    thread.start()
-    try:
-        work(0, failed)
-    except BaseException:
-        failed.append(None)
-        raise
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
-
-
-def _frequency_extremes(blocks: np.ndarray, N_t: int) -> tuple[np.ndarray, np.ndarray]:
+def _frequency_extremes(blocks: np.ndarray, N_t: int,
+                        pool: ThreadPoolExecutor) -> tuple[np.ndarray, np.ndarray]:
     """sigma_max and sigma_min of I + X kron P for every block X of the
     stack ``blocks``, in stack order.
 
-    The blocks are expanded and decomposed in chunks, each one
-    ``frequency_matrix`` stack and one ``_singular_values`` call: the
-    calling thread takes the even chunks and one helper thread the odd
-    ones, none if there is one chunk (``_on_two_threads``), so at most
-    two chunks of matrices are held at once.  A chunk is the smallest
-    stack whose decomposition releases the GIL (``GIL_RELEASE_SIZE``).
+    The blocks are expanded and decomposed in chunks on the workers of
+    ``pool``, each chunk one ``frequency_matrix`` stack and one
+    ``_singular_values`` call, so each worker holds one chunk of
+    matrices at a time.  A chunk is the smallest stack whose
+    decomposition releases the GIL (``GIL_RELEASE_SIZE``).
     """
-    count = blocks.shape[0]
     chunk = GIL_RELEASE_SIZE // (blocks.shape[-1] * N_t) + 1
-    starts = range(0, count, chunk)
-    extremes = np.empty((2, count))
 
-    def decompose(side, failed):
-        for start in starts[side::2]:
-            if failed:
-                return
-            values = _singular_values(frequency_matrix(blocks[start:start + chunk], N_t))
-            extremes[:, start:start + chunk] = values[:, [0, -1]].T
+    def decompose(start):
+        return _singular_values(frequency_matrix(blocks[start:start + chunk], N_t))[:, [0, -1]]
 
-    _on_two_threads(decompose)
-    return extremes[0], extremes[1]
+    extremes = np.concatenate(list(pool.map(decompose, range(0, blocks.shape[0], chunk))))
+    return extremes[:, 0], extremes[:, 1]
 
 
 def _stacked_blocks(cfg: GridConfig, rule: QuadratureRule, xi_values: np.ndarray):
@@ -485,14 +479,13 @@ def perturbation_check(
     itself and is the identity on its complement, so its singular
     values are those of the order-2*N_t matrix I + (Q^T X_zero Q) kron P,
     plus the value 1 when N >= 2.  Only the frequency matrices, of
-    order 2N*N_t and 2*N_t, are built and decomposed a chunk of xi at a
-    time (``_frequency_extremes``): the calling thread and one helper
-    thread take every other chunk, each the smallest stack whose numpy
-    SVD releases the GIL, so at most two chunks are held at once, where
-    a stack of every xi would grow by a whole matrix per xi and the
-    stacked blocks and symbols grow by a few 2N x 2N blocks.  Every SVD
-    runs on numpy's LAPACK inside ``_blas.one_thread`` (every OpenBLAS
-    at one thread), entered once before the helper thread starts.
+    order 2N*N_t and 2*N_t, are built, a chunk of xi at a time on each
+    of two pool workers (``_frequency_extremes``), where a stack of
+    every xi would grow by a whole matrix per xi; the stacked blocks and
+    symbols grow by a few 2N x 2N blocks.  An exception of a worker
+    reaches the caller unchanged.  Every SVD runs on numpy's LAPACK
+    inside ``_blas.one_thread`` (every OpenBLAS at one thread), entered
+    before the pool starts and left once the pool is joined.
     """
     xi_values = np.asarray(xi_values, dtype=float)
     if xi_values.ndim != 1:
@@ -507,10 +500,10 @@ def perturbation_check(
             f"weyl_tolerance must be finite and nonnegative, got {weyl_tolerance}")
 
     # parallel across frequencies, not inside BLAS: one thread each
-    with one_thread():
+    with one_thread(), ThreadPoolExecutor(2) as pool:
         symbols, X_eps, e_norms, reduced = _stacked_blocks(cfg, rule, xi_values)
-        smax_e, smin_e = _frequency_extremes(X_eps, cfg.N_t)
-        smax_0, smin_0 = _frequency_extremes(reduced, cfg.N_t)
+        smax_e, smin_e = _frequency_extremes(X_eps, cfg.N_t, pool)
+        smax_0, smin_0 = _frequency_extremes(reduced, cfg.N_t, pool)
     if cfg.N > 1:
         # the 1s of the complement; unit triangular up to a permutation,
         # the reduced matrix has singular values multiplying to 1, so

@@ -143,19 +143,24 @@ def test_perturbation_sweep_runs_at_one_thread(monkeypatch):
     singular_values = spectral._singular_values
 
     def spy(stack):
-        calls.append((_blas.thread_counts(), threading.get_ident()))
+        calls.append((_blas.thread_counts(), threading.current_thread()))
         return singular_values(stack)
 
     monkeypatch.setattr(spectral, "_singular_values", spy)
-    # 2 * N * N_t = 128, chunks of 4 matrices: the calling thread takes
-    # xi 0-3 and the helper xi 4-7; the order-32 reduced matrices fit in
-    # one chunk of 16
+    # 2 * N * N_t = 128, chunks of 4 matrices: xi 0-3 and xi 4-7; the
+    # order-32 reduced matrices fit in one chunk of 16
     cfg = GridConfig(epsilon=0.3, tau=0.004, h=0.1, N=4, N_x=6, N_t=16)
+    running = set(threading.enumerate())
     perturbation_check(cfg, gauss_rule(4, 0.0, 1.0), np.linspace(0.0, 1.0, 8))
     # one stacked call for the ||E|| blocks, then one per chunk
     assert len(calls) == 1 + 2 + 1
     assert all(set(counts.values()) <= {1} for counts, _ in calls)
-    assert len({thread for _, thread in calls}) == 2
+    # the chunks ran off the calling thread, on workers joined on return
+    assert calls[0][1] is threading.main_thread()
+    workers = [thread for _, thread in calls[1:]]
+    assert threading.main_thread() not in workers
+    assert not any(worker.is_alive() for worker in workers)
+    assert set(threading.enumerate()) == running
 
 
 def _system_above_the_symbol_cap():

@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -618,6 +619,40 @@ def test_sweep_manifest_records_each_row(ap_config, tmp_path):
     assert ok["matvecs"]["symbol"] == 0  # a one-step block of 36 rows is dense
     assert failed["status"].startswith("error:") and failed["residual"] is None
     assert failed["matvecs"] is None
+
+
+@pytest.mark.parametrize("epsilons, bad", [("0.1,abc", "'abc'"), (" ", "' '")],
+                         ids=["word", "blank"])
+def test_sweep_rejects_an_epsilon_that_is_not_a_number(ap_config, tmp_path, capsys,
+                                                       epsilons, bad):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(ap_config), "--output-dir", str(out),
+                 "--epsilons", epsilons]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --epsilons") and bad in err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_flags_rows_whose_inverse_overflows_as_singular(tmp_path, capfd):
+    # upwind rows of order 960 past the step limit, singular to working
+    # precision: (L^H L)^{-1} stays finite at eps = 0.1, and overflows
+    # float64 in its third application at 1e-2 and in its first at 3e-3;
+    # each row reads as singular, as a dense row of order 128 does
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scheme": "explicit", "epsilon": 0.5, "N": 2, "Nx": 4,
+                                  "Nt": 60, "h": 0.1, "tau": 0.0375}), encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--config", str(config), "--output-dir", str(out),
+                     "--epsilons", "0.1,1e-2,3e-3"]) == 0
+    assert capfd.readouterr() == (f"{out / 'sweep.csv'}\n", "")
+    with open(out / "sweep.csv", newline="") as table:
+        rows = list(csv.DictReader(table))
+    assert [(row["sigma_min"], row["kappa"], row["status"]) for row in rows] == [
+        ("0.0", "inf", "ok")] * 3
+    entries = json.loads((out / "manifest.json").read_text())["sweep"]
+    assert all(0.0 < entry["residual"] < 1e-10 for entry in entries)
 
 
 def test_sweep_csv_shape_and_determinism(ap_config, tmp_path):

@@ -6,6 +6,8 @@ module's current object.
 """
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -108,3 +110,15 @@ def test_package_reads_the_current_home_binding(monkeypatch):
     assert transportlab.gauss_rule is fake
     monkeypatch.undo()
     assert transportlab.gauss_rule is original
+
+
+def test_readme_quotes_each_constant_at_its_value():
+    # "`NAME` = value" in README.md is the value of the module constant NAME
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    quoted = re.findall(r"`([A-Z][A-Z0-9_]*)` = (\d+(?:,\d{3})*(?:\.\d+)?)", readme)
+    assert quoted
+    modules = [importlib.import_module(f"transportlab.{module}") for module in HOMES]
+    for name, value in quoted:
+        values = [getattr(module, name) for module in modules if hasattr(module, name)]
+        assert values, name
+        assert all(v == float(value.replace(",", "")) for v in values), (name, value)

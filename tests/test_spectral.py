@@ -292,19 +292,30 @@ def test_symbol_top_vector_keeps_its_recorded_bits(scheme, rescaled, digest):
     assert hashlib.sha256(u.tobytes()).hexdigest() == digest
 
 
-def test_no_module_imports_scipy_linalg():
-    # every dense SVD runs on numpy's LAPACK, the one the manifest records
+def _package_imports():
+    """(file name, the modules an import statement names) for every
+    import statement of every module of the package."""
     package = Path(spectral.__file__).parent
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
+                yield path.name, [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module is not None:
-                modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            assert not any(module == "scipy.linalg" or module.startswith("scipy.linalg.")
-                           for module in modules), path.name
+                yield path.name, [node.module] + [f"{node.module}.{alias.name}"
+                                                  for alias in node.names]
+
+
+def test_no_module_imports_scipy_linalg():
+    # every dense SVD runs on numpy's LAPACK, the one the manifest records
+    for name, modules in _package_imports():
+        assert not any(module == "scipy.linalg" or module.startswith("scipy.linalg.")
+                       for module in modules), name
+
+
+def test_no_module_starts_a_thread_of_its_own():
+    # threads come from concurrent.futures' pools, which join their workers
+    for name, modules in _package_imports():
+        assert not {"threading", "_thread"} & {module.split(".")[0] for module in modules}, name
 
 
 # one-step blocks with m = 32 and m = 200 rows, on either side of
@@ -458,6 +469,51 @@ def test_the_cli_reports_a_start_that_is_not_finite_as_a_numerical_failure(
         "numerical failure: the Rayleigh quotient of the sigma_max start is")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out" / "spectrum.csv").exists()
+
+
+def test_a_sigma_max_that_is_not_finite_fails_with_a_true_message():
+    # order 240, below FILTER_CAP: L^H L of M = 1e200 I overflows on its
+    # first application, which ARPACK must never read
+    with pytest.raises(RuntimeError, match="application 1 .* is not finite") as info:
+        singular_extremes(_system_of(1e200 * sp.eye(8), 30))
+    assert not isinstance(info.value, spla.ArpackError)
+
+
+def _unstable_upwind_system(Nx, Nt, epsilon):
+    """An upwind system past the step limit, as a fixed_grid sweep row
+    builds it, whose L^{-1} march overflows float64."""
+    cfg = resolve_config({"scheme": "explicit", "epsilon": epsilon, "tau": 0.0375,
+                          "h": 0.1, "N": 2, "Nx": Nx, "Nt": Nt}, allow_unstable=True)
+    return schemes.scheme_for(cfg).assemble(cfg, False)
+
+
+# order 960: (L^H L)^{-1} overflows in its residual's norm, in ARPACK's
+# third application and in its first
+@pytest.mark.parametrize("Nx, Nt, epsilon, made", [
+    (8, 30, 3e-3, 21), (4, 60, 1e-2, 3), (4, 60, 3e-3, 1),
+], ids=["residual", "third", "first"])
+def test_an_overflowing_inverse_flags_the_row_singular(Nx, Nt, epsilon, made,
+                                                       monkeypatch, capfd):
+    system = _unstable_upwind_system(Nx, Nt, epsilon)
+    residuals = []
+
+    def spy(apply_op, v0):
+        result = _top_eigenvalue(apply_op, v0)
+        residuals.append(result[1])
+        return result
+
+    monkeypatch.setattr(spectral, "_top_eigenvalue", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = singular_extremes(system)
+    assert report.method == "iterative"
+    assert (report.sigma_min, report.kappa) == (0.0, float("inf"))
+    # the sigma_max stage's residual, and the applications the sigma_min
+    # run made, the one that overflowed included
+    assert np.isfinite(residuals[0]) and report.residual == residuals[0]
+    assert report.matvecs_min == made
+    # no LAPACK message from an ARPACK run on a value that is not finite
+    assert capfd.readouterr() == ("", "")
 
 
 # --- alpha --------------------------------------------------------------
@@ -621,11 +677,13 @@ def test_an_exception_of_the_helper_thread_reaches_the_caller_unchanged(monkeypa
         return original(stack)
 
     monkeypatch.setattr(spectral, "_singular_values", fail_off_the_calling_thread)
+    running = set(threading.enumerate())
     with pytest.raises(MemoryError) as caught:
         perturbation_check(fourier_cfg(1e-2), gauss_rule(4, 0.0, 1.0), XI)
     assert caught.value is raised
-    # the helper stopped at its first chunk and was joined
-    assert len(helpers) == 1 and not helpers[0].is_alive()
+    # the chunks ran off the calling thread, and every helper was joined
+    assert helpers and not any(helper.is_alive() for helper in helpers)
+    assert set(threading.enumerate()) == running
 
 
 def _scalar_symbols(cfg, v_k, xi):
