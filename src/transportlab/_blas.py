@@ -1,4 +1,4 @@
-"""One OpenBLAS thread for every SVD and ARPACK run.
+"""One OpenBLAS thread for every SVD and Lanczos run.
 
 A pool is the thread pool of one loaded OpenBLAS library; numpy's wheel
 ships one and scipy's another.  ``one_thread`` runs its body with every
@@ -17,10 +17,11 @@ reasons, on 2-core OpenBLAS:
 - The iterative spectrum does its products with a dense one-step block
   on numpy's pool: a fixed-h upwind row of order 67,564 (m = 76,
   N_t = 889) took 40 to 47 s with it at two threads and 9 s at one.
-  Scipy's pool, which runs ARPACK's reorthogonalization, is faster at
-  two threads on the longest rows: a whole ``spectrum`` run took about
-  1.14 times as long with it pinned too, at orders 67,564 and 97,416.
-  It is pinned there all the same, so those rows keep their bits.
+  Its Lanczos runs are ``spectral``'s own numpy code, so numpy's pool
+  is the only one the spectrum path touches: ``thread_counts()`` after
+  an iterative ``spectrum`` run lists numpy's ``libscipy_openblas64_``
+  alone (scipy's ``libscipy_openblas`` is not loaded by any module of
+  the package), back at its own count once the pin is lifted.
 
 The upwind transport check takes no SVD and no pin.  The libraries are
 found on first use, not at import: every mapped object of the process

@@ -7,7 +7,7 @@ loaded OpenBLAS's thread count at the start of the run and the exit
 status, so any output row can be regenerated and a failed run is
 not mistaken for a finished one.  A run adds its subcommand's figures
 once they are computed: solve its steps and cost, spectrum the spectral
-method, residual, ARPACK matvec counts and whether the system was
+method, residual, Lanczos matvec counts and whether the system was
 tau-rescaled, sweep one such entry per row, fourier its xi sample
 count, max ||E||/alpha and Weyl slack.  It holds no wall time or memory
 figure, so a rerun writes the same bytes.

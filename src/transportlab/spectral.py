@@ -10,13 +10,13 @@ cost ~ 1/eps^3) into testable numbers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._blas import one_thread
 from .assembly import BlockSystem, FourierSymbols, assemble_fourier_matrix, frequency_matrix
@@ -44,15 +44,18 @@ class SpectrumReport:
     ``method`` is the path that computed them, "dense" or "iterative".
     ``residual`` is a backward-error estimate of the extreme
     computation: zero-order machine precision for the dense path, the
-    worse relative eigen-residual of the two ARPACK Ritz pairs for the
-    iterative path.  ``kappa`` is +inf when the matrix is singular to
-    working precision (sigma_min reported as 0).  ``matvecs_max``
-    counts the applications of L^H L for sigma_max: ARPACK's, plus,
-    above order ``FILTER_CAP``, those of the Chebyshev filter on its
-    start.  ``matvecs_min`` counts ARPACK's applications of
+    worse true relative eigen-residual ||Ax - theta x|| / theta of the
+    two Lanczos Ritz pairs for the iterative path.  ``kappa`` is +inf
+    when the matrix is singular to working precision (sigma_min reported
+    as 0).  ``matvecs_max`` counts the applications of L^H L for
+    sigma_max: the Lanczos run's, the second pass that regenerates the
+    vectors past the kept ones included, plus, above order
+    ``FILTER_CAP``, those of the Chebyshev filter on its start.
+    ``matvecs_min`` counts the Lanczos run's applications of
     (L^H L)^{-1} for sigma_min, and ``matvecs_symbol`` those of the
     order-m solve for the start of the sigma_max run (0 when that solve
-    is dense).  All three are 0 on the dense path.  ``rescaled`` is the
+    is dense).  No count includes the one application of each
+    residual.  All three are 0 on the dense path.  ``rescaled`` is the
     system's: whether some group of S is stored divided by a scale
     other than 1.
     """
@@ -82,9 +85,28 @@ def manifest_entry(report: SpectrumReport | None) -> dict:
             "rescaled": report.rescaled}
 
 
-# ARPACK stops once a Ritz pair's eigen-residual is below this fraction
-# of its Ritz value
-ARPACK_TOL = 1e-12
+# a Lanczos run stops once its Ritz pair's eigen-residual |beta_k s_k| is
+# at most this fraction of its Ritz value: ARPACK's stop test, at the
+# tolerance the spectrum ran ARPACK at
+LANCZOS_TOL = 1e-12
+
+# the Lanczos vectors a run keeps: ARPACK's default basis size, so a run
+# holds the memory an ARPACK run did.  A longer run regenerates the later
+# ones for its Ritz vector
+LANCZOS_KEPT = 20
+
+# a Lanczos run's step cap per unit of the operator's order, as ARPACK's
+# default cap on its restarts
+LANCZOS_STEPS_PER_ORDER = 10
+
+# the largest order k of the tridiagonal T whose top eigenpair a stop test
+# takes from numpy's dense ``eigh``, O(k^3); above it, from bisection on
+# Sturm counts and inverse iteration, O(k) a pass.  The measured crossover,
+# one thread, on the T of the sigma_max run of an upwind system of order
+# 29,040, bracketed as the run brackets it: eigh takes 0.12, 0.30 and
+# 0.40 ms at k = 32, 48 and 63, bisection 0.16, 0.19 and 0.21 ms.  On a
+# random T of order 2,000, eigh takes 0.6 s and bisection 13 ms
+EIGH_CAP = 48
 
 # the largest order that ``singular_extremes`` decomposes densely: the
 # measured crossover, on 2-core OpenBLAS, of one dense SVD against the two
@@ -111,54 +133,219 @@ FILTER_CAP = 2816
 # and 0.1, tried on five systems of order 3,072 to 29,040: at 1.5 N_t
 # the margin 0.03 took the fewest or tied-fewest ARPACK steps on all
 # five; 0.5 N_t left ARPACK 30 to 50 more steps, and 2 N_t traded 12 to
-# 32 more filter products for 10 to 20 fewer steps
+# 32 more filter products for 10 to 20 fewer steps.  Under the module's
+# own Lanczos, the raw start took 1.36, 1.06 and 1.33 of the filtered
+# time on the spectrum benchmark's systems of order 8,192, 12,152 and
+# 29,040
 FILTER_DEGREE_PER_LEVEL = 1.5
 FILTER_MARGIN = 0.03
 
-# the tolerance of the order-m ARPACK solve for the symbol's top singular
+# the tolerance of the order-m Lanczos run for the symbol's top singular
 # vector, which only seeds the sigma_max run: a loose start serves as well
 SYMBOL_TOL = 1e-6
 
 
 class _NotFinite(RuntimeError):
-    """Raised by an operator application that is not finite, inside an
-    ARPACK run, to end the run before ARPACK reads the value."""
+    """Raised by a Lanczos run whose operator application, or an alpha or
+    beta of it, is not finite, before the value is used."""
 
     def __init__(self, made: int):
-        super().__init__(f"application {made} of an ARPACK run's operator is not finite")
+        super().__init__(f"application {made} of a Lanczos run's operator, or its "
+                         "alpha or beta, is not finite")
         self.made = made  # the run's applications, this one included
 
 
-def _top_eigenpair(apply_op, v0: np.ndarray,
-                   tol: float = ARPACK_TOL) -> tuple[float, np.ndarray, int]:
-    """Largest eigenvalue of a Hermitian positive operator and its
-    vector, by ARPACK's implicitly restarted Lanczos from the fixed
-    start ``v0`` (normalized here by its 2-norm, so results are
-    reproducible), and the number of operator applications ARPACK made.
-    An application that is not finite raises ``_NotFinite``."""
-    matvecs = 0
-
-    def counted(x):
-        nonlocal matvecs
-        matvecs += 1
-        y = apply_op(x)
-        if not np.isfinite(y).all():
-            raise _NotFinite(matvecs)
-        return y
-
-    n = v0.size
-    op = spla.LinearOperator((n, n), matvec=counted, dtype=v0.dtype)
-    values, vectors = spla.eigsh(op, k=1, which="LA", v0=v0 / np.linalg.norm(v0),
-                                 tol=tol)
-    return float(values[0]), vectors[:, 0], matvecs
+def _above_every_eigenvalue(alphas: list, squares: list, x: float) -> bool:
+    """Whether x lies above every eigenvalue of the symmetric tridiagonal
+    T with diagonal ``alphas`` and squared off-diagonal ``squares``: by
+    Sylvester's law of inertia, whether every pivot of the LDL^T
+    factorization of T - xI is negative.  It stops at the first pivot
+    that is not, which comes at the first leading block of T with an
+    eigenvalue at or above x."""
+    pivot = alphas[0] - x
+    if pivot >= 0.0:
+        return False
+    for alpha, square in zip(itertools.islice(alphas, 1, None), squares):
+        pivot = alpha - x - square / pivot
+        if pivot >= 0.0:
+            return False
+    return True
 
 
-def _top_eigenvalue(apply_op, v0: np.ndarray) -> tuple[float, float, int]:
-    """``_top_eigenpair`` at ``ARPACK_TOL``: the eigenvalue rho, the
-    relative eigen-residual ||op(x) - rho*x|| / rho of its Ritz pair,
-    and the matvec count.  A residual that overflows is not finite and
-    raises no floating-point warning."""
-    rho, x, matvecs = _top_eigenpair(apply_op, v0)
+def _shifted_solve(alphas: list, betas: list, squares: list, x: float,
+                   rhs: list) -> np.ndarray:
+    """(T - xI)^{-1} rhs by the LDL^T factorization, for x above every
+    eigenvalue of T: its pivots are those ``_above_every_eigenvalue``
+    found negative, bit for bit, so none is zero."""
+    pivot = alphas[0] - x
+    pivots, ratios = [pivot], []
+    for alpha, beta, square in zip(itertools.islice(alphas, 1, None), betas, squares):
+        ratios.append(beta / pivot)
+        pivot = alpha - x - square / pivot
+        pivots.append(pivot)
+    y = [rhs[0]]
+    for value, ratio in zip(itertools.islice(rhs, 1, None), ratios):
+        y.append(value - ratio * y[-1])
+    z = [value / pivot for value, pivot in zip(y, pivots)]
+    for i in range(len(z) - 2, -1, -1):
+        z[i] -= ratios[i] * z[i + 1]
+    return np.array(z)
+
+
+def _tridiagonal_top(alphas: list, betas: list, guess: float,
+                     step: float) -> tuple[float, np.ndarray]:
+    """The top eigenvalue of the symmetric tridiagonal T with diagonal
+    ``alphas`` and off-diagonal ``betas``, and its unit eigenvector.
+
+    Up to order ``EIGH_CAP``, numpy's ``eigh`` of the dense T.  Above it,
+    bisection on ``_above_every_eigenvalue`` down to adjacent floats,
+    from a bracket grown in doublings of ``step`` around ``guess``; the
+    value is the bracket's upper end, which lies above every eigenvalue,
+    so two steps of inverse iteration at that shift, from the all-ones
+    vector, give the vector.
+    """
+    k = len(alphas)
+    if k <= EIGH_CAP:
+        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        values, vectors = np.linalg.eigh(T)
+        return float(values[-1]), vectors[:, -1]
+    squares = [beta * beta for beta in betas]
+
+    def above(x):
+        return _above_every_eigenvalue(alphas, squares, x)
+
+    if above(guess):
+        lo, hi = guess - step, guess
+        while above(lo):
+            step *= 2.0
+            lo, hi = guess - step, lo
+    else:
+        lo, hi = guess, guess + step
+        while not above(hi):
+            step *= 2.0
+            lo, hi = hi, guess + step
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    z = np.ones(k)
+    for _ in range(2):
+        z = _shifted_solve(alphas, betas, squares, hi, (z / np.linalg.norm(z)).tolist())
+    return hi, z / np.linalg.norm(z)
+
+
+def _recurrence(apply_op, v: np.ndarray, previous, beta: float) -> np.ndarray:
+    """A v - beta * previous, the first half of a Lanczos step (A v alone
+    on the first step, where ``previous`` is None)."""
+    w = apply_op(v)
+    if previous is not None:
+        w -= beta * previous
+    return w
+
+
+def _steps_to_next_test(k: int, residual: float, target: float, tested) -> int:
+    """The steps from a failed stop test at step k to the next one: as
+    many as the residual's geometric decrease since the last test
+    ``tested`` = (step, residual) predicts it needs to reach ``target``,
+    at least 1 and at most max(4, k // 8), the most when there is no
+    decrease to go by."""
+    most = max(4, k // 8)
+    if tested is None or not 0.0 < residual < tested[1]:
+        return most
+    rate = math.log(residual / tested[1]) / (k - tested[0])
+    return max(1, min(most, math.ceil(math.log(target / residual) / rate)))
+
+
+def _top_eigenpair(apply_op, v0: np.ndarray, stage: str,
+                   tol: float = LANCZOS_TOL) -> tuple[float, np.ndarray, int]:
+    """Largest eigenvalue theta of a Hermitian positive operator A, its
+    unit Ritz vector and the applications of A made, by Lanczos from the
+    fixed start ``v0`` (normalized here by its 2-norm, so results are
+    reproducible).
+
+    The three-term recurrence runs with no restart and no
+    reorthogonalization: lost orthogonality makes copies of converged
+    Ritz values but does not move the top one (Paige 1976).  After step
+    k, with (theta, s) the top eigenpair of the tridiagonal T_k
+    (``_tridiagonal_top``), the run stops once |beta_k s_k| <= tol theta.
+    That is tested at step 4, then after the steps
+    ``_steps_to_next_test`` predicts, and whenever beta_k <= tol times
+    the largest alpha, a lower bound of theta; a breakdown beta_k = 0,
+    where theta is exact, passes it.  A test soon after convergence
+    matters beyond the steps it saves: some steps later lost
+    orthogonality makes a copy of theta in T_k, and the top eigenvector
+    of T_k may then mix the two into a poor Ritz vector (a run of order
+    18 tested every 4 steps passed at step 20 with a true residual of
+    0.023; tested at the predicted step 10 it passed at 2.5e-13).  The
+    run keeps its first ``LANCZOS_KEPT`` Lanczos vectors.  Its Ritz
+    vector sum_j s_j v_j regenerates the later ones from the last two
+    kept, with the recorded alphas and betas and the operations that
+    first made them, so with the same bits, at one more application
+    each; a run of at most ``LANCZOS_KEPT`` steps makes no more.
+    Every vector operation runs under ``np.errstate``: an application,
+    alpha or beta that is not finite raises ``_NotFinite`` before it is
+    used, with no floating-point warning.  A run that reaches
+    ``LANCZOS_STEPS_PER_ORDER`` steps per unit of order raises
+    RuntimeError naming ``stage``.
+    """
+    cap = math.ceil(LANCZOS_STEPS_PER_ORDER * v0.size)
+    alphas, betas, basis = [], [], []
+    v, previous = v0 / np.linalg.norm(v0), None
+    theta, residual, next_test, top_alpha = 0.0, 0.0, 4, 0.0
+    tested = None  # the step and residual of the last stop test
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if len(basis) < LANCZOS_KEPT:
+                basis.append(v)
+            w = _recurrence(apply_op, v, previous, betas[-1] if betas else 0.0)
+            alpha = float(np.vdot(v, w).real)
+            if not math.isfinite(alpha):
+                raise _NotFinite(len(alphas) + 1)
+            w -= alpha * v
+            beta = float(np.linalg.norm(w))
+            if beta == math.inf:  # its sum of squares overflowed: scale first
+                peak = float(np.max(np.abs(w)))
+                beta = peak * float(np.linalg.norm(w / peak))
+            if not math.isfinite(beta):
+                raise _NotFinite(len(alphas) + 1)
+            alphas.append(alpha)
+            betas.append(beta)
+            top_alpha = max(top_alpha, alpha)
+            if len(alphas) >= next_test or beta <= tol * top_alpha:
+                theta, s = _tridiagonal_top(alphas, betas[:-1], theta,
+                                            max(residual, 4.0 * math.ulp(theta)))
+                residual = abs(beta * s[-1])
+                if residual <= tol * theta:
+                    break
+                next_test = len(alphas) + _steps_to_next_test(len(alphas), residual,
+                                                              tol * theta, tested)
+                tested = (len(alphas), residual)
+            if len(alphas) >= cap:
+                raise RuntimeError(
+                    f"the {stage} Lanczos run did not converge in {cap} steps")
+            previous, v = v, w / beta
+
+        x = np.zeros_like(basis[0])
+        for weight, vector in zip(s, basis):
+            x += weight * vector
+        if len(alphas) > len(basis):
+            previous, v = basis[-2:]
+        for j in range(len(basis), len(alphas)):
+            w = _recurrence(apply_op, v, previous, betas[j - 2])
+            w -= alphas[j - 1] * v
+            previous, v = v, w / betas[j - 1]
+            x += s[j] * v
+    made = len(alphas) + max(0, len(alphas) - len(basis))
+    return theta, x / np.linalg.norm(x), made
+
+
+def _top_eigenvalue(apply_op, v0: np.ndarray, stage: str) -> tuple[float, float, int]:
+    """``_top_eigenpair`` at ``LANCZOS_TOL``: the eigenvalue rho, the
+    relative eigen-residual ||op(x) - rho*x|| / rho of its Ritz pair, from
+    one more application, and the applications of the run.  A residual
+    that overflows is not finite and raises no floating-point warning."""
+    rho, x, matvecs = _top_eigenpair(apply_op, v0, stage)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.linalg.norm(apply_op(x) - rho * x) / rho
     return rho, float(residual), matvecs
@@ -167,9 +354,10 @@ def _top_eigenvalue(apply_op, v0: np.ndarray) -> tuple[float, float, int]:
 def _symbol_top_vector(M: sp.csr_matrix) -> tuple[np.ndarray, int]:
     """The top right singular vector u of I + M, the symbol
     I - e^{i theta} M of a block Toeplitz L at theta = pi, and the
-    operator applications its ARPACK run made: numpy's dense SVD when M
-    has at most ``DENSE_CAP`` rows (0 applications), else Lanczos on
-    (I + M)^H (I + M) from the all-ones start at ``SYMBOL_TOL``."""
+    operator applications its Lanczos run made: numpy's dense SVD when M
+    has at most ``DENSE_CAP`` rows (0 applications), else
+    ``_top_eigenpair`` on (I + M)^H (I + M) from the all-ones start at
+    ``SYMBOL_TOL``."""
     m = M.shape[0]
     S = sp.identity(m, dtype=M.dtype, format="csr") + M
     if m <= DENSE_CAP:
@@ -177,7 +365,7 @@ def _symbol_top_vector(M: sp.csr_matrix) -> tuple[np.ndarray, int]:
     Sh = S.conj(copy=False).T.tocsr()
     _, u, matvecs = _top_eigenpair(lambda x: Sh @ (S @ x),
                                    np.ones(m, np.result_type(S.dtype, np.float64)),
-                                   tol=SYMBOL_TOL)
+                                   "symbol", tol=SYMBOL_TOL)
     return u, matvecs
 
 
@@ -192,21 +380,29 @@ def _chebyshev_filtered(apply_op, v0: np.ndarray, degree: int) -> np.ndarray:
     rho_0 is at most the top eigenvalue, so the filter keeps every
     eigencomponent below (1 - FILTER_MARGIN) rho_0 at most its size and
     amplifies those above it the more the higher they lie, the top one
-    most (Zhou-Saad, Chebyshev-Davidson).  The three-term recurrence is
-    rescaled by the norm of its newest term at every step.  A rho_0 or a
-    filtered vector that is not finite raises RuntimeError.
+    most (Zhou-Saad, Chebyshev-Davidson).  The three-term recurrence runs
+    in place on each application's result and is rescaled by the norm
+    of its newest term at every step.  A rho_0 or a filtered vector that
+    is not finite raises RuntimeError.
     """
-    x = v0 / np.linalg.norm(v0)
-    ax = apply_op(x)
-    rho0 = float(np.vdot(x, ax).real)
+    previous = v0 / np.linalg.norm(v0)
+    current = apply_op(previous)
+    rho0 = float(np.vdot(previous, current).real)
     if not math.isfinite(rho0):
         raise RuntimeError(f"the Rayleigh quotient of the sigma_max start is {rho0}")
     e = (1.0 - FILTER_MARGIN) * rho0 / 2.0
-    previous, current = x, ax / e - x
+    current /= e
+    current -= previous
     for _ in range(degree - 1):
-        following = 2.0 * (apply_op(current) / e - current) - previous
+        following = apply_op(current)
+        following /= e
+        following -= current
+        following *= 2.0
+        following -= previous
         scale = np.linalg.norm(following)
-        previous, current = current / scale, following / scale
+        current /= scale
+        following /= scale
+        previous, current = current, following
     if not np.isfinite(current).all():
         raise RuntimeError("the Chebyshev-filtered sigma_max start is not finite")
     return current
@@ -227,14 +423,16 @@ def _lanczos_extremes(system: BlockSystem) -> tuple[float, float, float, int, in
     symbol count).  Above order ``FILTER_CAP`` (2,816, the measured
     crossover) that start is first Chebyshev-filtered on L^H L at degree
     ceil(FILTER_DEGREE_PER_LEVEL N_t) (``_chebyshev_filtered``): the
-    filter's plain products separate the top eigenvalue from its
-    cluster, so ARPACK, at the same tolerance, needs fewer of its dearer
-    Lanczos steps to confirm it.  The sigma_max count is the filter's
-    applications plus ARPACK's.  The sigma_min run starts from the
-    all-ones vector; once (L^H L)^{-1} overflows, in an application or in
-    the residual, that run stops and sigma_min is 0, with the sigma_max
-    stage's residual and the applications made.  ``singular_extremes``
-    runs the whole path inside ``_blas.one_thread``.
+    filter's products separate the top eigenvalue from its cluster, so
+    the Lanczos run, at the same tolerance, needs fewer steps, each of
+    which also costs a product in the second pass for the Ritz vector.
+    The sigma_max count is the filter's applications plus the run's
+    (``_top_eigenpair``, both passes).  The sigma_min run starts from
+    the all-ones vector; once (L^H L)^{-1} overflows, in an application,
+    an alpha, a beta or the residual, that run stops and sigma_min is 0,
+    with the sigma_max stage's residual and the applications made.
+    ``singular_extremes`` runs the whole path inside
+    ``_blas.one_thread``.
     """
     u, mv_symbol = _symbol_top_vector(system.M)
     t = np.arange(system.levels)
@@ -247,11 +445,11 @@ def _lanczos_extremes(system: BlockSystem) -> tuple[float, float, float, int, in
     if system.order > FILTER_CAP:
         mv_filter = math.ceil(FILTER_DEGREE_PER_LEVEL * system.levels)
         start = _chebyshev_filtered(gram, start, mv_filter)
-    lam, res_max, mv_max = _top_eigenvalue(gram, start)
+    lam, res_max, mv_max = _top_eigenvalue(gram, start, "sigma_max")
     try:
         mu, res_min, mv_min = _top_eigenvalue(
             lambda x: system.solve(system.solve_h(x)),
-            np.ones(system.order, system.dtype))
+            np.ones(system.order, system.dtype), "sigma_min")
     except _NotFinite as exc:
         res_min, mv_min = math.inf, exc.made
     if not math.isfinite(res_min):
@@ -270,19 +468,20 @@ def singular_extremes(system: BlockSystem) -> SpectrumReport:
     Systems of order up to ``DENSE_CAP`` (192, the measured cost
     crossover of the two paths) are decomposed densely, by
     ``_singular_values`` of the system's ``L``: numpy's LAPACK, like
-    every dense SVD of this module.  Above the cap, ARPACK Lanczos on
-    L^H L gives sigma_max, started from the symbol's top mode,
-    Chebyshev-filtered above order ``FILTER_CAP`` (2,816), and on
-    (L^H L)^{-1} = L^{-1} L^{-H} gives sigma_min (``_lanczos_extremes``):
+    every dense SVD of this module.  Above the cap, the module's own
+    no-restart Lanczos (``_top_eigenpair``) on L^H L gives sigma_max,
+    started from the symbol's top mode, Chebyshev-filtered above order
+    ``FILTER_CAP`` (2,816), and on (L^H L)^{-1} = L^{-1} L^{-H} gives
+    sigma_min (``_lanczos_extremes``):
     L, L^H, L^{-1} and L^{-H} are applied from the one-step block M, so
     this path builds no ``L`` and factors nothing.  Both paths run
     inside ``_blas.one_thread``, every loaded OpenBLAS at one thread, so
     no bit depends on the thread count.  The sparsity comes from M on
     both paths.  A system whose (L^H L)^{-1} overflows is singular to
     working precision.  An argument that is not a ``BlockSystem`` raises
-    TypeError, a system of order 0 ValueError, and an ARPACK convergence
-    failure, a filtered start or an application of L^H L that is not
-    finite RuntimeError.
+    TypeError, a system of order 0 ValueError, and a Lanczos run that
+    reaches its step cap, a filtered start or an application of L^H L
+    that is not finite RuntimeError.
     """
     if not isinstance(system, BlockSystem):
         raise TypeError(

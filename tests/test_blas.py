@@ -165,28 +165,28 @@ def test_perturbation_sweep_runs_at_one_thread(monkeypatch):
 
 def _system_above_the_symbol_cap():
     # order 2 * N * N_x * N_t = 1000, one-step block of m = 200 > DENSE_CAP
-    # rows: three ARPACK runs (symbol, sigma_max, sigma_min)
+    # rows: three Lanczos runs (symbol, sigma_max, sigma_min)
     cfg = resolve_config({"scheme": "explicit", "epsilon": 0.3, "tau": "auto",
                           "h": 0.04, "N": 4, "Nx": 25, "Nt": 5})
     return schemes.scheme_for(cfg).assemble(cfg, False)
 
 
-def _spy_arpack(monkeypatch):
-    """A list that records the OpenBLAS thread counts at each ARPACK run."""
+def _spy_lanczos(monkeypatch):
+    """A list that records the OpenBLAS thread counts at each Lanczos run."""
     counts_seen = []
-    eigsh = spectral.spla.eigsh
+    top_eigenpair = spectral._top_eigenpair
 
     def spy(*args, **kwargs):
         counts_seen.append(_blas.thread_counts())
-        return eigsh(*args, **kwargs)
+        return top_eigenpair(*args, **kwargs)
 
-    monkeypatch.setattr(spectral.spla, "eigsh", spy)
+    monkeypatch.setattr(spectral, "_top_eigenpair", spy)
     return counts_seen
 
 
 def test_system_spectrum_runs_arpack_at_one_thread(monkeypatch):
     system = _system_above_the_symbol_cap()
-    counts_seen = _spy_arpack(monkeypatch)
+    counts_seen = _spy_lanczos(monkeypatch)
     report = singular_extremes(system)
     assert report.method == "iterative" and report.matvecs_symbol > 0
     assert len(counts_seen) == 3
@@ -195,12 +195,12 @@ def test_system_spectrum_runs_arpack_at_one_thread(monkeypatch):
 
 def test_system_spectrum_pins_every_pool_above_order_40000(fakes, monkeypatch):
     # order 2 * N * N_x * N_t = 40,392 with a one-step block of m = 792
-    # rows: three ARPACK runs on a long explicit row
+    # rows: three Lanczos runs on a long explicit row
     cfg = resolve_config({"scheme": "explicit", "epsilon": 0.1, "tau": "auto",
                           "h": 0.01, "N": 4, "Nx": 99, "Nt": 51})
     system = schemes.scheme_for(cfg).assemble(cfg, False)
     assert system.order == 40_392
-    counts_seen = _spy_arpack(monkeypatch)
+    counts_seen = _spy_lanczos(monkeypatch)
     report = singular_extremes(system)
     assert report.method == "iterative" and report.matvecs_symbol > 0
     assert counts_seen == [{"two": 1, "four": 1, "one": 1}] * 3

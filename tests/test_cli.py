@@ -797,7 +797,8 @@ def test_manifest_records_whether_the_measured_system_was_rescaled(ap_config,
 # the recorded JSON text of each manifest entry of a measured system:
 # spectrum runs on the dense path (plain and rescaled) and the iterative
 # one, and sweeps with ok, counts_only and error rows.  The iterative
-# entries pin ARPACK's matvec counts and residual at one BLAS thread
+# entries pin the Lanczos runs' matvec counts and residual at one BLAS
+# thread
 _DENSE_ENTRY = ('"matvecs": {"sigma_max": 0, "sigma_min": 0, "symbol": 0}, '
                 '"method": "dense"')
 _NO_ENTRY = '"matvecs": null, "method": null, "rescaled": null, "residual": null'
@@ -808,9 +809,9 @@ RECORDED_ENTRIES = {
     "ap-rescaled": (AP_RAW, ("spectrum", "--rescaled"),
                     f'{{{_DENSE_ENTRY}, "rescaled": true, "residual": 0.0}}'),
     "ap-iterative": (AP_RAW, ("spectrum", "--rescaled", "--Nt", "12"),
-                     '{"matvecs": {"sigma_max": 41, "sigma_min": 21, "symbol": 0}, '
+                     '{"matvecs": {"sigma_max": 56, "sigma_min": 17, "symbol": 0}, '
                      '"method": "iterative", "rescaled": true, '
-                     '"residual": 1.9341295235804271e-13}'),
+                     '"residual": 5.842867652130732e-13}'),
     "explicit": (EXPLICIT_RAW, ("spectrum",),
                  f'{{{_DENSE_ENTRY}, "rescaled": false, "residual": 0.0}}'),
     "sweep-ap": (AP_RAW, ("sweep", "--allow-unstable", "--epsilons", "0.5,-1"),
@@ -821,9 +822,9 @@ RECORDED_ENTRIES = {
                         f'[{{"epsilon": 0.5, {_NO_ENTRY}, "status": "counts_only"}}]'),
     "sweep-explicit": (EXPLICIT_RAW, ("sweep", "--mode", "cfl_driven",
                                       "--epsilons", "0.4,1e-3,-1"),
-                       '[{"epsilon": 0.4, "matvecs": {"sigma_max": 51, '
-                       '"sigma_min": 31, "symbol": 0}, "method": "iterative", '
-                       '"rescaled": false, "residual": 9.610408446955085e-14, '
+                       '[{"epsilon": 0.4, "matvecs": {"sigma_max": 74, '
+                       '"sigma_min": 24, "symbol": 0}, "method": "iterative", '
+                       '"rescaled": false, "residual": 5.479669474631535e-13, '
                        '"status": "ok"}, '
                        f'{{"epsilon": 0.001, {_NO_ENTRY}, "status": "counts_only"}}, '
                        f'{{"epsilon": -1.0, {_NO_ENTRY}, "status": {_ERROR}}}]'),
