@@ -203,6 +203,8 @@ class BlockSystem:
 
     @property
     def shape(self) -> tuple[int, int]:
+        """The shape of L, which the benchmark's dense-flop counter
+        (``perfbench/spans.py``) reads."""
         return (self.order, self.order)
 
     @property

@@ -48,9 +48,9 @@ class SpectrumReport:
     two Lanczos Ritz pairs for the iterative path.  ``kappa`` is +inf
     when the matrix is singular to working precision (sigma_min reported
     as 0).  ``matvecs_max`` counts the applications of L^H L for
-    sigma_max: the Lanczos run's, the second pass that regenerates the
-    vectors past the kept ones included, plus, above order
-    ``FILTER_CAP``, those of the Chebyshev filter on its start.
+    sigma_max: the Chebyshev filter's on its start plus the Lanczos
+    run's, the second pass that regenerates the vectors past the kept
+    ones included.
     ``matvecs_min`` counts the Lanczos run's applications of
     (L^H L)^{-1} for sigma_min, and ``matvecs_symbol`` those of the
     order-m solve for the start of the sigma_max run (0 when that solve
@@ -114,29 +114,23 @@ EIGH_CAP = 48
 # and upwind systems; from order 256 up the Lanczos path is faster everywhere
 DENSE_CAP = 192
 
-# the largest order whose sigma_max run starts from the symbol's mode as
-# it is; above it that start is Chebyshev-filtered first
-# (``_chebyshev_filtered``).  The measured crossover, on 2-core OpenBLAS,
-# of the sigma_max stage with and without the filter (best of 5 or 7), on
-# relaxation (plain and rescaled) and upwind systems: the filtered stage
-# takes 0.87 to 1.38 of the plain one's time from order 1,024 to 2,560,
-# 0.77 to 1.00 at 2,816 and 0.60 to 0.97 from 3,072 to 12,152
-FILTER_CAP = 2816
-
-# the filter's degree per time level and its margin below the start's
-# Rayleigh quotient rho_0: it damps [0, (1 - FILTER_MARGIN) rho_0].  The
-# top of the spectrum clusters at spacing O(1/N_t^2), and a Chebyshev
-# polynomial's growth just outside its interval is exponential in its
-# degree times the square root of the distance, so a degree proportional
-# to N_t separates the top eigenvalue by about the same factor at every
-# N_t.  Of the degrees 0.5, 1, 1.5, 2 and 3 N_t and margins 0.01, 0.03
-# and 0.1, tried on five systems of order 3,072 to 29,040: at 1.5 N_t
-# the margin 0.03 took the fewest or tied-fewest ARPACK steps on all
-# five; 0.5 N_t left ARPACK 30 to 50 more steps, and 2 N_t traded 12 to
-# 32 more filter products for 10 to 20 fewer steps.  Under the module's
-# own Lanczos, the raw start took 1.36, 1.06 and 1.33 of the filtered
-# time on the spectrum benchmark's systems of order 8,192, 12,152 and
-# 29,040
+# the degree per time level of the Chebyshev filter on the sigma_max start
+# (``_chebyshev_filtered``), and its margin below the start's Rayleigh
+# quotient rho_0: it damps [0, (1 - FILTER_MARGIN) rho_0].  The top of the
+# spectrum clusters at spacing O(1/N_t^2), and a Chebyshev polynomial's
+# growth just outside its interval is exponential in its degree times the
+# square root of the distance, so a degree proportional to N_t separates
+# the top eigenvalue by about the same factor at every N_t.  Of the
+# degrees 0.5, 1, 1.5, 2 and 3 N_t and margins 0.01, 0.03 and 0.1, tried
+# on five systems of order 3,072 to 29,040: at 1.5 N_t the margin 0.03
+# took the fewest or tied-fewest ARPACK steps on all five.  Under the
+# module's own Lanczos, one thread: the raw start took 1.36, 1.06 and 1.33
+# of the filtered time on the spectrum benchmark's systems of order 8,192,
+# 12,152 and 29,040; on 90 systems of order 224 to 2,816 (both schemes,
+# plain and rescaled relaxation, h = 0.05, N 2 to 4, eps 0.7 to 1e-4),
+# best of 3, the filtered stage took 0.58 and 0.66 s in total against 0.70
+# and 0.80 s raw in two runs, at most 1.3 of the raw time (0.5 ms more)
+# on the shortest, of 7 levels, with sigma_max within 8.9e-16 relative
 FILTER_DEGREE_PER_LEVEL = 1.5
 FILTER_MARGIN = 0.03
 
@@ -420,8 +414,7 @@ def _lanczos_extremes(system: BlockSystem) -> tuple[float, float, float, int, in
     from the time-major vector
     ((-1)^t sin(pi (t+1) / (N_t+1)))_t kron u, u the top right singular
     vector of I + M (``_symbol_top_vector``, whose applications are the
-    symbol count).  Above order ``FILTER_CAP`` (2,816, the measured
-    crossover) that start is first Chebyshev-filtered on L^H L at degree
+    symbol count), Chebyshev-filtered on L^H L at degree
     ceil(FILTER_DEGREE_PER_LEVEL N_t) (``_chebyshev_filtered``): the
     filter's products separate the top eigenvalue from its cluster, so
     the Lanczos run, at the same tolerance, needs fewer steps, each of
@@ -441,10 +434,8 @@ def _lanczos_extremes(system: BlockSystem) -> tuple[float, float, float, int, in
     def gram(x):
         return system.apply_h(system.apply(x))
 
-    start, mv_filter = np.kron(wave, u), 0
-    if system.order > FILTER_CAP:
-        mv_filter = math.ceil(FILTER_DEGREE_PER_LEVEL * system.levels)
-        start = _chebyshev_filtered(gram, start, mv_filter)
+    mv_filter = math.ceil(FILTER_DEGREE_PER_LEVEL * system.levels)
+    start = _chebyshev_filtered(gram, np.kron(wave, u), mv_filter)
     lam, res_max, mv_max = _top_eigenvalue(gram, start, "sigma_max")
     try:
         mu, res_min, mv_min = _top_eigenvalue(
@@ -470,9 +461,8 @@ def singular_extremes(system: BlockSystem) -> SpectrumReport:
     ``_singular_values`` of the system's ``L``: numpy's LAPACK, like
     every dense SVD of this module.  Above the cap, the module's own
     no-restart Lanczos (``_top_eigenpair``) on L^H L gives sigma_max,
-    started from the symbol's top mode, Chebyshev-filtered above order
-    ``FILTER_CAP`` (2,816), and on (L^H L)^{-1} = L^{-1} L^{-H} gives
-    sigma_min (``_lanczos_extremes``):
+    started from the symbol's top mode, Chebyshev-filtered, and on
+    (L^H L)^{-1} = L^{-1} L^{-H} gives sigma_min (``_lanczos_extremes``):
     L, L^H, L^{-1} and L^{-H} are applied from the one-step block M, so
     this path builds no ``L`` and factors nothing.  Both paths run
     inside ``_blas.one_thread``, every loaded OpenBLAS at one thread, so

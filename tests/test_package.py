@@ -113,12 +113,15 @@ def test_package_reads_the_current_home_binding(monkeypatch):
 
 
 def test_readme_quotes_each_constant_at_its_value():
-    # "`NAME` = value" in README.md is the value of the module constant NAME
+    # "`NAME` = value" and "`NAME` (value" in README.md give the value of
+    # the module constant NAME; "`module.NAME`" names its module
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    quoted = re.findall(r"`([A-Z][A-Z0-9_]*)` = (\d+(?:,\d{3})*(?:\.\d+)?)", readme)
-    assert quoted
-    modules = [importlib.import_module(f"transportlab.{module}") for module in HOMES]
-    for name, value in quoted:
+    quoted = re.findall(r"`(?:([a-z_]+)\.)?([A-Z][A-Z0-9_]*)`(?: = | \()"
+                        r"(\d+(?:,\d{3})*(?:\.\d+)?(?:e[+-]?\d+)?)", readme)
+    assert {"LANCZOS_TOL", "ORDER_CAP"} <= {name for _, name, _ in quoted}
+    for home, name, value in quoted:
+        modules = [importlib.import_module(f"transportlab.{module}")
+                   for module in ([home] if home else HOMES)]
         values = [getattr(module, name) for module in modules if hasattr(module, name)]
         assert values, name
         assert all(v == float(value.replace(",", "")) for v in values), (name, value)

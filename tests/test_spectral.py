@@ -379,29 +379,36 @@ def _symbol_start(system):
     return np.kron(wave, u), lambda x: system.apply_h(system.apply(x))
 
 
-@pytest.mark.parametrize("Nt, filtered", [(32, False), (33, True)],
-                         ids=["at-cap", "one-step-above"])
-def test_sigma_max_start_is_filtered_only_above_the_filter_cap(Nt, filtered):
-    # rescaled relaxation with 2*N*N_x = 88 rows per level: order 2816 is
-    # FILTER_CAP itself, and one level more is the next order above it
+def _rescaled_relaxation(Nt):
+    """A rescaled relaxation system with 2*N*N_x = 88 rows per level."""
     cfg = resolve_config({"scheme": "ap", "epsilon": 1e-2, "tau": 2e-3, "h": 0.1,
                           "N": 4, "Nx": 11, "Nt": Nt})
-    system = schemes.scheme_for(cfg).assemble(cfg, True)
-    assert (system.order > spectral.FILTER_CAP) == filtered
-    assert system.order - system.M.shape[0] <= spectral.FILTER_CAP
+    return schemes.scheme_for(cfg).assemble(cfg, True)
+
+
+# the smallest iterative order, DENSE_CAP + 1, and orders 2816 and 2904,
+# either side of the filter's crossover as measured under ARPACK
+@pytest.mark.parametrize("build", [
+    lambda: _system_of(sp.csr_matrix([[0.5]]), DENSE_CAP + 1),
+    lambda: _rescaled_relaxation(32),
+    lambda: _rescaled_relaxation(33),
+], ids=["smallest-iterative", "2816", "2904"])
+def test_sigma_max_start_is_filtered_at_every_iterative_order(build):
+    system = build()
+    assert system.order > DENSE_CAP
     _, sigma_max, _, matvecs_max, _, _ = _lanczos_extremes(system)
     start, gram = _symbol_start(system)
-    filter_matvecs = 0
-    if filtered:
-        filter_matvecs = int(np.ceil(spectral.FILTER_DEGREE_PER_LEVEL * Nt))
-        assert filter_matvecs == 50
-        start = spectral._chebyshev_filtered(gram, start, filter_matvecs)
+    filter_matvecs = int(np.ceil(1.5 * system.levels))
+    assert filter_matvecs == np.ceil(spectral.FILTER_DEGREE_PER_LEVEL * system.levels)
+    start = spectral._chebyshev_filtered(gram, start, filter_matvecs)
     lam, _, lanczos_matvecs = _top_eigenvalue(gram, start, "sigma_max")
     assert _bits(sigma_max, float) == _bits(np.sqrt(lam), float)
     assert matvecs_max == filter_matvecs + lanczos_matvecs
 
 
 @pytest.mark.parametrize("scheme, rescaled, raw", [
+    # the sweep workload's fixed-grid row at eps = 1e-3, order 1024
+    ("ap", True, {"epsilon": 1e-3, "tau": 9e-3, "h": 0.1, "N": 4, "Nx": 8, "Nt": 16}),
     # order 3072 and the spectrum workload's case (a), order 8192
     ("ap", True, {"epsilon": 1.0, "tau": 2e-3, "h": 0.1, "N": 4, "Nx": 16, "Nt": 24}),
     ("ap", True, {"epsilon": 1e-6, "tau": 2e-3, "h": 0.1, "N": 4, "Nx": 16, "Nt": 64}),
@@ -410,29 +417,27 @@ def test_sigma_max_start_is_filtered_only_above_the_filter_cap(Nt, filtered):
                          "N": 4, "Nx": 32, "Nt": 16}),
     ("explicit", False, {"epsilon": 0.2, "tau": "auto", "h": 0.02,
                          "N": 4, "Nx": 49, "Nt": 31}),
-], ids=["ap-rescaled-3072", "ap-rescaled-8192", "explicit-4096", "explicit-12152"])
-def test_filtered_sigma_max_is_the_unfiltered_one(scheme, rescaled, raw, monkeypatch):
+], ids=["sweep-1024", "ap-rescaled-3072", "ap-rescaled-8192", "explicit-4096",
+        "explicit-12152"])
+def test_filtered_sigma_max_is_the_unfiltered_one(scheme, rescaled, raw):
     # the largest gap measured, in 79 runs on systems of both schemes of
-    # order 1,024 to 12,152, was 3.2e-15 relative; sigma_min is the same run
+    # order 1,024 to 12,152, was 3.2e-15 relative
     cfg = resolve_config({"scheme": scheme, **raw})
     system = schemes.scheme_for(cfg).assemble(cfg, rescaled)
-    assert system.order > spectral.FILTER_CAP
-    filtered = _lanczos_extremes(system)
-    monkeypatch.setattr(spectral, "FILTER_CAP", system.order)
-    plain = _lanczos_extremes(system)
-    assert filtered[1] == pytest.approx(plain[1], rel=1e-14, abs=0.0)
-    assert _bits(filtered[0], float) == _bits(plain[0], float)
-    assert filtered[2] <= spectral.LANCZOS_TOL and plain[2] <= spectral.LANCZOS_TOL
-    assert filtered[4:] == plain[4:]  # the sigma_min and symbol counts
+    _, sigma_max, residual, _, _, _ = _lanczos_extremes(system)
+    start, gram = _symbol_start(system)
+    lam, plain_residual, _ = _top_eigenvalue(gram, start, "sigma_max")
+    assert sigma_max == pytest.approx(np.sqrt(lam), rel=1e-14, abs=0.0)
+    assert residual <= spectral.LANCZOS_TOL and plain_residual <= spectral.LANCZOS_TOL
 
 
 def _overflowing_system():
-    """A rescaled relaxation system of order 3072, above FILTER_CAP, with
-    one entry of M set to 1e300: L^H L overflows on the symbol start."""
+    """A rescaled relaxation system of order 3072 with one entry of M set
+    to 1e300: L^H L overflows on the symbol start."""
     cfg = resolve_config({"scheme": "ap", "epsilon": 1.0, "tau": 2e-3, "h": 0.1,
                           "N": 4, "Nx": 16, "Nt": 24})
     system = schemes.scheme_for(cfg).assemble(cfg, True)
-    assert system.order > spectral.FILTER_CAP and system.M.shape[0] <= DENSE_CAP
+    assert system.order > DENSE_CAP and system.M.shape[0] <= DENSE_CAP
     system.M.data[0] = 1e300
     return system
 
@@ -475,11 +480,16 @@ def test_the_cli_reports_a_start_that_is_not_finite_as_a_numerical_failure(
 
 
 def test_a_sigma_max_that_is_not_finite_fails_with_a_true_message():
-    # order 240, below FILTER_CAP: L^H L of M = 1e200 I overflows on its
-    # first application, which the Lanczos run must never use
-    with pytest.raises(RuntimeError, match="application 1 .* is not finite") as info:
-        singular_extremes(_system_of(1e200 * sp.eye(8), 30))
-    assert not isinstance(info.value, spla.ArpackError)
+    # order 240: L^H L of M = 1e200 I overflows on its first application.
+    # The filter on the sigma_max start meets it first; a Lanczos run on
+    # the same operator must never use it
+    system = _system_of(1e200 * sp.eye(8), 30)
+    with pytest.raises(RuntimeError,
+                       match="^the Rayleigh quotient of the sigma_max start is"):
+        singular_extremes(system)
+    start, gram = _symbol_start(system)
+    with pytest.raises(RuntimeError, match="application 1 .* is not finite"):
+        spectral._top_eigenpair(gram, start, "sigma_max")
 
 
 def _unstable_upwind_system(Nx, Nt, epsilon):
